@@ -15,8 +15,7 @@ from bachet_lottery import (
     solve,
     truncated_simplex,
 )
-from bachet_lottery.cli import run_checks
-from bachet_lottery.analysis import DEFAULT_KAPPA_GRID
+from bachet_lottery.analysis import DEFAULT_KAPPA_GRID, run_checks
 
 K = truncated_simplex([0.05, 0.05])
 spec = GameSpec(10_000, 2, K)
@@ -32,7 +31,7 @@ print(f"{'check':28s} {'applied':>8s} {'violations':>10s} {'min slack':>12s}")
 
 reports = run_checks(vt, ds, cond, dc, DEFAULT_KAPPA_GRID)
 for rep in reports:
-    slack = "n/a" if not rep.checked_k else f"{rep.min_slack:.2e}"
+    slack = "n/a" if rep.checked_k.size == 0 else f"{rep.min_slack:.2e}"
     print(f"{rep.lemma_id:28s} {len(rep.checked_k):8d} {len(rep.violations):10d} {slack:>12s}")
 
 assert all(rep.ok for rep in reports)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import ValueTable
 from .errors import InvalidEtaNuError, TauOutOfRangeError
+from .lotteries import ConditionReport
 
 SLACK_TOL = 1e-9
 
@@ -40,7 +41,6 @@ class DeviationSeries:
     delta_bar: np.ndarray    # max of delta over W_k
     delta_plus: np.ndarray   # max(0, D_k)
     delta_minus: np.ndarray  # max(0, -D_k)
-    delta_bar_plus: np.ndarray
     delta_bar_minus: np.ndarray
 
     def delta_at(self, k: int) -> float:
@@ -74,7 +74,6 @@ def deviation_series(vt: ValueTable) -> DeviationSeries:
         delta_plus=plus_ext[m:].copy(),
         delta_minus=minus_ext[m:].copy(),
         delta_bar=_window_max(delta_ext, m)[1:].copy(),
-        delta_bar_plus=_window_max(plus_ext, m)[1:].copy(),
         delta_bar_minus=_window_max(minus_ext, m)[1:].copy(),
     )
 
@@ -140,24 +139,25 @@ def drop_constants(eta: float, nu: float, tau: float | None = None) -> DropConst
     return DropConstants(eta=eta, nu=nu, tau=tau, delta=delta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
     """Outcome of one inequality scan: where it applied, where it failed."""
 
     lemma_id: str
-    checked_k: list[int] = field(default_factory=list)
-    violations: list[tuple[int, float, float]] = field(default_factory=list)
-    min_slack: float = math.inf
+    checked_k: np.ndarray
+    violations: list[tuple[int, float, float]]
+    min_slack: float
     extra: dict = field(default_factory=dict)
 
-    def record(self, k: int, lhs: float, rhs: float) -> None:
-        """Assert lhs <= rhs + SLACK_TOL at index k."""
-        self.checked_k.append(k)
+    @classmethod
+    def scan(cls, lemma_id: str, k: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
+             **extra) -> BoundReport:
+        """Assert lhs <= rhs + SLACK_TOL at every index k (parallel arrays)."""
         slack = rhs - lhs
-        if slack < self.min_slack:
-            self.min_slack = slack
-        if slack < -SLACK_TOL:
-            self.violations.append((k, lhs, rhs))
+        bad = np.flatnonzero(slack < -SLACK_TOL)
+        violations = list(zip(k[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
+        min_slack = float(slack.min()) if slack.size else math.inf
+        return cls(lemma_id, np.asarray(k, dtype=np.int64), violations, min_slack, extra)
 
     @property
     def ok(self) -> bool:
@@ -173,19 +173,28 @@ class BoundReport:
         }
 
 
+def _window_extrema(vt: ValueTable) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum and maximum of p over W_k, indexed by k = 0..n."""
+    windows = np.lib.stride_tricks.sliding_window_view(vt.p_ext, vt.m)
+    return windows.min(axis=1), windows.max(axis=1)
+
+
+def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Interleave two equal-length arrays: first[0], second[0], first[1], ..."""
+    return np.column_stack((first, second)).ravel()
+
+
 def check_monotonicity(ds: DeviationSeries) -> BoundReport:
     """Delta_k <= DeltaBar_{k-1} and DeltaBar_k <= DeltaBar_{k-1} for k = 2..n."""
-    report = BoundReport("monotonicity")
-    strict = True
-    for k in range(2, ds.n + 1):
-        prev = ds.dbar(k - 1)
-        report.record(k, ds.delta_at(k), prev)
-        report.record(k, ds.dbar(k), prev)
-        if ds.dbar(k) >= prev:
-            strict = False
-    # empirical observation only; per-step strict decrease is not asserted
-    report.extra["delta_bar_strictly_decreasing_per_step"] = strict
-    return report
+    prev = ds.delta_bar[:-1]
+    return BoundReport.scan(
+        "monotonicity",
+        np.repeat(np.arange(2, ds.n + 1), 2),
+        _pairs(ds.delta[1:], ds.delta_bar[1:]),
+        np.repeat(prev, 2),
+        # empirical observation only; per-step strict decrease is not asserted
+        delta_bar_strictly_decreasing_per_step=bool(np.all(ds.delta_bar[1:] < prev)),
+    )
 
 
 def check_no_long_winning(vt: ValueTable) -> BoundReport:
@@ -194,13 +203,16 @@ def check_no_long_winning(vt: ValueTable) -> BoundReport:
     Whenever p_j > 1/2 on the whole window W_k (k > m): p_{k+1} < 1/2 and
     p_{k-m} <= 1/2.
     """
-    report = BoundReport("no_long_winning")
-    for k in range(vt.m + 1, vt.n + 1):
-        if all(vt.p(j) > 0.5 for j in range(k - vt.m + 1, k + 1)):
-            if k + 1 <= vt.n:
-                report.record(k, vt.p(k + 1), 0.5)
-            report.record(k, vt.p(k - vt.m), 0.5)
-    return report
+    m, n = vt.m, vt.n
+    k = np.arange(m + 1, n + 1)
+    k = k[_window_extrema(vt)[0][k] > 0.5]
+    # p_{k+1} sits at p_ext[k + m]; it is only checked while k + 1 <= n
+    p_next = vt.p_ext[np.minimum(k + m, n + m - 1)]
+    keep = np.ones(2 * k.size, dtype=bool)
+    keep[0::2] = k < n
+    lhs = _pairs(p_next, vt.p_ext[k - 1])[keep]
+    return BoundReport.scan("no_long_winning", np.repeat(k, 2)[keep], lhs,
+                            np.full_like(lhs, 0.5))
 
 
 def check_km_bound(
@@ -211,17 +223,19 @@ def check_km_bound(
     * Delta_{k-m}.  One report per kappa.
     """
     eta = max(max(c.probs) for c in vt.candidates)
+    k = np.arange(vt.m + 1, vt.n)
+    window_min = _window_extrema(vt)[0][k]
+    d_next = ds.delta[k]             # Delta_{k+1}
+    d_back = ds.delta[k - vt.m - 1]  # Delta_{k-m}
     reports = []
     for kappa in kappa_grid:
         if not (0.0 < kappa < 1.0):
             raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-        report = BoundReport(f"km_bound[kappa={kappa:g}]")
         factor = eta / ((2.0 - eta) * (1.0 - kappa))
-        for k in range(vt.m + 1, vt.n):
-            bar = 0.5 + (1.0 - kappa) * ds.delta_at(k + 1)
-            if all(vt.p(j) >= bar for j in range(k - vt.m + 1, k + 1)):
-                report.record(k, ds.delta_at(k + 1), factor * ds.delta_at(k - vt.m))
-        reports.append(report)
+        hit = window_min >= 0.5 + (1.0 - kappa) * d_next
+        reports.append(BoundReport.scan(
+            f"km_bound[kappa={kappa:g}]", k[hit], d_next[hit], factor * d_back[hit]
+        ))
     return reports
 
 
@@ -230,20 +244,19 @@ def check_corridor(vt: ValueTable, ds: DeviationSeries, nu: float) -> BoundRepor
 
         max_{i in W_k} (p_i - (1/2 + Delta_{k+1}))
             >= (nu/(1-nu)) * max_{i in W_k} ((1/2 + Delta_{k+1}) - p_i).
+
+    Rounding is monotone, so max_i fl(c - p_i) = fl(c - min_i p_i) exactly.
     """
     if not (0.0 < nu < 1.0):
         raise InvalidEtaNuError(f"corridor check needs 0 < nu < 1, got {nu}")
     ratio = nu / (1.0 - nu)
-    report = BoundReport("corridor")
-    for k in range(1, vt.n):
-        if vt.p(k + 1) >= 0.5:
-            continue
-        ceil = 0.5 + ds.delta_at(k + 1)
-        window = [vt.p(j) for j in range(k - vt.m + 1, k + 1)]
-        lhs = ratio * max(ceil - p for p in window)
-        rhs = max(p - ceil for p in window)
-        report.record(k, lhs, rhs)
-    return report
+    window_min, window_max = _window_extrema(vt)
+    k = np.arange(1, vt.n)
+    k = k[vt.p_ext[k + vt.m] < 0.5]
+    ceil = 0.5 + ds.delta[k]
+    return BoundReport.scan(
+        "corridor", k, ratio * (ceil - window_min[k]), window_max[k] - ceil
+    )
 
 
 def check_drop_down(
@@ -256,26 +269,28 @@ def check_drop_down(
     - all k > 3m: DeltaBar_k <= delta * DeltaBar_{k-3m}
     """
     m, n, delta = vt.m, vt.n, dc.delta
-    losing = BoundReport("drop_down_losing")
-    for k in range(m + 1, n):
-        if vt.p(k + 1) < 0.5:
-            losing.record(k, ds.delta_at(k + 1), delta * ds.dbar(k - m))
-    every = BoundReport("drop_down_2m")
-    for k in range(2 * m + 1, n):
-        every.record(k, ds.delta_at(k + 1), delta * ds.dbar(k - 2 * m))
-    block = BoundReport("drop_down_3m")
-    for k in range(3 * m + 1, n + 1):
-        block.record(k, ds.dbar(k), delta * ds.dbar(k - 3 * m))
+    k = np.arange(m + 1, n)
+    k = k[vt.p_ext[k + m] < 0.5]
+    losing = BoundReport.scan(
+        "drop_down_losing", k, ds.delta[k], delta * ds.delta_bar[k - m - 1]
+    )
+    k = np.arange(2 * m + 1, n)
+    every = BoundReport.scan(
+        "drop_down_2m", k, ds.delta[k], delta * ds.delta_bar[k - 2 * m - 1]
+    )
+    k = np.arange(3 * m + 1, n + 1)
+    block = BoundReport.scan(
+        "drop_down_3m", k, ds.delta_bar[k - 1], delta * ds.delta_bar[k - 3 * m - 1]
+    )
     return [losing, every, block]
 
 
 def check_plus_minus(ds: DeviationSeries) -> BoundReport:
     """Upward deviation is capped by the recent downward ones:
     DeltaPlus_{k+1} <= DeltaBarMinus_k for k = 1..n-1."""
-    report = BoundReport("plus_minus")
-    for k in range(1, ds.n):
-        report.record(k, float(ds.delta_plus[k]), ds.dbar_minus(k))
-    return report
+    return BoundReport.scan(
+        "plus_minus", np.arange(1, ds.n), ds.delta_plus[1:], ds.delta_bar_minus[:-1]
+    )
 
 
 def check_envelope(ds: DeviationSeries, dc: DropConstants, m: int) -> BoundReport:
@@ -284,12 +299,27 @@ def check_envelope(ds: DeviationSeries, dc: DropConstants, m: int) -> BoundRepor
     At k = 1 + 3mN this is the N-fold contraction of DeltaBar_1 = 1/2;
     monotonicity of DeltaBar extends it to every k in between.
     """
-    report = BoundReport("envelope")
-    delta = dc.delta
-    for k in range(1, ds.n + 1):
-        bound = 0.5 * delta ** ((k - 1) // (3 * m))
-        report.record(k, ds.dbar(k), bound)
-    return report
+    k = np.arange(1, ds.n + 1)
+    block = (k - 1) // (3 * m)
+    # one scalar power per block keeps the float path of envelope_bound
+    bounds = np.array(
+        [envelope_bound(1 + 3 * m * j, dc.delta, m) for j in range(int(block[-1]) + 1)]
+    )
+    return BoundReport.scan("envelope", k, ds.delta_bar, bounds[block])
+
+
+def run_checks(
+    vt: ValueTable, ds: DeviationSeries, cond: ConditionReport, dc: DropConstants,
+    kappa_grid=DEFAULT_KAPPA_GRID,
+) -> list[BoundReport]:
+    """All inequality checks on one solved table, in report order."""
+    reports = [check_monotonicity(ds), check_no_long_winning(vt)]
+    reports += check_km_bound(vt, ds, kappa_grid)
+    reports.append(check_corridor(vt, ds, cond.nu))
+    reports += check_drop_down(vt, ds, dc)
+    reports.append(check_plus_minus(ds))
+    reports.append(check_envelope(ds, dc, vt.m))
+    return reports
 
 
 def envelope_bound(k: int, delta: float, m: int) -> float:

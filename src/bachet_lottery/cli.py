@@ -17,7 +17,13 @@ from pathlib import Path
 
 from . import analysis
 from .engine import TIE_LOWEST, ValueTable, solve
-from .errors import ConfigError, InvalidEtaNuError, LotteryError, DegenerateSetError
+from .errors import (
+    ConfigError,
+    DegenerateSetError,
+    InvalidEtaNuError,
+    LotteryError,
+    TauOutOfRangeError,
+)
 from .lotteries import (
     ConditionReport,
     GameSpec,
@@ -41,12 +47,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would have
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -93,6 +107,28 @@ def _parse_game(node, where: str = "game") -> GameSpec:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _parse_tau(cfg: dict) -> float | None:
+    tau = cfg.get("tau")
+    _require(tau is None or _is_real(tau), "tau", "must be a real number")
+    return tau
+
+
+def _parse_kappa_grid(cfg: dict) -> list[float]:
+    grid = cfg.get("kappa_grid")
+    if grid is None:
+        return list(analysis.DEFAULT_KAPPA_GRID)
+    _require(
+        isinstance(grid, list) and grid and all(_is_real(x) and 0.0 < x < 1.0 for x in grid),
+        "kappa_grid",
+        "must be a non-empty list of reals in (0, 1)",
+    )
+    return grid
+
+
 def load_config(path: str | Path, command: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -137,7 +173,10 @@ def _solve_bundle(spec: GameSpec, tau: float | None):
     ds = analysis.deviation_series(vt)
     dc = None
     if cond.eta_ok and cond.nu_ok:
-        dc = analysis.drop_constants(cond.eta, cond.nu, tau)
+        try:
+            dc = analysis.drop_constants(cond.eta, cond.nu, tau)
+        except TauOutOfRangeError as exc:
+            raise ConfigError(f"tau: {exc}") from exc
     return vt, cond, ds, dc
 
 
@@ -157,7 +196,7 @@ def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
                   file=sys.stderr)
     else:
         _reject_nu_zero(cond, "solve")
-    vt, cond, ds, dc = _solve_bundle(spec, cfg.get("tau"))
+    vt, cond, ds, dc = _solve_bundle(spec, _parse_tau(cfg))
     delta = None if (explore or dc is None) else dc.delta
     _atomic_write(out / "values.csv", _values_csv(vt, ds, delta))
     summary = {
@@ -172,26 +211,15 @@ def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
     return 0
 
 
-def run_checks(vt: ValueTable, ds, cond: ConditionReport, dc, kappa_grid):
-    """All inequality checks on one solved table, in report order."""
-    reports = [analysis.check_monotonicity(ds), analysis.check_no_long_winning(vt)]
-    reports += analysis.check_km_bound(vt, ds, kappa_grid)
-    reports.append(analysis.check_corridor(vt, ds, cond.nu))
-    reports += analysis.check_drop_down(vt, ds, dc)
-    reports.append(analysis.check_plus_minus(ds))
-    reports.append(analysis.check_envelope(ds, dc, vt.m))
-    return reports
-
-
 def _cmd_verify(cfg: dict, out: Path) -> int:
     spec = _parse_game(cfg.get("game"))
     cond = compute_conditions(spec.K)
     _reject_nu_zero(cond, "verify")
     if not cond.eta_ok:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
-    kappa_grid = cfg.get("kappa_grid") or list(analysis.DEFAULT_KAPPA_GRID)
-    vt, cond, ds, dc = _solve_bundle(spec, cfg.get("tau"))
-    reports = run_checks(vt, ds, cond, dc, kappa_grid)
+    kappa_grid = _parse_kappa_grid(cfg)
+    vt, cond, ds, dc = _solve_bundle(spec, _parse_tau(cfg))
+    reports = analysis.run_checks(vt, ds, cond, dc, kappa_grid)
     total_violations = sum(len(r.violations) for r in reports)
     report = {
         "eta": cond.eta,
@@ -264,11 +292,12 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     else:
         raise ConfigError("sweep: needs n_values or epsilon_values")
 
+    tau = _parse_tau(cfg)
     lines = [SWEEP_HEADER]
     for spec in points:
         cond = compute_conditions(spec.K)
         _reject_nu_zero(cond, "sweep")
-        vt, cond, ds, dc = _solve_bundle(spec, cfg.get("tau"))
+        vt, cond, ds, dc = _solve_bundle(spec, tau)
         lines.append(
             ",".join(
                 (

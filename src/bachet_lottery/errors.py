@@ -6,7 +6,7 @@ class LotteryError(ValueError):
 
 
 class NegativeEntryError(LotteryError):
-    """A lottery coordinate is negative (or above 1)."""
+    """A lottery coordinate lies outside [0, 1] (negative, above 1 or NaN)."""
 
 
 class SumNotOneError(LotteryError):

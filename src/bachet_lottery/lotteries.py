@@ -9,6 +9,7 @@ a finite candidate list.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -47,7 +48,7 @@ def validate_lottery(probs: Sequence[float]) -> Lottery:
     if len(vec) < 2:
         raise WrongLengthError(f"lottery needs at least 2 coordinates, got {len(vec)}")
     for i, x in enumerate(vec):
-        if x < 0.0 or x > 1.0:
+        if not 0.0 <= x <= 1.0:  # also rejects NaN
             raise NegativeEntryError(f"coordinate {i} = {x} outside [0, 1]")
     total = sum(vec)
     if abs(total - 1.0) > SUM_TOL:
@@ -89,8 +90,8 @@ class LotterySet:
         if self.kind is SetKind.TRUNCATED_SIMPLEX:
             if len(self.epsilon) < 2:
                 raise DegenerateSetError("truncated simplex needs m >= 2 lower bounds")
-            if any(e <= 0.0 for e in self.epsilon):
-                raise DegenerateSetError("every epsilon_i must be positive")
+            if not all(0.0 < e < math.inf for e in self.epsilon):  # also rejects NaN
+                raise DegenerateSetError("every epsilon_i must be positive and finite")
             if sum(self.epsilon) >= 1.0:
                 raise DegenerateSetError("sum of epsilon_i must be below 1")
         else:

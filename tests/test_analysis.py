@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from bachet_lottery import (
     deviation_series,
     drop_constants,
     finite_set,
+    run_checks,
     solve,
     truncated_simplex,
 )
@@ -70,8 +73,6 @@ class TestDeviationSeries:
         assert (trunc_series.delta_plus * trunc_series.delta_minus == 0.0).all()
 
     def test_delta_is_max_of_signed_parts(self, trunc_series):
-        import numpy as np
-
         assert np.allclose(
             trunc_series.delta,
             np.maximum(trunc_series.delta_plus, trunc_series.delta_minus),
@@ -136,7 +137,7 @@ class TestNoLongWinning:
         vt = solve(GameSpec(50, 3, K))
         rep = check_no_long_winning(vt)
         assert rep.ok
-        assert rep.checked_k  # runs of three wins do occur
+        assert rep.checked_k.size  # runs of three wins do occur
 
     def test_vacuous_when_no_window_qualifies(self, half_table):
         # with p2 = 0.5 the m=2 window {p3, p2} never satisfies p_j > 1/2 twice in a row early on
@@ -228,3 +229,148 @@ class TestEnvelope:
         assert all(
             trunc_series.delta_at(k) < 1e-3 for k in range(n_star, trunc_series.n + 1)
         )
+
+
+class _RefReport:
+    """Per-index recorder the vectorised BoundReport must reproduce."""
+
+    def __init__(self, lemma_id):
+        self.lemma_id = lemma_id
+        self.checked_k = []
+        self.violations = []
+        self.min_slack = math.inf
+        self.extra = {}
+
+    def record(self, k, lhs, rhs):
+        self.checked_k.append(k)
+        slack = rhs - lhs
+        if slack < self.min_slack:
+            self.min_slack = slack
+        if slack < -1e-9:
+            self.violations.append((k, lhs, rhs))
+
+    def summary(self):
+        return {
+            "lemma_id": self.lemma_id,
+            "checked": len(self.checked_k),
+            "violations": len(self.violations),
+            "min_slack": None if math.isinf(self.min_slack) else self.min_slack,
+            **self.extra,
+        }
+
+
+def _reference_checks(vt, ds, nu, dc, kappa_grid):
+    """The per-index loops of every check, in report order."""
+    m, n, delta = vt.m, vt.n, dc.delta
+    mono = _RefReport("monotonicity")
+    strict = True
+    for k in range(2, n + 1):
+        prev = ds.dbar(k - 1)
+        mono.record(k, ds.delta_at(k), prev)
+        mono.record(k, ds.dbar(k), prev)
+        if ds.dbar(k) >= prev:
+            strict = False
+    mono.extra["delta_bar_strictly_decreasing_per_step"] = strict
+    runs = _RefReport("no_long_winning")
+    for k in range(m + 1, n + 1):
+        if all(vt.p(j) > 0.5 for j in range(k - m + 1, k + 1)):
+            if k + 1 <= n:
+                runs.record(k, vt.p(k + 1), 0.5)
+            runs.record(k, vt.p(k - m), 0.5)
+    reports = [mono, runs]
+    eta = max(max(c.probs) for c in vt.candidates)
+    for kappa in kappa_grid:
+        km = _RefReport(f"km_bound[kappa={kappa:g}]")
+        factor = eta / ((2.0 - eta) * (1.0 - kappa))
+        for k in range(m + 1, n):
+            bar = 0.5 + (1.0 - kappa) * ds.delta_at(k + 1)
+            if all(vt.p(j) >= bar for j in range(k - m + 1, k + 1)):
+                km.record(k, ds.delta_at(k + 1), factor * ds.delta_at(k - m))
+        reports.append(km)
+    corridor = _RefReport("corridor")
+    ratio = nu / (1.0 - nu)
+    for k in range(1, n):
+        if vt.p(k + 1) >= 0.5:
+            continue
+        ceil = 0.5 + ds.delta_at(k + 1)
+        window = [vt.p(j) for j in range(k - m + 1, k + 1)]
+        corridor.record(k, ratio * max(ceil - p for p in window), max(p - ceil for p in window))
+    reports.append(corridor)
+    losing = _RefReport("drop_down_losing")
+    for k in range(m + 1, n):
+        if vt.p(k + 1) < 0.5:
+            losing.record(k, ds.delta_at(k + 1), delta * ds.dbar(k - m))
+    every = _RefReport("drop_down_2m")
+    for k in range(2 * m + 1, n):
+        every.record(k, ds.delta_at(k + 1), delta * ds.dbar(k - 2 * m))
+    block = _RefReport("drop_down_3m")
+    for k in range(3 * m + 1, n + 1):
+        block.record(k, ds.dbar(k), delta * ds.dbar(k - 3 * m))
+    reports += [losing, every, block]
+    plus = _RefReport("plus_minus")
+    for k in range(1, n):
+        plus.record(k, float(ds.delta_plus[k]), ds.dbar_minus(k))
+    envelope = _RefReport("envelope")
+    for k in range(1, n + 1):
+        envelope.record(k, ds.dbar(k), 0.5 * delta ** ((k - 1) // (3 * m)))
+    reports += [plus, envelope]
+    return reports
+
+
+def _assert_matches_reference(vt, ds, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    got = run_checks(vt, ds, cond, dc, kappa_grid)
+    want = _reference_checks(vt, ds, cond.nu, dc, kappa_grid)
+    assert [r.summary() for r in got] == [r.summary() for r in want]
+    for g, w in zip(got, want):
+        assert g.violations == w.violations
+        assert g.checked_k.tolist() == w.checked_k
+    return got
+
+
+@st.composite
+def _games(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        eps = draw(st.lists(st.floats(0.001, 0.9 / m), min_size=m, max_size=m))
+        K = truncated_simplex(eps)
+    else:
+        rows = draw(st.lists(
+            st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m), min_size=1, max_size=4
+        ))
+        K = finite_set([[w / sum(row) for w in row] for row in rows])
+    return GameSpec(n, m, K)
+
+
+class TestMatchesPerIndexReference:
+    @given(_games())
+    @settings(max_examples=60, deadline=None)
+    def test_solved_tables(self, spec):
+        vt = solve(spec)
+        cond = compute_conditions(spec.K)
+        _assert_matches_reference(vt, deviation_series(vt), cond, drop_constants(cond.eta, cond.nu))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_tables_report_nothing(self, n):
+        K = truncated_simplex([0.05, 0.05, 0.05])
+        vt = solve(GameSpec(n, 3, K))
+        cond = compute_conditions(K)
+        got = _assert_matches_reference(
+            vt, deviation_series(vt), cond, drop_constants(cond.eta, cond.nu)
+        )
+        # every k these scan needs k > m
+        empty = [r for r in got if r.lemma_id.startswith(("no_long", "km_bound", "drop_down"))]
+        assert len(empty) == 9
+        assert all(r.summary()["checked"] == 0 for r in empty)
+        assert all(r.summary()["min_slack"] is None for r in empty)
+
+    def test_perturbed_table_violates_every_check(self):
+        K = truncated_simplex([0.05, 0.05, 0.05])
+        vt = solve(GameSpec(2000, 3, K))
+        noise = np.random.default_rng(1).uniform(0.0, 1.0, vt.n)
+        vt = dataclasses.replace(vt, p_ext=np.concatenate((vt.p_ext[: vt.m], noise)))
+        cond = compute_conditions(K)
+        got = _assert_matches_reference(
+            vt, deviation_series(vt), cond, drop_constants(cond.eta, cond.nu)
+        )
+        assert all(r.violations for r in got)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -141,6 +142,37 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, payload)
         assert run("solve", cfg, output=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"kappa_grid": [1.5]},
+            {"kappa_grid": "ab"},
+            {"kappa_grid": []},
+            {"kappa_grid": [0.5, True]},
+            {"tau": 5.0},
+            {"tau": "small"},
+            {"tau": float("nan")},
+        ],
+    )
+    def test_verify_options_exit_two(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, {"game": {**TRUNC_GAME, "n": 50}, **extra})
+        assert run("verify", cfg, output=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            {"type": "finite", "lotteries": [[float("nan"), 0.5]]},
+            {"type": "truncated_simplex", "epsilon": [float("nan"), 0.05]},
+            {"type": "truncated_simplex", "epsilon": [float("inf"), 0.05]},
+        ],
+    )
+    def test_non_finite_lottery_set_exit_two(self, tmp_path, capsys, K):
+        cfg = write_config(tmp_path, {"game": {"n": 5, "m": 2, "K": K}})
+        assert run("verify", cfg, output=tmp_path / "out") == 2
+        assert "nu = 0" not in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", output=tmp_path / "out") == 2
 
@@ -163,3 +195,15 @@ class TestDeterminism:
         assert (tmp_path / "a" / "simulation.csv").read_bytes() == (
             tmp_path / "b" / "simulation.csv"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_artifacts_honour_umask(tmp_path, umask):
+    cfg = write_config(tmp_path, {"game": HALF_GAME})
+    old = os.umask(umask)
+    try:
+        assert run("solve", cfg, output=tmp_path / "out") == 0
+    finally:
+        os.umask(old)
+    for name in ("values.csv", "summary.json"):
+        assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o666 & ~umask

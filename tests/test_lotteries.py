@@ -35,6 +35,11 @@ class TestValidateLottery:
         with pytest.raises(NegativeEntryError):
             validate_lottery((1.2, -0.2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(NegativeEntryError):
+            validate_lottery((bad, 0.5))
+
     def test_wrong_length(self):
         with pytest.raises(WrongLengthError):
             validate_lottery((1.0,))
@@ -75,6 +80,11 @@ class TestCandidateSet:
             truncated_simplex([0.6, 0.5])
         with pytest.raises(DegenerateSetError):
             truncated_simplex([0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_epsilon(self, bad):
+        with pytest.raises(DegenerateSetError):
+            truncated_simplex([bad, 0.05])
 
 
 class TestComputeConditions:
