@@ -17,6 +17,7 @@ from bachet_lottery import (
     solve,
     truncated_simplex,
 )
+from bachet_lottery.analysis import envelope_bound
 
 SETS = {
     "single fair coin {(0.5, 0.5)}": finite_set([[0.5, 0.5]]),
@@ -36,7 +37,7 @@ for label, K in SETS.items():
     print(f"eta = {cond.eta:.4f}  nu = {cond.nu:.4f}  contraction delta = {dc.delta:.6f}")
     print("  k        p_k        |p_k - 1/2|   geometric envelope")
     for k in (1, 2, 5, 10, 50, 200, 1000, N):
-        env = 0.5 * dc.delta ** ((k - 1) // (3 * K.m))
+        env = envelope_bound(k, dc.delta, K.m)
         print(f"{k:5d}  {vt.p(k):.8f}   {ds.delta_at(k):.3e}     {env:.3e}")
 
     n_star = 1 + 3 * K.m * math.ceil(math.log(2e-3) / math.log(dc.delta))

@@ -299,13 +299,9 @@ def check_envelope(ds: DeviationSeries, dc: DropConstants, m: int) -> BoundRepor
     At k = 1 + 3mN this is the N-fold contraction of DeltaBar_1 = 1/2;
     monotonicity of DeltaBar extends it to every k in between.
     """
-    k = np.arange(1, ds.n + 1)
-    block = (k - 1) // (3 * m)
-    # one scalar power per block keeps the float path of envelope_bound
-    bounds = np.array(
-        [envelope_bound(1 + 3 * m * j, dc.delta, m) for j in range(int(block[-1]) + 1)]
+    return BoundReport.scan(
+        "envelope", np.arange(1, ds.n + 1), ds.delta_bar, envelope(ds.n, dc.delta, m)
     )
-    return BoundReport.scan("envelope", k, ds.delta_bar, bounds[block])
 
 
 def run_checks(
@@ -325,3 +321,13 @@ def run_checks(
 def envelope_bound(k: int, delta: float, m: int) -> float:
     """The geometric envelope value at pile size k."""
     return 0.5 * delta ** ((k - 1) // (3 * m))
+
+
+def envelope(n: int, delta: float, m: int) -> np.ndarray:
+    """envelope_bound(k, delta, m) for k = 1..n, indexed by k - 1.
+
+    One scalar power per 3m-block keeps the float path of envelope_bound.
+    """
+    block = np.arange(n) // (3 * m)
+    bounds = [envelope_bound(1 + 3 * m * j, delta, m) for j in range((n - 1) // (3 * m) + 1)]
+    return np.array(bounds)[block]

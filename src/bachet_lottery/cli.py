@@ -30,7 +30,6 @@ from .lotteries import (
     LotterySet,
     compute_conditions,
     finite_set,
-    polytope_vertices,
     truncated_simplex,
 )
 from .oracles import SimConfig, estimate_win_prob
@@ -73,6 +72,18 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise ConfigError(f"{where}: {msg}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_reals(x) -> bool:
+    return isinstance(x, list) and all(_is_real(v) for v in x)
+
+
 def _parse_lottery_set(node: dict, where: str) -> LotterySet:
     _require(isinstance(node, dict), where, "must be an object")
     kind = node.get("type")
@@ -84,13 +95,16 @@ def _parse_lottery_set(node: dict, where: str) -> LotterySet:
     try:
         if kind == "truncated_simplex":
             eps = node.get("epsilon")
-            _require(isinstance(eps, list), f"{where}.epsilon", "must be a list of reals")
+            _require(_is_reals(eps), f"{where}.epsilon", "must be a list of reals")
             return truncated_simplex(eps)
+        # a polytope is given by its vertex list, a finite set by itself
         lots = node.get("lotteries")
         _require(
-            isinstance(lots, list) and lots, f"{where}.lotteries", "must be a non-empty list"
+            isinstance(lots, list) and lots and all(_is_reals(v) for v in lots),
+            f"{where}.lotteries",
+            "must be a non-empty list of lists of reals",
         )
-        return finite_set(lots) if kind == "finite" else polytope_vertices(lots)
+        return finite_set(lots)
     except (LotteryError, DegenerateSetError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -98,17 +112,13 @@ def _parse_lottery_set(node: dict, where: str) -> LotterySet:
 def _parse_game(node, where: str = "game") -> GameSpec:
     _require(isinstance(node, dict), where, "must be an object")
     n, m = node.get("n"), node.get("m")
-    _require(isinstance(n, int) and n >= 1, f"{where}.n", "must be an integer >= 1")
-    _require(isinstance(m, int) and m >= 2, f"{where}.m", "must be an integer >= 2")
+    _require(_is_int(n) and n >= 1, f"{where}.n", "must be an integer >= 1")
+    _require(_is_int(m) and m >= 2, f"{where}.m", "must be an integer >= 2")
     K = _parse_lottery_set(node.get("K"), f"{where}.K")
     try:
         return GameSpec(n=n, m=m, K=K)
     except (ValueError,) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _parse_tau(cfg: dict) -> float | None:
@@ -135,6 +145,8 @@ def load_config(path: str | Path, command: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     _require(isinstance(raw, dict), "config", "top level must be an object")
+    _require(raw.get("output") is None or isinstance(raw["output"], str), "output",
+             "must be a string")
     declared = raw.get("command")
     if declared is not None and declared != command:
         raise ConfigError(f"command: config declares {declared!r}, invoked as {command!r}")
@@ -143,8 +155,8 @@ def load_config(path: str | Path, command: str) -> dict:
 
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None) -> str:
     lines = [VALUES_HEADER]
+    env = None if delta is None else analysis.envelope(vt.n, delta, vt.m)
     for k in range(1, vt.n + 1):
-        env = "" if delta is None else _fmt(analysis.envelope_bound(k, delta, vt.m))
         lines.append(
             ",".join(
                 (
@@ -155,7 +167,7 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
                     _fmt(float(ds.delta_bar[k - 1])),
                     _fmt(float(ds.delta_plus[k - 1])),
                     _fmt(float(ds.delta_minus[k - 1])),
-                    env,
+                    "" if env is None else _fmt(float(env[k - 1])),
                     str(int(vt.argmax_index[k - 1])),
                 )
             )
@@ -167,9 +179,8 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _solve_bundle(spec: GameSpec, tau: float | None):
+def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
     vt = solve(spec, tie_rule=TIE_LOWEST)
-    cond = compute_conditions(spec.K)
     ds = analysis.deviation_series(vt)
     dc = None
     if cond.eta_ok and cond.nu_ok:
@@ -177,7 +188,7 @@ def _solve_bundle(spec: GameSpec, tau: float | None):
             dc = analysis.drop_constants(cond.eta, cond.nu, tau)
         except TauOutOfRangeError as exc:
             raise ConfigError(f"tau: {exc}") from exc
-    return vt, cond, ds, dc
+    return vt, ds, dc
 
 
 def _reject_nu_zero(cond: ConditionReport, command: str) -> None:
@@ -196,7 +207,7 @@ def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
                   file=sys.stderr)
     else:
         _reject_nu_zero(cond, "solve")
-    vt, cond, ds, dc = _solve_bundle(spec, _parse_tau(cfg))
+    vt, ds, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
     delta = None if (explore or dc is None) else dc.delta
     _atomic_write(out / "values.csv", _values_csv(vt, ds, delta))
     summary = {
@@ -218,7 +229,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     if not cond.eta_ok:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
     kappa_grid = _parse_kappa_grid(cfg)
-    vt, cond, ds, dc = _solve_bundle(spec, _parse_tau(cfg))
+    vt, ds, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
     reports = analysis.run_checks(vt, ds, cond, dc, kappa_grid)
     total_violations = sum(len(r.violations) for r in reports)
     report = {
@@ -242,13 +253,12 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
     sim = cfg.get("sim")
     _require(isinstance(sim, dict), "sim", "required for simulate")
     reps = sim.get("replications")
-    _require(isinstance(reps, int) and reps >= 1, "sim.replications", "must be an integer >= 1")
+    _require(_is_int(reps) and reps >= 1, "sim.replications", "must be an integer >= 1")
     seed = seed_override if seed_override is not None else sim.get("seed")
-    _require(isinstance(seed, int) and seed >= 0, "sim.seed", "must be a non-negative integer")
+    _require(_is_int(seed) and seed >= 0, "sim.seed", "must be a non-negative integer")
     n_values = sim.get("n_values", [spec.n])
     _require(
-        isinstance(n_values, list)
-        and all(isinstance(v, int) and 1 <= v <= spec.n for v in n_values),
+        isinstance(n_values, list) and all(_is_int(v) and 1 <= v <= spec.n for v in n_values),
         "sim.n_values",
         f"must be integers in 1..{spec.n}",
     )
@@ -275,15 +285,19 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     _require(isinstance(sweep, dict), "sweep", "required for sweep")
     points: list[GameSpec] = []
     if "n_values" in sweep:
-        for i, n in enumerate(sweep["n_values"]):
-            _require(isinstance(n, int) and n >= 1, f"sweep.n_values[{i}]", "integer >= 1")
+        n_values = sweep["n_values"]
+        _require(isinstance(n_values, list), "sweep.n_values", "must be a list")
+        for i, n in enumerate(n_values):
+            _require(_is_int(n) and n >= 1, f"sweep.n_values[{i}]", "integer >= 1")
             points.append(_parse_game({**game, "n": n}))
     elif "epsilon_values" in sweep:
         m = game.get("m")
-        _require(isinstance(m, int) and m >= 2, "game.m", "must be an integer >= 2")
-        for i, eps in enumerate(sweep["epsilon_values"]):
+        _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
+        eps_values = sweep["epsilon_values"]
+        _require(isinstance(eps_values, list), "sweep.epsilon_values", "must be a list")
+        for i, eps in enumerate(eps_values):
             _require(
-                isinstance(eps, (int, float)) and 0.0 < eps < 1.0 / m,
+                _is_real(eps) and 0.0 < eps < 1.0 / m,
                 f"sweep.epsilon_values[{i}]",
                 f"must be a real in (0, 1/{m})",
             )
@@ -297,7 +311,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     for spec in points:
         cond = compute_conditions(spec.K)
         _reject_nu_zero(cond, "sweep")
-        vt, cond, ds, dc = _solve_bundle(spec, tau)
+        vt, ds, dc = _solve_bundle(spec, cond, tau)
         lines.append(
             ",".join(
                 (

@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyCandidateSetError
-from .lotteries import GameSpec, Lottery, candidate_set
+from .lotteries import GameSpec, Lottery
 
 TIE_TOL = 1e-12
 
@@ -24,45 +23,12 @@ TIE_RANDOM = "seeded_random"
 TIE_RULES = (TIE_LOWEST, TIE_HIGHEST, TIE_RANDOM)
 
 
-def expected_win_prob(pi: Lottery, tail: Sequence[float]) -> float:
-    """Mover's win probability for lottery pi.
-
-    ``tail`` holds the m previous values p_{k-1}, ..., p_{k-m} in that
-    order.
-    """
-    return 1.0 - sum(w * t for w, t in zip(pi.probs, tail))
-
-
-def best_response(
-    candidates: Sequence[Lottery],
-    tail: Sequence[float],
-    tie_rule: str = TIE_LOWEST,
-    rng: random.Random | None = None,
-) -> tuple[float, int, tuple[int, ...]]:
-    """Maximize the one-step win probability over the candidate lotteries.
-
-    Returns (value, argmax index, tuple of all indices within TIE_TOL of
-    the maximum).  The argmax among ties follows ``tie_rule``.
-    """
-    if not candidates:
-        raise EmptyCandidateSetError("no candidate lotteries to maximize over")
-    vals = [expected_win_prob(c, tail) for c in candidates]
-    value = max(vals)
-    ties = tuple(i for i, v in enumerate(vals) if v >= value - TIE_TOL)
-    idx = _pick(ties, tie_rule, rng)
-    return value, idx, ties
-
-
 def _pick(ties: tuple[int, ...], tie_rule: str, rng: random.Random | None) -> int:
     if tie_rule == TIE_LOWEST:
         return ties[0]
     if tie_rule == TIE_HIGHEST:
         return ties[-1]
-    if tie_rule == TIE_RANDOM:
-        if rng is None:
-            raise ValueError("seeded_random tie rule needs an rng")
-        return ties[rng.randrange(len(ties))]
-    raise ValueError(f"unknown tie rule {tie_rule!r}")
+    return ties[rng.randrange(len(ties))]
 
 
 @dataclass(frozen=True)
@@ -97,12 +63,14 @@ class ValueTable:
         return {k: float(self.p_ext[k + self.m - 1]) for k in range(1 - self.m, self.n + 1)}
 
 
-def _compile_payoff_kernel(candidates: Sequence[Lottery]):
+def payoff_kernel(candidates: Sequence[Lottery]):
     """Build f(t_0, ..., t_{m-1}) -> tuple of per-candidate payoffs.
 
-    t_j = p_{k-m+j}, i.e. the tail in increasing k order.  n can reach
-    1e5..1e6, so the lottery coefficients are baked into generated
-    bytecode to keep the inner loop allocation-free.
+    The payoff of lottery pi is the mover's win probability
+    1 - sum_i pi_i * p_{k-i}, summed left to right over i = 1..m with
+    zero weights left out.  t_j = p_{k-m+j}, i.e. the tail in increasing
+    k order.  n can reach 1e5..1e6, so the lottery coefficients are baked
+    into generated bytecode to keep the inner loop allocation-free.
     """
     m = candidates[0].m
     args = ", ".join(f"t{j}" for j in range(m))
@@ -125,10 +93,8 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     The stored value at each k is the exact maximum over candidates, so
     the values map does not depend on the tie rule; only argmax_index may.
     """
-    candidates = tuple(candidate_set(spec.K))
-    if not candidates:
-        raise EmptyCandidateSetError("candidate set reduced to nothing")
-    kernel = _compile_payoff_kernel(candidates)
+    candidates = spec.K.lotteries
+    kernel = payoff_kernel(candidates)
     m, n = spec.m, spec.n
     rng = random.Random(seed) if tie_rule == TIE_RANDOM else None
     if tie_rule not in TIE_RULES:

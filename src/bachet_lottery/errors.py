@@ -21,10 +21,6 @@ class DegenerateSetError(ValueError):
     """Truncated-simplex bounds leave an empty or degenerate feasible set."""
 
 
-class EmptyCandidateSetError(ValueError):
-    """Best-response requested over zero candidate lotteries."""
-
-
 class InvalidEtaNuError(ValueError):
     """Structural constants violate the hypotheses eta < 1, nu > 0."""
 

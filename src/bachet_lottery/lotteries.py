@@ -4,14 +4,13 @@ A lottery is a probability vector over take-counts 1..m.  The admissible
 set K is given either as an explicit finite list, as the vertex list of a
 polytope, or as a truncated simplex {pi : pi_i >= eps_i, sum pi = 1}.
 Because the one-step payoff is affine in the lottery, maximization over a
-convex K reduces exactly to its vertices, so every set is handled through
-a finite candidate list.
+convex K reduces exactly to its vertices, so every set is held as a
+finite candidate list: the list itself, or the m simplex vertices.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 from .errors import (
@@ -72,72 +71,51 @@ def _snap_sum_to_one(vec: list[float]) -> tuple[float, ...]:
     return tuple(vec)
 
 
-class SetKind(str, Enum):
-    FINITE = "finite"
-    POLYTOPE_VERTICES = "polytope_vertices"
-    TRUNCATED_SIMPLEX = "truncated_simplex"
-
-
 @dataclass(frozen=True)
 class LotterySet:
-    """Admissible set of lotteries, reduced to finite candidates on demand."""
+    """Admissible set of lotteries, held as its finite candidate list."""
 
-    kind: SetKind
-    lotteries: tuple[Lottery, ...] = ()
-    epsilon: tuple[float, ...] = ()
+    lotteries: tuple[Lottery, ...]
 
     def __post_init__(self):
-        if self.kind is SetKind.TRUNCATED_SIMPLEX:
-            if len(self.epsilon) < 2:
-                raise DegenerateSetError("truncated simplex needs m >= 2 lower bounds")
-            if not all(0.0 < e < math.inf for e in self.epsilon):  # also rejects NaN
-                raise DegenerateSetError("every epsilon_i must be positive and finite")
-            if sum(self.epsilon) >= 1.0:
-                raise DegenerateSetError("sum of epsilon_i must be below 1")
-        else:
-            if not self.lotteries:
-                raise DegenerateSetError("finite lottery set must be non-empty")
-            m = self.lotteries[0].m
-            if any(lot.m != m for lot in self.lotteries):
-                raise WrongLengthError("all lotteries in a set must share the same m")
+        if not self.lotteries:
+            raise DegenerateSetError("finite lottery set must be non-empty")
+        m = self.lotteries[0].m
+        if any(lot.m != m for lot in self.lotteries):
+            raise WrongLengthError("all lotteries in a set must share the same m")
 
     @property
     def m(self) -> int:
-        if self.kind is SetKind.TRUNCATED_SIMPLEX:
-            return len(self.epsilon)
         return self.lotteries[0].m
 
 
 def finite_set(vectors: Sequence[Sequence[float]]) -> LotterySet:
-    return LotterySet(SetKind.FINITE, tuple(validate_lottery(v) for v in vectors))
-
-
-def polytope_vertices(vectors: Sequence[Sequence[float]]) -> LotterySet:
-    return LotterySet(SetKind.POLYTOPE_VERTICES, tuple(validate_lottery(v) for v in vectors))
+    """An explicit list of lotteries, or the vertex list of a polytope."""
+    return LotterySet(tuple(validate_lottery(v) for v in vectors))
 
 
 def truncated_simplex(epsilon: Sequence[float]) -> LotterySet:
-    return LotterySet(SetKind.TRUNCATED_SIMPLEX, epsilon=tuple(float(e) for e in epsilon))
-
-
-def candidate_set(K: LotterySet) -> list[Lottery]:
-    """Finite candidate list sufficient for affine maximization over K.
-
-    Finite and vertex-described sets pass through verbatim.  For the
-    truncated simplex the vertices are the m points that sit at the lower
-    bound in all coordinates but one.
-    """
-    if K.kind is not SetKind.TRUNCATED_SIMPLEX:
-        return list(K.lotteries)
-    eps = K.epsilon
-    m = len(eps)
+    """{pi : pi_i >= eps_i, sum pi = 1}, held as its m vertices: each sits
+    at the lower bound in all coordinates but one."""
+    eps = tuple(float(e) for e in epsilon)
+    if len(eps) < 2:
+        raise DegenerateSetError("truncated simplex needs m >= 2 lower bounds")
+    if not all(0.0 < e < math.inf for e in eps):  # also rejects NaN
+        raise DegenerateSetError("every epsilon_i must be positive and finite")
     total = sum(eps)
+    if total >= 1.0:
+        raise DegenerateSetError("sum of epsilon_i must be below 1")
     verts = []
-    for j in range(m):
+    for j in range(len(eps)):
         coords = list(eps)
         coords[j] = 1.0 - (total - eps[j])
         verts.append(validate_lottery(coords))
-    return verts
+    return LotterySet(tuple(verts))
+
+
+def candidate_set(K: LotterySet) -> list[Lottery]:
+    """Finite candidate list sufficient for affine maximization over K."""
+    return list(K.lotteries)
 
 
 @dataclass(frozen=True)
@@ -178,8 +156,7 @@ def compute_conditions(K: LotterySet) -> ConditionReport:
     Both are coordinate-wise linear functionals, so evaluating them on the
     candidate vertices is exact for convex K.
     """
-    cands = candidate_set(K)
-    m = cands[0].m
+    cands = K.lotteries
     eta = max(max(lot.probs) for lot in cands)
-    nu = min(max(lot.probs[i] for lot in cands) for i in range(m))
+    nu = min(max(lot.probs[i] for lot in cands) for i in range(K.m))
     return ConditionReport(eta=eta, nu=nu)

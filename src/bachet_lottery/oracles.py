@@ -1,9 +1,10 @@
 """Independent validation of the equilibrium engine.
 
-Two routes that never touch the backward-induction maximization:
-Monte-Carlo play of the actual game under the engine's policy, and
-exhaustive enumeration of stationary pure profiles on small instances
-with a one-shot-deviation optimality filter.
+Two routes that never touch the backward-induction maximization or its
+tie rule: Monte-Carlo play of the actual game under the engine's policy,
+and exhaustive enumeration of stationary pure profiles on small instances
+with a one-shot-deviation optimality filter.  Both share only the
+one-step payoff, `payoff_kernel`, with the engine.
 """
 from __future__ import annotations
 
@@ -13,37 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ValueTable, expected_win_prob
+from .engine import ValueTable, payoff_kernel
 from .errors import InstanceTooLargeError
-from .lotteries import GameSpec, Lottery, candidate_set
-
-FIRST = "first"
-SECOND = "second"
-
-
-def simulate_game(n: int, policy, rng: np.random.Generator) -> str:
-    """Play one game and return the winner.
-
-    ``policy`` maps pile size k (1..n) to the Lottery the mover plays.
-    The mover samples a take-count i; taking the last object loses,
-    including overshooting (i >= pile).
-    """
-    pile = n
-    mover = 0  # 0 = first player
-    while True:
-        lot = policy[pile] if not callable(policy) else policy(pile)
-        u = rng.random()
-        cum = 0.0
-        take = lot.m
-        for i, w in enumerate(lot.probs, start=1):
-            cum += w
-            if u < cum:
-                take = i
-                break
-        if take >= pile:
-            return SECOND if mover == 0 else FIRST
-        pile -= take
-        mover ^= 1
+from .lotteries import GameSpec
 
 
 @dataclass(frozen=True)
@@ -116,12 +89,14 @@ def one_shot_deviation_gap(vt: ValueTable) -> float:
     """Largest gain any single-state deviation achieves against the
     engine's policy; non-positive (up to round-off) iff the policy is
     subgame perfect."""
+    kernel = payoff_kernel(vt.candidates)
+    p, chosen = vt.p_ext.tolist(), vt.argmax_index.tolist()
     gap = -math.inf
     for k in range(1, vt.n + 1):
-        tail = [vt.p(k - i) for i in range(1, vt.m + 1)]
-        own = expected_win_prob(vt.policy(k), tail)
-        for cand in vt.candidates:
-            gap = max(gap, expected_win_prob(cand, tail) - own)
+        vals = kernel(*p[k - 1 : k + vt.m - 1])  # p_{k-m}..p_{k-1}
+        own = vals[chosen[k - 1]]
+        for val in vals:
+            gap = max(gap, val - own)
     return gap
 
 
@@ -133,12 +108,13 @@ def brute_force_values(spec: GameSpec, tol: float = 1e-12) -> dict[int, float]:
     size, and returns for each k the maximum value among surviving
     profiles.  Deliberately avoids the engine's maximization step.
     """
-    cands = candidate_set(spec.K)
+    cands = spec.K.lotteries
     if len(cands) > 4 or spec.n > 12:
         raise InstanceTooLargeError(
             f"brute force limited to |K| <= 4 and n <= 12, got |K|={len(cands)}, n={spec.n}"
         )
     m, n = spec.m, spec.n
+    kernel = payoff_kernel(cands)
     result: dict[int, float] = {}
     any_profile = False
     for profile in itertools.product(range(len(cands)), repeat=n):
@@ -146,8 +122,7 @@ def brute_force_values(spec: GameSpec, tol: float = 1e-12) -> dict[int, float]:
         optimal = True
         for k in range(1, n + 1):
             a = k + m - 1
-            tail = [v[a - i] for i in range(1, m + 1)]  # v_{k-1}..v_{k-m}
-            vals = [expected_win_prob(c, tail) for c in cands]
+            vals = kernel(*v[a - m : a])  # v_{k-m}..v_{k-1}
             chosen = vals[profile[k - 1]]
             if chosen < max(vals) - tol:
                 optimal = False

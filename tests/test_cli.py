@@ -1,7 +1,10 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bachet_lottery.cli import run
 
@@ -20,6 +23,16 @@ def read_csv(path):
 
 
 class TestSolve:
+    def test_polytope_vertices_spelling_matches_finite(self, tmp_path):
+        lots = [[0.5, 0.3, 0.2], [0.0, 0.4, 0.6], [0.6, 0.0, 0.4]]
+        digests = []
+        for kind in ("finite", "polytope_vertices"):
+            game = {"n": 300, "m": 3, "K": {"type": kind, "lotteries": lots}}
+            cfg = write_config(tmp_path, {"game": game}, name=f"{kind}.json")
+            assert run("solve", cfg, output=tmp_path / kind) == 0
+            digests.append((tmp_path / kind / "values.csv").read_bytes())
+        assert digests[0] == digests[1]
+
     def test_golden_values_csv(self, tmp_path):
         cfg = write_config(tmp_path, {"command": "solve", "game": HALF_GAME})
         assert run("solve", cfg, output=tmp_path / "out") == 0
@@ -136,11 +149,37 @@ class TestConfigErrors:
             {"game": {"n": 5, "m": 2, "K": {"type": "finite", "lotteries": [[0.6, 0.6]]}}},
             {"game": {"n": 5, "m": 3, "K": HALF_GAME["K"]}},
             {"command": "verify", "game": HALF_GAME},  # declared/invoked mismatch
+            {"game": {**HALF_GAME, "n": True}},
+            {"game": {**HALF_GAME, "K": {"type": "truncated_simplex", "epsilon": ["a", 0.1]}}},
+            {"game": {**HALF_GAME, "K": {"type": "truncated_simplex", "epsilon": ["0.1", 0.1]}}},
+            {"game": {**HALF_GAME, "K": {"type": "finite", "lotteries": [["x", 0.5]]}}},
+            {"game": {**HALF_GAME, "K": {"type": "finite", "lotteries": [0.5, 0.5]}}},
+            {"game": {**HALF_GAME, "K": {"type": "finite", "lotteries": [[True, False], [False, True]]}}},
         ],
     )
-    def test_exit_code_two(self, tmp_path, payload):
+    def test_exit_code_two(self, tmp_path, capsys, payload):
         cfg = write_config(tmp_path, payload)
         assert run("solve", cfg, output=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("sweep", {"game": HALF_GAME, "sweep": {"n_values": 5}}),
+            ("sweep", {"game": HALF_GAME, "sweep": {"epsilon_values": 5}}),
+            ("sweep", {"game": HALF_GAME, "sweep": {"n_values": [True]}}),
+            ("simulate", {"game": HALF_GAME, "sim": {"replications": True, "seed": True}}),
+            ("simulate", {"game": HALF_GAME, "sim": {"replications": 10, "seed": True}}),
+            ("simulate", {"game": HALF_GAME, "sim": {"replications": 10, "seed": 1,
+                                                     "n_values": [True]}}),
+            ("solve", {"game": HALF_GAME, "output": 5}),
+        ],
+    )
+    def test_command_options_exit_two(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert run(command, cfg, output=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "extra",
@@ -175,6 +214,69 @@ class TestConfigErrors:
 
     def test_missing_file(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", output=tmp_path / "out") == 2
+
+
+# Integer magnitudes are bounded so every run stays small, not because
+# larger ones are handled differently.
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 60), st.floats(), st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+VALID_CONFIGS = {
+    "solve": {"command": "solve", "output": "out", "tau": 0.05,
+              "game": {"n": 20, "m": 2, "K": {"type": "finite",
+                                              "lotteries": [[0.9, 0.1], [0.1, 0.9]]}}},
+    "explore-nu-zero": {"game": {"n": 20, "m": 2,
+                                 "K": {"type": "polytope_vertices", "lotteries": [[1.0, 0.0]]}}},
+    "verify": {"tau": 0.05, "kappa_grid": [0.3, 0.6], "game": {**TRUNC_GAME, "n": 30}},
+    "simulate": {"game": {**HALF_GAME, "n": 8},
+                 "sim": {"replications": 20, "seed": 1, "n_values": [1, 8]}},
+    "sweep": {"game": {**TRUNC_GAME, "n": 20}, "sweep": {"epsilon_values": [0.05, 0.2]}},
+}
+SWEEP_N = {"game": HALF_GAME, "sweep": {"n_values": [3, 7]}}
+
+
+def _paths(node, prefix=()):
+    """Every key/index path inside a JSON document, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _replaced(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+CASES = [(c, cfg, path) for c, cfg in [*VALID_CONFIGS.items(), ("sweep", SWEEP_N)]
+         for path in _paths(cfg)]
+
+
+class TestContract:
+    """Any one field replaced by any JSON value: exit 0, 1 or 2, never a raise."""
+
+    @pytest.mark.parametrize("command,cfg", [*VALID_CONFIGS.items(), ("sweep", SWEEP_N)])
+    def test_valid_configs_pass(self, tmp_path, command, cfg):
+        assert run(command, write_config(tmp_path, cfg), output=tmp_path / "out") == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CASES), JSON_VALUES)
+    def test_one_field_replaced(self, case, value):
+        command, cfg, path = case
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), _replaced(cfg, path, value))
+            assert run(command, config, output=Path(tmp) / "out") in (0, 1, 2)
 
 
 class TestDeterminism:

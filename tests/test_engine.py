@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,31 +6,78 @@ from bachet_lottery import (
     TIE_HIGHEST,
     TIE_LOWEST,
     TIE_RANDOM,
-    best_response,
-    expected_win_prob,
     finite_set,
+    payoff_kernel,
     solve,
     validate_lottery,
 )
-from bachet_lottery.errors import EmptyCandidateSetError
+from bachet_lottery.engine import TIE_TOL
+from bachet_lottery.errors import DegenerateSetError
 
 HALF = finite_set([[0.5, 0.5]])
 
 
+def reference_payoff(lot, tail):
+    """1 - sum_i pi_i * p_{k-i}, accumulated left to right.
+
+    ``tail`` holds p_{k-1}, ..., p_{k-m} in that order.
+    """
+    acc = 0.0
+    for w, t in zip(lot.probs, tail):
+        acc += w * t
+    return 1.0 - acc
+
+
+def win_probs(candidates, tail):
+    """The kernel's payoffs for a tail given as p_{k-1}, ..., p_{k-m}."""
+    return payoff_kernel(candidates)(*reversed(tail))
+
+
+def best_response(candidates, tail):
+    """(maximum payoff, lowest maximizing index, indices within TIE_TOL)."""
+    vals = win_probs(candidates, tail)
+    value = max(vals)
+    ties = tuple(i for i, v in enumerate(vals) if v >= value - TIE_TOL)
+    return value, ties[0], ties
+
+
+@st.composite
+def lottery_sets(draw):
+    m = draw(st.integers(2, 5))
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=m, max_size=m
+    ).filter(lambda v: sum(v) > 0.0)
+    raw = draw(st.lists(weights, min_size=1, max_size=4))
+    cands = [validate_lottery([w / sum(v) for w in v]) for v in raw]
+    tail = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    return cands, tail
+
+
+class TestPayoffKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(lottery_sets())
+    def test_bit_identical_to_reference(self, case):
+        cands, tail = case
+        assert win_probs(cands, tail) == tuple(reference_payoff(c, tail) for c in cands)
+
+
 class TestExpectedWinProb:
+    """The one-step payoff of a single lottery, as the kernel computes it."""
+
     def test_all_moves_lose(self):
-        assert expected_win_prob(validate_lottery((0.5, 0.5)), (1.0, 1.0)) == 0.0
+        assert win_probs([validate_lottery((0.5, 0.5))], (1.0, 1.0)) == (0.0,)
 
     def test_mixed_tail(self):
-        assert expected_win_prob(validate_lottery((0.5, 0.5)), (0.0, 1.0)) == 0.5
+        assert win_probs([validate_lottery((0.5, 0.5))], (0.0, 1.0)) == (0.5,)
 
     def test_skewed(self):
-        assert expected_win_prob(validate_lottery((0.9, 0.1)), (0.0, 1.0)) == pytest.approx(
-            0.9, abs=1e-15
-        )
+        (value,) = win_probs([validate_lottery((0.9, 0.1))], (0.0, 1.0))
+        assert value == pytest.approx(0.9, abs=1e-15)
 
 
 class TestBestResponse:
+    """The maximum of the kernel's payoffs over a candidate list."""
+
     CANDS = [validate_lottery((0.9, 0.1)), validate_lottery((0.1, 0.9))]
 
     def test_prefers_low_continuation(self):
@@ -48,12 +93,13 @@ class TestBestResponse:
     def test_singleton(self):
         single = [validate_lottery((0.5, 0.5))]
         value, argmax, ties = best_response(single, (0.3, 0.8))
-        assert value == expected_win_prob(single[0], (0.3, 0.8))
+        assert value == reference_payoff(single[0], (0.3, 0.8))
         assert (argmax, ties) == (0, (0,))
 
     def test_empty_candidates(self):
-        with pytest.raises(EmptyCandidateSetError):
-            best_response([], (0.0, 1.0))
+        # an empty set never reaches the payoff: it is rejected on construction
+        with pytest.raises(DegenerateSetError):
+            finite_set([])
 
     @given(
         st.integers(0, 1),
@@ -100,9 +146,11 @@ class TestSolve:
         vt = solve(GameSpec(50, 3, finite_set([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])))
         for k in range(1, 51):
             tail = tuple(vt.p(k - i) for i in range(1, 4))
-            value, _, ties = best_response(vt.candidates, tail)
-            assert vt.p(k) == pytest.approx(value, abs=1e-12)
-            assert vt.tie_sets[k - 1] == ties
+            vals = [reference_payoff(c, tail) for c in vt.candidates]
+            assert vt.p(k) == max(vals)
+            assert vt.tie_sets[k - 1] == tuple(
+                i for i, v in enumerate(vals) if v >= max(vals) - TIE_TOL
+            )
 
     def test_tie_rule_value_invariance(self):
         K = finite_set([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,38 +10,40 @@ from bachet_lottery import (
     estimate_win_prob,
     finite_set,
     one_shot_deviation_gap,
-    simulate_game,
     solve,
-    validate_lottery,
 )
 from bachet_lottery.errors import InstanceTooLargeError
 
 HALF = finite_set([[0.5, 0.5]])
 
 
-def _rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
+def _p_hat(vt, n, seed=0, replications=50):
+    return estimate_win_prob(SimConfig(table=vt, n=n, replications=replications, seed=seed)).p_hat
 
 
 class TestSimulateGame:
+    """Single-policy games through estimate_win_prob: with pure moves, or
+    when every move ends the game, each replication has the same winner,
+    so p_hat is exactly 0 or 1."""
+
     def test_n1_first_always_loses(self):
-        policy = {1: validate_lottery((0.5, 0.5))}
-        assert all(simulate_game(1, policy, _rng(s)) == "second" for s in range(20))
+        vt = solve(GameSpec(1, 2, HALF))
+        assert all(_p_hat(vt, 1, seed=s) == 0.0 for s in range(20))
 
     def test_forced_take_two(self):
-        policy = {1: validate_lottery((1.0, 0.0)), 2: validate_lottery((0.0, 1.0))}
-        assert simulate_game(2, policy, _rng()) == "second"
+        # take 1 at pile 1, take 2 at pile 2: the first mover overshoots
+        vt = solve(GameSpec(2, 2, finite_set([[1.0, 0.0], [0.0, 1.0]])))
+        forced = dataclasses.replace(vt, argmax_index=np.array([0, 1]))
+        assert _p_hat(forced, 2) == 0.0
 
     def test_forced_take_one(self):
-        policy = {k: validate_lottery((1.0, 0.0)) for k in (1, 2)}
-        assert simulate_game(2, policy, _rng()) == "first"
+        vt = solve(GameSpec(2, 2, finite_set([[1.0, 0.0]])))
+        assert _p_hat(vt, 2) == 1.0
 
     def test_classical_policy_deterministic(self):
         K = finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         vt = solve(GameSpec(10, 3, K))
-        policy = {k: vt.policy(k) for k in range(1, 11)}
-        winner = "first" if vt.p(10) == 1.0 else "second"
-        assert all(simulate_game(10, policy, _rng(s)) == winner for s in range(10))
+        assert all(_p_hat(vt, 10, seed=s) == vt.p(10) for s in range(10))
 
 
 class TestEstimateWinProb:
