@@ -9,6 +9,7 @@ rerun with the same config produces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -53,18 +54,21 @@ def _umask() -> int:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would have
-        os.chmod(tmp, 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            # mkstemp creates the file 0600; give it the mode open() would have
+            os.chmod(tmp, 0o666 & ~_umask())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {path}: {exc}") from exc
 
 
 def _require(cond: bool, where: str, msg: str) -> None:
@@ -153,26 +157,20 @@ def load_config(path: str | Path, command: str) -> dict:
     return raw
 
 
+def _values_rows(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
+    series = (ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus)
+    columns = [map(str, range(1, ds.n + 1)), *(map(_fmt, a.tolist()) for a in series)]
+    if delta is None:
+        columns.append(itertools.repeat(""))
+    else:
+        columns.append(map(_fmt, analysis.envelope(ds.n, delta, ds.m).tolist()))
+    columns.append(map(str, vt.argmax_index.tolist()))
+    return map(",".join, zip(*columns))
+
+
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None) -> str:
-    lines = [VALUES_HEADER]
-    env = None if delta is None else analysis.envelope(vt.n, delta, vt.m)
-    for k in range(1, vt.n + 1):
-        lines.append(
-            ",".join(
-                (
-                    str(k),
-                    _fmt(vt.p(k)),
-                    _fmt(float(ds.d[k - 1])),
-                    _fmt(float(ds.delta[k - 1])),
-                    _fmt(float(ds.delta_bar[k - 1])),
-                    _fmt(float(ds.delta_plus[k - 1])),
-                    _fmt(float(ds.delta_minus[k - 1])),
-                    "" if env is None else _fmt(float(env[k - 1])),
-                    str(int(vt.argmax_index[k - 1])),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    # the column lists die with the row iterator, before the join allocates
+    return "\n".join((VALUES_HEADER, *_values_rows(vt, ds, delta), ""))
 
 
 def _json_text(obj) -> str:
@@ -229,8 +227,8 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     if not cond.eta_ok:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
     kappa_grid = _parse_kappa_grid(cfg)
-    vt, ds, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
-    reports = analysis.run_checks(vt, ds, cond, dc, kappa_grid)
+    _, ds, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+    reports = analysis.run_checks(ds, cond, dc, kappa_grid)
     total_violations = sum(len(r.violations) for r in reports)
     report = {
         "eta": cond.eta,

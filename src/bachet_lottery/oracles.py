@@ -18,6 +18,9 @@ from .engine import ValueTable, payoff_kernel
 from .errors import InstanceTooLargeError
 from .lotteries import GameSpec
 
+# a profile stays one-shot optimal while no deviation gains more than this
+OPTIMALITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -52,9 +55,8 @@ def estimate_win_prob(cfg: SimConfig) -> SimResult:
     order.  A game over n objects ends within n moves.
     """
     vt, n, R = cfg.table, cfg.n, cfg.replications
-    cum = np.zeros((n + 1, vt.m))
-    for k in range(1, n + 1):
-        cum[k] = np.cumsum(vt.policy(k).probs)
+    # cumulative move probabilities of the policy at pile size k, row k - 1
+    cum = np.cumsum([c.probs for c in vt.candidates], axis=1)[vt.argmax_index[:n]]
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     draws = rng.random((R, n))
 
@@ -66,7 +68,7 @@ def estimate_win_prob(cfg: SimConfig) -> SimResult:
         if alive.size == 0:
             break
         u = draws[alive, t]
-        take = 1 + (u[:, None] >= cum[pile[alive]]).sum(axis=1)
+        take = 1 + (u[:, None] >= cum[pile[alive] - 1]).sum(axis=1)
         np.minimum(take, vt.m, out=take)
         ends = take >= pile[alive]
         ended = alive[ends]
@@ -100,7 +102,7 @@ def one_shot_deviation_gap(vt: ValueTable) -> float:
     return gap
 
 
-def brute_force_values(spec: GameSpec, tol: float = 1e-12) -> dict[int, float]:
+def brute_force_values(spec: GameSpec) -> dict[int, float]:
     """Equilibrium values by exhaustive profile enumeration.
 
     Enumerates every stationary pure profile (pile size -> candidate
@@ -124,7 +126,7 @@ def brute_force_values(spec: GameSpec, tol: float = 1e-12) -> dict[int, float]:
             a = k + m - 1
             vals = kernel(*v[a - m : a])  # v_{k-m}..v_{k-1}
             chosen = vals[profile[k - 1]]
-            if chosen < max(vals) - tol:
+            if chosen < max(vals) - OPTIMALITY_TOL:
                 optimal = False
                 break
             v[a] = chosen

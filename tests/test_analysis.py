@@ -53,6 +53,31 @@ def trunc_constants():
     return drop_constants(cond.eta, cond.nu)
 
 
+@st.composite
+def _games(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        eps = draw(st.lists(st.floats(0.001, 0.9 / m), min_size=m, max_size=m))
+        K = truncated_simplex(eps)
+    else:
+        rows = draw(st.lists(
+            st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m), min_size=1, max_size=4
+        ))
+        K = finite_set([[w / sum(row) for w in row] for row in rows])
+    return GameSpec(n, m, K)
+
+
+def _assert_p_windows(vt, ds):
+    """p, p_min and p_max against per-index values of the table."""
+    assert ds.p.shape == ds.p_min.shape == ds.p_max.shape == (vt.n,)
+    for k in range(1, vt.n + 1):
+        window = [vt.p(j) for j in range(k - vt.m + 1, k + 1)]
+        assert ds.p[k - 1] == vt.p(k)
+        assert ds.p_min[k - 1] == min(window)
+        assert ds.p_max[k - 1] == max(window)
+
+
 class TestDeviationSeries:
     def test_delta_values(self, half_series):
         expect = [0.5, 0.0, 0.25, 0.125, 0.0625, 0.09375]
@@ -68,6 +93,17 @@ class TestDeviationSeries:
         assert half_series.dbar(1) == 0.5
         assert half_series.dbar(0) == 0.5
         assert half_series.dbar(-3) == 0.5
+
+    def test_p_windows(self, half_table, half_series):
+        _assert_p_windows(half_table, half_series)
+        # W_1 = {p_1, p_0} reaches the boundary value p_0 = 1
+        assert half_series.p_min[0] == 0.0 and half_series.p_max[0] == 1.0
+
+    @given(_games())
+    @settings(max_examples=40, deadline=None)
+    def test_p_windows_on_solved_tables(self, spec):
+        vt = solve(spec)
+        _assert_p_windows(vt, deviation_series(vt))
 
     def test_plus_times_minus_is_zero(self, trunc_series):
         assert (trunc_series.delta_plus * trunc_series.delta_minus == 0.0).all()
@@ -135,28 +171,29 @@ class TestNoLongWinning:
     def test_classical_pattern(self):
         K = finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         vt = solve(GameSpec(50, 3, K))
-        rep = check_no_long_winning(vt)
+        rep = check_no_long_winning(deviation_series(vt))
         assert rep.ok
         assert rep.checked_k.size  # runs of three wins do occur
 
-    def test_vacuous_when_no_window_qualifies(self, half_table):
+    def test_vacuous_when_no_window_qualifies(self, half_series):
         # with p2 = 0.5 the m=2 window {p3, p2} never satisfies p_j > 1/2 twice in a row early on
-        rep = check_no_long_winning(half_table)
+        rep = check_no_long_winning(half_series)
         assert rep.ok
 
-    def test_large_table(self, trunc_table):
-        assert check_no_long_winning(trunc_table).ok
+    def test_large_table(self, trunc_series):
+        assert check_no_long_winning(trunc_series).ok
 
 
 class TestKmBound:
-    def test_grid_of_reports(self, trunc_table, trunc_series):
-        reports = check_km_bound(trunc_table, trunc_series)
+    def test_grid_of_reports(self, trunc_series):
+        eta = compute_conditions(truncated_simplex([0.05, 0.05])).eta
+        reports = check_km_bound(trunc_series, eta)
         assert len(reports) == 9
         assert all(rep.ok for rep in reports)
 
-    def test_rejects_bad_kappa(self, half_table, half_series):
+    def test_rejects_bad_kappa(self, half_series):
         with pytest.raises(ValueError):
-            check_km_bound(half_table, half_series, kappa_grid=[1.0])
+            check_km_bound(half_series, compute_conditions(HALF).eta, kappa_grid=[1.0])
 
 
 class TestCorridor:
@@ -167,21 +204,21 @@ class TestCorridor:
         rhs = max(ceil - half_table.p(3), ceil - half_table.p(2))
         assert lhs == pytest.approx(0.125, abs=1e-15)
         assert rhs == pytest.approx(0.125, abs=1e-15)
-        rep = check_corridor(half_table, half_series, nu=0.5)
+        rep = check_corridor(half_series, nu=0.5)
         assert rep.ok and 3 in rep.checked_k
 
-    def test_winning_positions_skipped(self, half_table, half_series):
-        rep = check_corridor(half_table, half_series, nu=0.5)
+    def test_winning_positions_skipped(self, half_series):
+        rep = check_corridor(half_series, nu=0.5)
         assert 2 not in rep.checked_k  # p3 = 0.75 >= 1/2
 
-    def test_full_scan(self, trunc_table, trunc_series):
+    def test_full_scan(self, trunc_series):
         nu = compute_conditions(truncated_simplex([0.05, 0.05])).nu
-        assert check_corridor(trunc_table, trunc_series, nu).ok
+        assert check_corridor(trunc_series, nu).ok
 
 
 class TestDropDown:
-    def test_three_reports_clean(self, trunc_table, trunc_series, trunc_constants):
-        reports = check_drop_down(trunc_table, trunc_series, trunc_constants)
+    def test_three_reports_clean(self, trunc_series, trunc_constants):
+        reports = check_drop_down(trunc_series, trunc_constants)
         assert [r.lemma_id for r in reports] == [
             "drop_down_losing",
             "drop_down_2m",
@@ -194,13 +231,13 @@ class TestDropDown:
         ds = deviation_series(vt)
         dc = drop_constants(0.5, 0.5, tau=0.5)
         assert ds.dbar(7) <= dc.delta * ds.dbar(1) + 1e-15  # 0.09375 <= 1/3
-        reports = check_drop_down(vt, ds, dc)
+        reports = check_drop_down(ds, dc)
         assert all(r.ok for r in reports)
 
-    def test_small_k_excluded_from_block_form(self, half_table, half_series):
+    def test_small_k_excluded_from_block_form(self, half_series):
         dc = drop_constants(0.5, 0.5, tau=0.5)
-        block = check_drop_down(half_table, half_series, dc)[2]
-        assert min(block.checked_k) == 3 * half_table.m + 1
+        block = check_drop_down(half_series, dc)[2]
+        assert min(block.checked_k) == 3 * half_series.m + 1
 
 
 class TestPlusMinus:
@@ -217,12 +254,12 @@ class TestPlusMinus:
 class TestEnvelope:
     def test_instance_n2(self, half_series):
         dc = drop_constants(0.5, 0.5, tau=0.5)
-        rep = check_envelope(half_series, dc, m=2)
+        rep = check_envelope(half_series, dc)
         assert rep.ok
         assert half_series.dbar(13) <= 0.5 * (2.0 / 3.0) ** 2 + 1e-12
 
     def test_convergence_threshold(self, trunc_series, trunc_constants):
-        rep = check_envelope(trunc_series, trunc_constants, m=2)
+        rep = check_envelope(trunc_series, trunc_constants)
         assert rep.ok
         n_star = 1 + 3 * 2 * math.ceil(math.log(2e-3) / math.log(trunc_constants.delta))
         assert n_star <= trunc_series.n
@@ -318,28 +355,13 @@ def _reference_checks(vt, ds, nu, dc, kappa_grid):
 
 
 def _assert_matches_reference(vt, ds, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
-    got = run_checks(vt, ds, cond, dc, kappa_grid)
+    got = run_checks(ds, cond, dc, kappa_grid)
     want = _reference_checks(vt, ds, cond.nu, dc, kappa_grid)
     assert [r.summary() for r in got] == [r.summary() for r in want]
     for g, w in zip(got, want):
         assert g.violations == w.violations
         assert g.checked_k.tolist() == w.checked_k
     return got
-
-
-@st.composite
-def _games(draw):
-    m = draw(st.integers(2, 4))
-    n = draw(st.integers(1, 300))
-    if draw(st.booleans()):
-        eps = draw(st.lists(st.floats(0.001, 0.9 / m), min_size=m, max_size=m))
-        K = truncated_simplex(eps)
-    else:
-        rows = draw(st.lists(
-            st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m), min_size=1, max_size=4
-        ))
-        K = finite_set([[w / sum(row) for w in row] for row in rows])
-    return GameSpec(n, m, K)
 
 
 class TestMatchesPerIndexReference:

@@ -182,6 +182,24 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("solve", {"game": HALF_GAME}),
+            ("explore-nu-zero", {"game": HALF_GAME}),
+            ("verify", {"game": {**TRUNC_GAME, "n": 50}}),
+            ("simulate", {"game": HALF_GAME, "sim": {"replications": 10, "seed": 1}}),
+            ("sweep", {"game": HALF_GAME, "sweep": {"n_values": [2, 3]}}),
+        ],
+    )
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, command, payload):
+        # the output directory would sit below a regular file
+        (tmp_path / "afile").write_text("")
+        cfg = write_config(tmp_path, {**payload, "output": str(tmp_path / "afile" / "sub")})
+        assert run(command, cfg) == 2
+        assert capsys.readouterr().err.startswith("error: output: cannot write ")
+        assert (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.parametrize(
         "extra",
         [
             {"kappa_grid": [1.5]},

@@ -40,6 +40,20 @@ class TestSimulateGame:
         vt = solve(GameSpec(2, 2, finite_set([[1.0, 0.0]])))
         assert _p_hat(vt, 2) == 1.0
 
+    def test_policy_read_at_every_pile_size(self):
+        # random pure policies: p_hat is the winner of the one forced play
+        vt = solve(GameSpec(12, 3, finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            policy = rng.integers(0, 3, vt.n)
+            forced = dataclasses.replace(vt, argmax_index=policy)
+            for n in range(1, vt.n + 1):
+                pile, mover = n, 0
+                while policy[pile - 1] + 1 < pile:
+                    pile -= policy[pile - 1] + 1
+                    mover ^= 1
+                assert _p_hat(forced, n, replications=4) == float(mover == 1)
+
     def test_classical_policy_deterministic(self):
         K = finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         vt = solve(GameSpec(10, 3, K))
