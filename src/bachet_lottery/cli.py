@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 from . import analysis
 from .engine import TIE_LOWEST, ValueTable, solve
@@ -40,6 +41,7 @@ COMMANDS = ("solve", "verify", "simulate", "sweep", "explore-nu-zero")
 VALUES_HEADER = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index"
 SIM_HEADER = "n,replications,seed,p_hat,std_err,p_engine,z_score"
 SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n"
+CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -53,13 +55,14 @@ def _umask() -> int:
     return mask
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` via a temp file and a rename."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             # mkstemp creates the file 0600; give it the mode open() would have
             os.chmod(tmp, 0o666 & ~_umask())
             os.replace(tmp, path)
@@ -157,20 +160,24 @@ def load_config(path: str | Path, command: str) -> dict:
     return raw
 
 
-def _values_rows(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    series = (ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus)
-    columns = [map(str, range(1, ds.n + 1)), *(map(_fmt, a.tolist()) for a in series)]
-    if delta is None:
-        columns.append(itertools.repeat(""))
-    else:
-        columns.append(map(_fmt, analysis.envelope(ds.n, delta, ds.m).tolist()))
-    columns.append(map(str, vt.argmax_index.tolist()))
-    return map(",".join, zip(*columns))
+def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
+    """The lines of values.csv, header first, each ending in a newline.
 
-
-def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None) -> str:
-    # the column lists die with the row iterator, before the join allocates
-    return "\n".join((VALUES_HEADER, *_values_rows(vt, ds, delta), ""))
+    Rows are formatted a block at a time, so the Python strings and floats
+    alive at once do not grow with n.
+    """
+    series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
+    if delta is not None:
+        series.append(analysis.envelope(ds.n, delta, ds.m))
+    yield VALUES_HEADER + "\n"
+    for lo in range(0, ds.n, CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, ds.n)
+        columns = [map(str, range(lo + 1, hi + 1))]
+        columns += (map(_fmt, a[lo:hi].tolist()) for a in series)
+        if delta is None:
+            columns.append(itertools.repeat(""))
+        columns.append(map("{}\n".format, vt.argmax_index[lo:hi].tolist()))
+        yield from map(",".join, zip(*columns))
 
 
 def _json_text(obj) -> str:
@@ -179,14 +186,13 @@ def _json_text(obj) -> str:
 
 def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
     vt = solve(spec, tie_rule=TIE_LOWEST)
-    ds = analysis.deviation_series(vt)
     dc = None
     if cond.eta_ok and cond.nu_ok:
         try:
             dc = analysis.drop_constants(cond.eta, cond.nu, tau)
         except TauOutOfRangeError as exc:
             raise ConfigError(f"tau: {exc}") from exc
-    return vt, ds, dc
+    return vt, dc
 
 
 def _reject_nu_zero(cond: ConditionReport, command: str) -> None:
@@ -205,7 +211,8 @@ def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
                   file=sys.stderr)
     else:
         _reject_nu_zero(cond, "solve")
-    vt, ds, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+    vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+    ds = analysis.deviation_series(vt)
     delta = None if (explore or dc is None) else dc.delta
     _atomic_write(out / "values.csv", _values_csv(vt, ds, delta))
     summary = {
@@ -216,7 +223,7 @@ def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
     }
     if explore:
         summary["warning"] = "nu-zero exploration: convergence hypotheses not verified"
-    _atomic_write(out / "summary.json", _json_text(summary))
+    _atomic_write(out / "summary.json", (_json_text(summary),))
     return 0
 
 
@@ -227,7 +234,8 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     if not cond.eta_ok:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
     kappa_grid = _parse_kappa_grid(cfg)
-    _, ds, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+    vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+    ds = analysis.deviation_series(vt)
     reports = analysis.run_checks(ds, cond, dc, kappa_grid)
     total_violations = sum(len(r.violations) for r in reports)
     report = {
@@ -240,7 +248,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         "all_passed": total_violations == 0,
         "checks": [r.summary() for r in reports],
     }
-    _atomic_write(out / "report.json", _json_text(report))
+    _atomic_write(out / "report.json", (_json_text(report),))
     return 0 if total_violations == 0 else 1
 
 
@@ -272,7 +280,7 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
                  _fmt(p_eng), _fmt(z))
             )
         )
-    _atomic_write(out / "simulation.csv", "\n".join(lines) + "\n")
+    _atomic_write(out / "simulation.csv", ("\n".join(lines) + "\n",))
     return 0
 
 
@@ -309,7 +317,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     for spec in points:
         cond = compute_conditions(spec.K)
         _reject_nu_zero(cond, "sweep")
-        vt, ds, dc = _solve_bundle(spec, cond, tau)
+        vt, dc = _solve_bundle(spec, cond, tau)
+        p_n = vt.p(vt.n)
         lines.append(
             ",".join(
                 (
@@ -318,12 +327,12 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
                     _fmt(cond.eta),
                     _fmt(cond.nu),
                     _fmt(dc.delta) if dc is not None else "",
-                    _fmt(vt.p(vt.n)),
-                    _fmt(float(ds.delta[vt.n - 1])),
+                    _fmt(p_n),
+                    _fmt(abs(p_n - 0.5)),
                 )
             )
         )
-    _atomic_write(out / "sweep.csv", "\n".join(lines) + "\n")
+    _atomic_write(out / "sweep.csv", ("\n".join(lines) + "\n",))
     return 0
 
 

@@ -92,31 +92,56 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
 
     The stored value at each k is the exact maximum over candidates, so
     the values map does not depend on the tie rule; only argmax_index may.
+
+    p_{k+1} and the tie set at k+1 are functions of the state
+    (p_{k-m+1}, ..., p_k) alone, so once a state repeats bit for bit the
+    rest of the table repeats with the same period.  Brent's cycle
+    detection compares each state with one saved state, moved at powers
+    of two; at the first match the loop stops and the last ``period``
+    values and tie sets are repeated up to n.  States are compared with
+    ``==``, and that is enough for the tail to be bit-identical to the
+    full loop's: lotteries are finite, so no NaN arises, and two equal
+    states differ at most in the sign of a zero, which cannot change the
+    kernel's ``1.0 - (sum of w*t)`` (a zero term leaves a non-zero sum
+    unchanged, and 1.0 - (+-0.0) is 1.0).  The moves are picked after the
+    loop, in k order, so seeded_random draws the same sequence as a pick
+    inside the loop would.
     """
+    if tie_rule not in TIE_RULES:
+        raise ValueError(f"unknown tie rule {tie_rule!r}")
     candidates = spec.K.lotteries
     kernel = payoff_kernel(candidates)
     m, n = spec.m, spec.n
     rng = random.Random(seed) if tie_rule == TIE_RANDOM else None
-    if tie_rule not in TIE_RULES:
-        raise ValueError(f"unknown tie rule {tie_rule!r}")
 
-    p = [1.0] * m + [0.0] * n
-    argmax = np.zeros(n, dtype=np.int64)
-    tie_sets: list[tuple[int, ...]] = [()] * n
+    p = [1.0] * m
+    tie_sets: list[tuple[int, ...]] = []
+    state = saved = p[:]
+    period, power = 0, 1
     for k in range(1, n + 1):
-        a = k + m - 1
-        vals = kernel(*p[a - m : a])
+        vals = kernel(*state)
         best = max(vals)
         thr = best - TIE_TOL
-        ties = tuple(i for i, v in enumerate(vals) if v >= thr)
-        argmax[k - 1] = _pick(ties, tie_rule, rng)
-        tie_sets[k - 1] = ties
-        p[a] = best
+        tie_sets.append(tuple(i for i, v in enumerate(vals) if v >= thr))
+        p.append(best)
+        state = p[k:]
+        period += 1
+        if state == saved:
+            break
+        if period == power:
+            saved, period, power = state, 0, 2 * power
+    p_ext = np.asarray(p)
+    rest = n - len(tie_sets)
+    if rest:
+        # stopped at a repeat: the last `period` pile sizes recur up to n
+        p_ext = np.concatenate((p_ext, np.resize(p_ext[-period:], rest)))
+        tie_sets += (tie_sets[-period:] * (rest // period + 1))[:rest]
+    argmax = np.fromiter((_pick(t, tie_rule, rng) for t in tie_sets), np.int64, n)
     return ValueTable(
         m=m,
         n=n,
         candidates=candidates,
-        p_ext=np.asarray(p),
+        p_ext=p_ext,
         argmax_index=argmax,
         tie_sets=tuple(tie_sets),
     )

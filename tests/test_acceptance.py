@@ -95,6 +95,17 @@ def test_criterion_4_convergence_at_desk_scale():
     )
 
 
+def test_large_n_solve_budget():
+    # the recursion repeats from k=629 with period 4; solve fills the rest
+    spec = GameSpec(1_000_000, 3, truncated_simplex([0.05, 0.05, 0.05]))
+    t0 = time.perf_counter()
+    vt = solve(spec)
+    elapsed = time.perf_counter() - t0
+    assert vt.p_ext.size == 1_000_003 and len(vt.tie_sets) == 1_000_000
+    assert elapsed < 1.5, f"n=1e6 solve took {elapsed:.2f} s"
+    report(f"large n: n=1e6 m=3 eps=0.05 solve in {elapsed:.2f} s")
+
+
 def test_criterion_5_lemma_suite(tmp_path):
     t0 = time.perf_counter()
     for i, game in enumerate(VERIFY_GAMES):

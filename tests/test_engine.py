@@ -1,17 +1,23 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bachet_lottery import (
     GameSpec,
+    LotterySet,
     TIE_HIGHEST,
     TIE_LOWEST,
     TIE_RANDOM,
     finite_set,
     payoff_kernel,
     solve,
+    truncated_simplex,
     validate_lottery,
 )
-from bachet_lottery.engine import TIE_TOL
+from bachet_lottery import engine
+from bachet_lottery.engine import TIE_RULES, TIE_TOL
 from bachet_lottery.errors import DegenerateSetError
 
 HALF = finite_set([[0.5, 0.5]])
@@ -182,3 +188,95 @@ class TestSolve:
         assert vt.tie_sets[0] == (0,)
         vals = vt.values()
         assert vals[-1] == 1.0 and vals[1] == 0.0 and len(vals) == 7
+
+
+def _reference_solve(spec, tie_rule, seed):
+    """(p_ext, argmax_index, tie_sets) from the recursion at every pile size,
+    with the move picked inside the loop and no cycle detection."""
+    kernel = payoff_kernel(spec.K.lotteries)
+    m, n = spec.m, spec.n
+    rng = random.Random(seed)
+    p = [1.0] * m + [0.0] * n
+    argmax = np.zeros(n, dtype=np.int64)
+    tie_sets = [()] * n
+    for k in range(1, n + 1):
+        a = k + m - 1
+        vals = kernel(*p[a - m : a])
+        best = max(vals)
+        ties = tuple(i for i, v in enumerate(vals) if v >= best - TIE_TOL)
+        if tie_rule == TIE_LOWEST:
+            argmax[k - 1] = ties[0]
+        elif tie_rule == TIE_HIGHEST:
+            argmax[k - 1] = ties[-1]
+        else:
+            argmax[k - 1] = ties[rng.randrange(len(ties))]
+        tie_sets[k - 1] = ties
+        p[a] = best
+    return np.asarray(p), argmax, tuple(tie_sets)
+
+
+def assert_matches_reference(spec, tie_rule, seed=0):
+    vt = solve(spec, tie_rule, seed=seed)
+    p_ext, argmax, tie_sets = _reference_solve(spec, tie_rule, seed)
+    assert vt.p_ext.dtype == p_ext.dtype and vt.p_ext.tobytes() == p_ext.tobytes()
+    assert vt.argmax_index.dtype == argmax.dtype
+    assert vt.argmax_index.tobytes() == argmax.tobytes()
+    assert vt.tie_sets == tie_sets
+
+
+# (label, K, pile size at which solve first sees a repeated state).  The
+# periodic parts start at k = 970 (period 3), 629 (4), 2716 (5), 210 (1),
+# 1 (4) and 158 (1); the repeat is seen later because the saved state
+# moves only at powers of two.
+CYCLES = [
+    ("simplex m=2 eps=0.05", truncated_simplex([0.05] * 2), 1026),
+    ("simplex m=3 eps=0.05", truncated_simplex([0.05] * 3), 1027),
+    ("simplex m=4 eps=0.01", truncated_simplex([0.01] * 4), 4100),
+    ("|K|=10 pair set", finite_set([[0.1 + 0.08 * i, 0.9 - 0.08 * i] for i in range(10)]), 256),
+    ("classical pure moves m=3", finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 7),
+    ("duplicate lotteries m=2", finite_set([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]), 256),
+]
+CYCLE_IDS = [label for label, _, _ in CYCLES]
+
+
+class TestCycleDetection:
+    """solve stops at a repeated state and fills the periodic tail; the
+    table must be the one the full recursion computes, bit for bit."""
+
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
+    def test_matches_reference_around_detection(self, label, K, detect, rule):
+        for n in (detect - 1, detect, detect + 1, 2 * detect + 3):
+            assert_matches_reference(GameSpec(n, K.m, K), rule, seed=n)
+
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    def test_matches_reference_before_any_repeat(self, rule):
+        # the transients last 2716 and 30697 pile sizes
+        assert_matches_reference(GameSpec(2000, 4, truncated_simplex([0.01] * 4)), rule, 1)
+        assert_matches_reference(GameSpec(3000, 3, truncated_simplex([0.001] * 3)), rule, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lottery_sets(), st.integers(1, 3000), st.sampled_from(TIE_RULES), st.integers(0, 3))
+    def test_matches_reference_on_random_sets(self, case, n, rule, seed):
+        cands, _ = case
+        assert_matches_reference(GameSpec(n, cands[0].m, LotterySet(tuple(cands))), rule, seed)
+
+    @pytest.mark.parametrize(
+        "rule, seed", [(TIE_LOWEST, 0), (TIE_HIGHEST, 0), (TIE_RANDOM, 0), (TIE_RANDOM, 9)]
+    )
+    @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
+    def test_prefix_of_longer_solve(self, label, K, detect, rule, seed):
+        full = solve(GameSpec(3 * detect, K.m, K), rule, seed=seed)
+        for n in (1, detect - 1, detect, detect + 1, 2 * detect + 1):
+            part = solve(GameSpec(n, K.m, K), rule, seed=seed)
+            assert part.p_ext.tobytes() == full.p_ext[: n + K.m].tobytes()
+            assert part.argmax_index.tobytes() == full.argmax_index[:n].tobytes()
+            assert part.tie_sets == full.tie_sets[:n]
+
+    def test_unknown_tie_rule_rejected_first(self, monkeypatch):
+        def no_kernel(candidates):
+            pytest.fail("kernel compiled before the tie rule was checked")
+
+        monkeypatch.setattr(engine, "payoff_kernel", no_kernel)
+        with pytest.raises(ValueError, match="'no_such_rule'"):
+            solve(GameSpec(5, 2, HALF), "no_such_rule")
