@@ -9,7 +9,6 @@ rerun with the same config produces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -38,15 +37,14 @@ from .oracles import SimConfig, estimate_win_prob
 
 COMMANDS = ("solve", "verify", "simulate", "sweep", "explore-nu-zero")
 
-VALUES_HEADER = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index"
-SIM_HEADER = "n,replications,seed,p_hat,std_err,p_engine,z_score"
-SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n"
-CSV_BLOCK_ROWS = 4096
-
-
-def _fmt(x: float) -> str:
-    """17 significant digits: round-trips any double."""
-    return f"{x:.17g}"
+# Each CSV is its header plus one row template; reals get 17 significant
+# digits, which round-trip any double.
+VALUES_HEADER = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index\n"
+VALUES_ROW = "%d," + "%.17g," * 6 + "{envelope}%d\n"
+SIM_HEADER = "n,replications,seed,p_hat,std_err,p_engine,z_score\n"
+SIM_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
+SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n\n"
+SWEEP_ROW = "%d,%d,%.17g,%.17g,%s,%.17g,%.17g\n"
 
 
 def _umask() -> int:
@@ -149,7 +147,7 @@ def _parse_kappa_grid(cfg: dict) -> list[float]:
 def load_config(path: str | Path, command: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     _require(isinstance(raw, dict), "config", "top level must be an object")
     _require(raw.get("output") is None or isinstance(raw["output"], str), "output",
@@ -161,23 +159,16 @@ def load_config(path: str | Path, command: str) -> dict:
 
 
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    """The lines of values.csv, header first, each ending in a newline.
+    """The lines of values.csv, header first, one row alive at a time.
 
-    Rows are formatted a block at a time, so the Python strings and floats
-    alive at once do not grow with n.
+    Without a delta the envelope field is left empty.
     """
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
     if delta is not None:
         series.append(analysis.envelope(ds.n, delta, ds.m))
-    yield VALUES_HEADER + "\n"
-    for lo in range(0, ds.n, CSV_BLOCK_ROWS):
-        hi = min(lo + CSV_BLOCK_ROWS, ds.n)
-        columns = [map(str, range(lo + 1, hi + 1))]
-        columns += (map(_fmt, a[lo:hi].tolist()) for a in series)
-        if delta is None:
-            columns.append(itertools.repeat(""))
-        columns.append(map("{}\n".format, vt.argmax_index[lo:hi].tolist()))
-        yield from map(",".join, zip(*columns))
+    row = VALUES_ROW.format(envelope="," if delta is None else "%.17g,")
+    yield VALUES_HEADER
+    yield from map(row.__mod__, zip(range(1, ds.n + 1), *series, vt.argmax_index))
 
 
 def _json_text(obj) -> str:
@@ -274,13 +265,8 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
         res = estimate_win_prob(SimConfig(table=vt, n=n, replications=reps, seed=seed))
         p_eng = vt.p(n)
         z = 0.0 if res.std_err == 0.0 else (res.p_hat - p_eng) / res.std_err
-        lines.append(
-            ",".join(
-                (str(n), str(reps), str(seed), _fmt(res.p_hat), _fmt(res.std_err),
-                 _fmt(p_eng), _fmt(z))
-            )
-        )
-    _atomic_write(out / "simulation.csv", ("\n".join(lines) + "\n",))
+        lines.append(SIM_ROW % (n, reps, seed, res.p_hat, res.std_err, p_eng, z))
+    _atomic_write(out / "simulation.csv", lines)
     return 0
 
 
@@ -319,20 +305,9 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         _reject_nu_zero(cond, "sweep")
         vt, dc = _solve_bundle(spec, cond, tau)
         p_n = vt.p(vt.n)
-        lines.append(
-            ",".join(
-                (
-                    str(spec.n),
-                    str(spec.m),
-                    _fmt(cond.eta),
-                    _fmt(cond.nu),
-                    _fmt(dc.delta) if dc is not None else "",
-                    _fmt(p_n),
-                    _fmt(abs(p_n - 0.5)),
-                )
-            )
-        )
-    _atomic_write(out / "sweep.csv", ("\n".join(lines) + "\n",))
+        delta = "" if dc is None else "%.17g" % dc.delta
+        lines.append(SWEEP_ROW % (spec.n, spec.m, cond.eta, cond.nu, delta, p_n, abs(p_n - 0.5)))
+    _atomic_write(out / "sweep.csv", lines)
     return 0
 
 

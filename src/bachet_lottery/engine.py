@@ -7,6 +7,7 @@ over the candidate lotteries; the recursion runs k = 1..n.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,14 +22,6 @@ TIE_LOWEST = "lowest_index"
 TIE_HIGHEST = "highest_index"
 TIE_RANDOM = "seeded_random"
 TIE_RULES = (TIE_LOWEST, TIE_HIGHEST, TIE_RANDOM)
-
-
-def _pick(ties: tuple[int, ...], tie_rule: str, rng: random.Random | None) -> int:
-    if tie_rule == TIE_LOWEST:
-        return ties[0]
-    if tie_rule == TIE_HIGHEST:
-        return ties[-1]
-    return ties[rng.randrange(len(ties))]
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,6 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     candidates = spec.K.lotteries
     kernel = payoff_kernel(candidates)
     m, n = spec.m, spec.n
-    rng = random.Random(seed) if tie_rule == TIE_RANDOM else None
 
     p = [1.0] * m
     tie_sets: list[tuple[int, ...]] = []
@@ -136,7 +128,12 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
         # stopped at a repeat: the last `period` pile sizes recur up to n
         p_ext = np.concatenate((p_ext, np.resize(p_ext[-period:], rest)))
         tie_sets += (tie_sets[-period:] * (rest // period + 1))[:rest]
-    argmax = np.fromiter((_pick(t, tie_rule, rng) for t in tie_sets), np.int64, n)
+    if tie_rule == TIE_RANDOM:
+        rng = random.Random(seed)
+        pick = lambda ties: ties[rng.randrange(len(ties))]
+    else:
+        pick = operator.itemgetter(0 if tie_rule == TIE_LOWEST else -1)
+    argmax = np.fromiter(map(pick, tie_sets), np.int64, n)
     return ValueTable(
         m=m,
         n=n,

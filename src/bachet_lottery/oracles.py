@@ -61,9 +61,8 @@ def estimate_win_prob(cfg: SimConfig) -> SimResult:
     draws = rng.random((R, n))
 
     pile = np.full(R, n, dtype=np.int64)
-    mover = np.zeros(R, dtype=np.int8)
-    winner = np.full(R, -1, dtype=np.int8)
     alive = np.arange(R)
+    wins = 0
     for t in range(n):
         if alive.size == 0:
             break
@@ -71,13 +70,10 @@ def estimate_win_prob(cfg: SimConfig) -> SimResult:
         take = 1 + (u[:, None] >= cum[pile[alive] - 1]).sum(axis=1)
         np.minimum(take, vt.m, out=take)
         ends = take >= pile[alive]
-        ended = alive[ends]
-        winner[ended] = 1 - mover[ended]
+        if t % 2:
+            wins += int(ends.sum())
         alive = alive[~ends]
         pile[alive] -= take[~ends]
-        mover[alive] ^= 1
-
-    wins = int((winner == 0).sum())
     p_hat = wins / R
     return SimResult(
         wins_first_player=wins,

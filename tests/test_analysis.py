@@ -150,6 +150,34 @@ class TestDropConstants:
         assert 0.0 < dc.tau < (nu / (1 - nu)) * (2 - 2 * eta) / (2 - eta)
 
 
+def _crossing_tau(eta, nu):
+    """Where delta's increasing branch meets its decreasing one: the minimizer."""
+    c = eta / (2.0 - eta)
+    return nu * (1.0 - c) / (1.0 - nu + c * nu)
+
+
+class TestDefaultTauIsOptimal:
+    """delta(tau) = max(c*nu/(nu - tau + nu*tau), 1/(1+tau)) with c = eta/(2-eta);
+    the first branch increases and the second decreases, so the optimum sits
+    where they cross, at tau* = nu(1-c)/(1-nu+c*nu)."""
+
+    def test_grid(self):
+        for eta in np.linspace(0.0, 1.0, 62)[1:-1].tolist():
+            for nu in np.linspace(0.0, 1.0, 64)[1:-1].tolist():
+                star = _crossing_tau(eta, nu)
+                assert 0.0 < star < (nu / (1 - nu)) * (2 - 2 * eta) / (2 - eta)
+                dc = drop_constants(eta, nu)
+                # the golden-section search stops on a bracket 1e-10 wide
+                assert abs(dc.tau - star) <= 5e-11
+                assert dc.delta >= (1.0 - 1e-15) / (1.0 + star)
+
+    @pytest.mark.parametrize("m,eps", [(2, 0.05), (3, 0.05), (4, 0.01), (3, 0.001), (5, 0.1)])
+    def test_roadmap_configs(self, m, eps):
+        cond = compute_conditions(truncated_simplex([eps] * m))
+        dc = drop_constants(cond.eta, cond.nu)
+        assert abs(dc.delta - 1.0 / (1.0 + _crossing_tau(cond.eta, cond.nu))) <= 2e-11
+
+
 class TestMonotonicity:
     def test_hand_examples(self, half_series):
         rep = check_monotonicity(half_series)

@@ -1,20 +1,26 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bachet_lottery
 from bachet_lottery.cli import run
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
 TRUNC_GAME = {"n": 2000, "m": 2, "K": {"type": "truncated_simplex", "epsilon": [0.05, 0.05]}}
+# a config nested past the interpreter's recursion limit
+DEEP_CONFIG = b"[" * 100000 + b"]" * 100000
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    """Write ``payload`` as JSON, or as it is when it is already bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     return path
 
 
@@ -155,6 +161,8 @@ class TestConfigErrors:
             {"game": {**HALF_GAME, "K": {"type": "finite", "lotteries": [["x", 0.5]]}}},
             {"game": {**HALF_GAME, "K": {"type": "finite", "lotteries": [0.5, 0.5]}}},
             {"game": {**HALF_GAME, "K": {"type": "finite", "lotteries": [[True, False], [False, True]]}}},
+            pytest.param(b'{"game": "\xff"}', id="not-utf-8"),
+            pytest.param(DEEP_CONFIG, id="nested-past-recursion-limit"),
         ],
     )
     def test_exit_code_two(self, tmp_path, capsys, payload):
@@ -232,6 +240,18 @@ class TestConfigErrors:
 
     def test_missing_file(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", output=tmp_path / "out") == 2
+
+    def test_deep_config_exit_two_without_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, DEEP_CONFIG)
+        env = {**os.environ, "PYTHONPATH": str(Path(bachet_lottery.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bachet_lottery.cli", "solve", "--config", str(cfg),
+             "--output", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config: cannot read ")
+        assert "Traceback" not in proc.stderr
 
 
 # Integer magnitudes are bounded so every run stays small, not because
@@ -315,6 +335,62 @@ class TestDeterminism:
         assert (tmp_path / "a" / "simulation.csv").read_bytes() == (
             tmp_path / "b" / "simulation.csv"
         ).read_bytes()
+
+
+PURE_GAME = {"n": 5, "m": 3,
+             "K": {"type": "finite", "lotteries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+VALUES_HEAD = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index\n"
+SWEEP_HEAD = "n,m,eta,nu,delta,p_n,Delta_n\n"
+
+
+class TestExactBytes:
+    """Whole artifacts, byte for byte: a changed field format fails here."""
+
+    @pytest.mark.parametrize(
+        "command,cfg,artifact,text",
+        [
+            ("solve", {"game": HALF_GAME}, "values.csv", VALUES_HEAD
+             + "1,0,-0.5,0.5,0.5,0,0.5,0.5,0\n"
+             "2,0.5,0,0,0.5,0,0,0.5,0\n"
+             "3,0.75,0.25,0.25,0.25,0.25,0,0.5,0\n"
+             "4,0.375,-0.125,0.125,0.25,0,0.125,0.5,0\n"
+             "5,0.4375,-0.0625,0.0625,0.125,0,0.0625,0.5,0\n"
+             "6,0.59375,0.09375,0.09375,0.09375,0.09375,0,0.5,0\n"),
+            # eta = 1: no envelope, so its field is empty
+            ("solve", {"game": PURE_GAME}, "values.csv", VALUES_HEAD
+             + "1,0,-0.5,0.5,0.5,0,0.5,,0\n"
+             "2,1,0.5,0.5,0.5,0.5,0,,0\n"
+             "3,1,0.5,0.5,0.5,0.5,0,,1\n"
+             "4,1,0.5,0.5,0.5,0.5,0,,2\n"
+             "5,0,-0.5,0.5,0.5,0,0.5,,0\n"),
+            ("simulate", {"game": {**HALF_GAME, "n": 7},
+                          "sim": {"replications": 50, "seed": 5, "n_values": [1, 4, 7]}},
+             "simulation.csv",
+             "n,replications,seed,p_hat,std_err,p_engine,z_score\n"
+             "1,50,5,0,0,0,0\n"
+             "4,50,5,0.44,0.070199715099136986,0.375,0.9259296837345582\n"
+             "7,50,5,0.38,0.068644009206922055,0.484375,-1.5205259891707321\n"),
+            ("sweep", {"game": HALF_GAME, "sweep": {"n_values": [1, 4, 9]}}, "sweep.csv",
+             SWEEP_HEAD
+             + "1,2,0.5,0.5,0.66666666667738594,0,0.5\n"
+             "4,2,0.5,0.5,0.66666666667738594,0.375,0.125\n"
+             "9,2,0.5,0.5,0.66666666667738594,0.52734375,0.02734375\n"),
+            ("sweep", {"game": PURE_GAME, "sweep": {"n_values": [2, 5]}}, "sweep.csv",
+             SWEEP_HEAD + "2,3,1,1,,1,0.5\n5,3,1,1,,0,0.5\n"),
+            ("sweep", {"game": {"n": 40, "m": 2, "K": TRUNC_GAME["K"]},
+                       "sweep": {"epsilon_values": [0.05, 0.2]}}, "sweep.csv",
+             SWEEP_HEAD
+             + "40,2,0.94999999999999996,0.94999999999999996,0.90952380952449163,"
+             "0.37289412894583707,0.12710587105416293\n"
+             "40,2,0.80000000000000004,0.80000000000000004,0.73333333333926365,"
+             "0.49942031569857726,0.00057968430142274485\n"),
+        ],
+        ids=["values", "values-no-envelope", "simulation", "sweep-n", "sweep-eta-one",
+             "sweep-eps"],
+    )
+    def test_artifact_text(self, tmp_path, command, cfg, artifact, text):
+        assert run(command, write_config(tmp_path, cfg), output=tmp_path / "out") == 0
+        assert (tmp_path / "out" / artifact).read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
