@@ -9,6 +9,7 @@ rerun with the same config produces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import analysis
-from .engine import TIE_LOWEST, ValueTable, solve
+from .engine import TIE_LOWEST, TIE_RANDOM, ValueTable, solve
 from .errors import (
     ConfigError,
     DegenerateSetError,
@@ -159,16 +160,35 @@ def load_config(path: str | Path, command: str) -> dict:
 
 
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    """The lines of values.csv, header first, one row alive at a time.
+    """The lines of values.csv, header first.
 
-    Without a delta the envelope field is left empty.
+    Rows 1..vt.computed are formatted one at a time.  Past them row k
+    repeats row k - vt.period in every field but k and the envelope (see
+    ValueTable), so the last cycle's six series and moves are formatted
+    once, and the tail is yielded one 3m-block at a time, each block with
+    its one envelope string.  Under seeded_random the moves do not repeat
+    and are formatted per row.  Without a delta the envelope field is
+    left empty.
     """
+    m, n, c = vt.m, vt.n, vt.computed
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
-    if delta is not None:
-        series.append(analysis.envelope(ds.n, delta, ds.m))
+    envelope = [] if delta is None else [analysis.envelope(c, delta, m)]
     row = VALUES_ROW.format(envelope="," if delta is None else "%.17g,")
     yield VALUES_HEADER
-    yield from map(row.__mod__, zip(range(1, ds.n + 1), *series, vt.argmax_index))
+    yield from map(row.__mod__, zip(range(1, c + 1), *series, *envelope, vt.argmax_index))
+    if c == n:
+        return
+    cycle = slice(c - vt.period, c)
+    mid = itertools.cycle(map(("%.17g," * 6).__mod__, zip(*(s[cycle] for s in series))))
+    if vt.tie_rule == TIE_RANDOM:
+        arg = map("%d\n".__mod__, vt.argmax_index[c:])
+    else:
+        arg = itertools.cycle(["%d\n" % a for a in vt.argmax_index[cycle]])
+    block = 3 * m
+    for j in range(c // block, (n - 1) // block + 1):
+        env = "," if delta is None else "%.17g," % analysis.envelope_bound(j * block + 1, delta, m)
+        ks = range(max(c, j * block) + 1, min(n, (j + 1) * block) + 1)
+        yield "".join(["%d,%s%s%s" % (k, md, env, a) for k, md, a in zip(ks, mid, arg)])
 
 
 def _json_text(obj) -> str:
@@ -255,9 +275,10 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
     _require(_is_int(seed) and seed >= 0, "sim.seed", "must be a non-negative integer")
     n_values = sim.get("n_values", [spec.n])
     _require(
-        isinstance(n_values, list) and all(_is_int(v) and 1 <= v <= spec.n for v in n_values),
+        isinstance(n_values, list) and n_values
+        and all(_is_int(v) and 1 <= v <= spec.n for v in n_values),
         "sim.n_values",
-        f"must be integers in 1..{spec.n}",
+        f"must be a non-empty list of integers in 1..{spec.n}",
     )
     vt = solve(spec, tie_rule=TIE_LOWEST)
     lines = [SIM_HEADER]
@@ -278,7 +299,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     points: list[GameSpec] = []
     if "n_values" in sweep:
         n_values = sweep["n_values"]
-        _require(isinstance(n_values, list), "sweep.n_values", "must be a list")
+        _require(isinstance(n_values, list) and n_values, "sweep.n_values",
+                 "must be a non-empty list")
         for i, n in enumerate(n_values):
             _require(_is_int(n) and n >= 1, f"sweep.n_values[{i}]", "integer >= 1")
             points.append(_parse_game({**game, "n": n}))
@@ -286,7 +308,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         m = game.get("m")
         _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
         eps_values = sweep["epsilon_values"]
-        _require(isinstance(eps_values, list), "sweep.epsilon_values", "must be a list")
+        _require(isinstance(eps_values, list) and eps_values, "sweep.epsilon_values",
+                 "must be a non-empty list")
         for i, eps in enumerate(eps_values):
             _require(
                 _is_real(eps) and 0.0 < eps < 1.0 / m,

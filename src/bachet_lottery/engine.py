@@ -32,6 +32,15 @@ class ValueTable:
     entries are the boundary ones.  ``argmax_index[k-1]`` is the candidate
     chosen at pile size k, ``tie_sets[k-1]`` all candidates within TIE_TOL
     of the maximum there.
+
+    ``computed`` is the number of pile sizes the recursion evaluated before
+    it stopped at a repeated state, and ``period`` the length of that
+    repeat, or 0 when no state repeated before n (then computed == n).
+    Beyond the evaluated part everything repeats: p_k == p_{k-period} for
+    k > computed - m, and tie_sets[k-1] == tie_sets[k-1-period] for
+    k > computed.  ``tie_rule`` names the rule the moves were picked by;
+    under lowest_index and highest_index argmax_index repeats there too,
+    under seeded_random it does not.
     """
 
     m: int
@@ -40,6 +49,9 @@ class ValueTable:
     p_ext: np.ndarray
     argmax_index: np.ndarray
     tie_sets: tuple[tuple[int, ...], ...]
+    tie_rule: str
+    computed: int
+    period: int
 
     def p(self, k: int) -> float:
         """Equilibrium win probability at pile size k (1 for k <= 0)."""
@@ -80,6 +92,20 @@ def payoff_kernel(candidates: Sequence[Lottery]):
     return ns["_kernel"]
 
 
+def _repeat_last(head: np.ndarray, period: int, size: int) -> np.ndarray:
+    """``head`` extended to ``size`` entries by repeating its last ``period``
+    entries.  The tail is one broadcast copy into a (cycles, period) view
+    of the result, so no repeated temporary is built."""
+    start, rest = head.size, size - head.size
+    if not rest:
+        return head
+    cycles = -(-rest // period)
+    out = np.empty(start + cycles * period, head.dtype)
+    out[:start] = head
+    out[start:].reshape(cycles, period)[...] = head[-period:]
+    return out[:size]
+
+
 def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTable:
     """Solve the game by backward induction over pile sizes 1..n.
 
@@ -97,8 +123,9 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     states differ at most in the sign of a zero, which cannot change the
     kernel's ``1.0 - (sum of w*t)`` (a zero term leaves a non-zero sum
     unchanged, and 1.0 - (+-0.0) is 1.0).  The moves are picked after the
-    loop, in k order, so seeded_random draws the same sequence as a pick
-    inside the loop would.
+    loop: seeded_random draws once per pile size in k order, the same
+    sequence as a pick inside the loop would; the deterministic rules pick
+    over the evaluated pile sizes and repeat their last ``period`` picks.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}")
@@ -122,18 +149,23 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
             break
         if period == power:
             saved, period, power = state, 0, 2 * power
-    p_ext = np.asarray(p)
-    rest = n - len(tie_sets)
+    else:
+        period = 0  # no state repeated before n
+    computed = len(tie_sets)
+    p_ext = _repeat_last(np.asarray(p), period, n + m)
+    rest = n - computed
     if rest:
-        # stopped at a repeat: the last `period` pile sizes recur up to n
-        p_ext = np.concatenate((p_ext, np.resize(p_ext[-period:], rest)))
+        # stopped at a repeat: the last `period` tie sets recur up to n
         tie_sets += (tie_sets[-period:] * (rest // period + 1))[:rest]
     if tie_rule == TIE_RANDOM:
         rng = random.Random(seed)
-        pick = lambda ties: ties[rng.randrange(len(ties))]
+        argmax = np.fromiter((t[rng.randrange(len(t))] for t in tie_sets), np.int64, n)
     else:
+        # the picks repeat with the tie sets: pick over the evaluated part
+        # only (fromiter reads `computed` items, no copy of the list)
         pick = operator.itemgetter(0 if tie_rule == TIE_LOWEST else -1)
-    argmax = np.fromiter(map(pick, tie_sets), np.int64, n)
+        picks = np.fromiter(map(pick, tie_sets), np.int64, computed)
+        argmax = _repeat_last(picks, period, n)
     return ValueTable(
         m=m,
         n=n,
@@ -141,4 +173,7 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
         p_ext=p_ext,
         argmax_index=argmax,
         tie_sets=tuple(tie_sets),
+        tie_rule=tie_rule,
+        computed=computed,
+        period=period,
     )

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per release criterion, with its stated
 tolerance and runtime budget.  Each test prints a single pass line."""
+import hashlib
 import json
 import math
 import time
@@ -104,6 +105,22 @@ def test_large_n_solve_budget():
     assert vt.p_ext.size == 1_000_003 and len(vt.tie_sets) == 1_000_000
     assert elapsed < 1.5, f"n=1e6 solve took {elapsed:.2f} s"
     report(f"large n: n=1e6 m=3 eps=0.05 solve in {elapsed:.2f} s")
+
+
+def test_large_n_cli_solve_budget(tmp_path):
+    # rows past k=1027 repeat with period 4 and are written from one cycle
+    game = {"n": 1_000_000, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"game": game}))
+    t0 = time.perf_counter()
+    assert run("solve", cfg, output=tmp_path / "out") == 0
+    elapsed = time.perf_counter() - t0
+    values = tmp_path / "out" / "values.csv"
+    digest = hashlib.sha256(values.read_bytes()).hexdigest()
+    values.unlink()  # 126 MB
+    assert digest == "9866910c5289b9607a8259218a8457ab2bad7be0e2770a3a54db114e89973982"
+    assert elapsed < 3.0, f"n=1e6 CLI solve took {elapsed:.2f} s"
+    report(f"large n: n=1e6 m=3 eps=0.05 CLI solve, values.csv unchanged, in {elapsed:.2f} s")
 
 
 def test_criterion_5_lemma_suite(tmp_path):

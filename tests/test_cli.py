@@ -9,7 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bachet_lottery
-from bachet_lottery.cli import run
+from bachet_lottery import (
+    TIE_LOWEST,
+    TIE_RANDOM,
+    GameSpec,
+    LotterySet,
+    analysis,
+    deviation_series,
+    finite_set,
+    solve,
+    truncated_simplex,
+    validate_lottery,
+)
+from bachet_lottery.cli import _values_csv, run
+from bachet_lottery.engine import TIE_RULES
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
 TRUNC_GAME = {"n": 2000, "m": 2, "K": {"type": "truncated_simplex", "epsilon": [0.05, 0.05]}}
@@ -181,6 +194,10 @@ class TestConfigErrors:
             ("simulate", {"game": HALF_GAME, "sim": {"replications": 10, "seed": 1,
                                                      "n_values": [True]}}),
             ("solve", {"game": HALF_GAME, "output": 5}),
+            ("sweep", {"game": HALF_GAME, "sweep": {"n_values": []}}),
+            ("sweep", {"game": HALF_GAME, "sweep": {"epsilon_values": []}}),
+            ("simulate", {"game": HALF_GAME, "sim": {"replications": 10, "seed": 1,
+                                                     "n_values": []}}),
         ],
     )
     def test_command_options_exit_two(self, tmp_path, capsys, command, payload):
@@ -403,3 +420,81 @@ def test_artifacts_honour_umask(tmp_path, umask):
         os.umask(old)
     for name in ("values.csv", "summary.json"):
         assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def _reference_values_csv(vt, ds, delta):
+    """values.csv as one `%` template mapped over the full arrays."""
+    series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
+    if delta is not None:
+        series.append(analysis.envelope(ds.n, delta, ds.m))
+    row = "%d," + "%.17g," * 6 + ("," if delta is None else "%.17g,") + "%d\n"
+    rows = zip(range(1, ds.n + 1), *series, vt.argmax_index)
+    return VALUES_HEAD + "".join(map(row.__mod__, rows))
+
+
+def assert_writer_matches_reference(spec, delta, rule=TIE_LOWEST, seed=0):
+    vt = solve(spec, rule, seed=seed)
+    ds = deviation_series(vt)
+    got = "".join(_values_csv(vt, ds, delta))
+    want = _reference_values_csv(vt, ds, delta)
+    if got != want:
+        # name the first differing line instead of diffing megabytes of text
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]), min(len(a), len(b)))
+        pytest.fail(f"values.csv differs at line {i}: {a[i:i + 1]} != {b[i:i + 1]}")
+
+
+WRITER_SETS = [
+    *((f"simplex m={m}", truncated_simplex([0.05] * m)) for m in (2, 3, 4, 5)),
+    ("simplex m=4 eps=0.01", truncated_simplex([0.01] * 4)),
+    ("|K|=10 pair set", finite_set([[0.1 + 0.08 * i, 0.9 - 0.08 * i] for i in range(10)])),
+    ("pure moves m=3", finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+    ("zero-weight set", finite_set([[0.5, 0.3, 0.2], [0, 0.5, 0.5], [0.6, 0, 0.4]])),
+]
+DELTAS = pytest.mark.parametrize("delta", [None, 0.9], ids=["no-envelope", "envelope"])
+
+
+@st.composite
+def finite_games(draw):
+    m = draw(st.integers(2, 5))
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=m, max_size=m
+    ).filter(lambda v: sum(v) > 0.0)
+    raw = draw(st.lists(weights, min_size=1, max_size=4))
+    K = LotterySet(tuple(validate_lottery([w / sum(v) for w in v]) for v in raw))
+    return GameSpec(draw(st.integers(1, 3000)), m, K)
+
+
+class TestValuesWriter:
+    """The values.csv writer formats the repeating tail from one cycle; its
+    text must equal one row template mapped over every row."""
+
+    @DELTAS
+    @pytest.mark.parametrize("at", ["c-1", "c", "c+1", "c+period", "c+3m", "3c"])
+    @pytest.mark.parametrize("label, K", WRITER_SETS, ids=[label for label, _ in WRITER_SETS])
+    def test_matches_reference_around_computed(self, label, K, at, delta):
+        # c: where solve stops once n is large enough
+        probe = solve(GameSpec(100_000, K.m, K))
+        c, period, m = probe.computed, probe.period, K.m
+        assert period > 0
+        n = {"c-1": c - 1, "c": c, "c+1": c + 1, "c+period": c + period,
+             "c+3m": c + 3 * m, "3c": 3 * c}[at]
+        assert_writer_matches_reference(GameSpec(n, K.m, K), delta)
+
+    @DELTAS
+    def test_matches_reference_without_repeat(self, delta):
+        spec = GameSpec(3000, 3, truncated_simplex([0.001] * 3))
+        assert solve(spec).period == 0
+        assert_writer_matches_reference(spec, delta)
+
+    @DELTAS
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_reference_seeded_random(self, seed, delta):
+        assert_writer_matches_reference(
+            GameSpec(3 * 1027 + 2, 3, truncated_simplex([0.05] * 3)), delta, TIE_RANDOM, seed
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_games(), st.sampled_from(TIE_RULES), st.sampled_from([None, 0.5, 0.999]))
+    def test_matches_reference_on_random_sets(self, spec, rule, delta):
+        assert_writer_matches_reference(spec, delta, rule, seed=3)

@@ -280,3 +280,51 @@ class TestCycleDetection:
         monkeypatch.setattr(engine, "payoff_kernel", no_kernel)
         with pytest.raises(ValueError, match="'no_such_rule'"):
             solve(GameSpec(5, 2, HALF), "no_such_rule")
+
+
+# the repeat lengths of CYCLES, in the same order
+CYCLE_PERIODS = dict(zip(CYCLE_IDS, (3, 4, 5, 1, 4, 1)))
+
+
+def _picker_pass(vt, rule, seed):
+    """argmax_index as one picker mapped over all n tie sets in k order."""
+    if rule == TIE_RANDOM:
+        rng = random.Random(seed)
+        picks = [t[rng.randrange(len(t))] for t in vt.tie_sets]
+    else:
+        picks = [t[0] if rule == TIE_LOWEST else t[-1] for t in vt.tie_sets]
+    return np.array(picks, dtype=np.int64)
+
+
+class TestCycleFields:
+    """`computed` and `period` record where solve stopped and what repeats."""
+
+    @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
+    def test_no_repeat_before_n(self, label, K, detect):
+        vt = solve(GameSpec(detect - 1, K.m, K))
+        assert (vt.computed, vt.period) == (detect - 1, 0)
+
+    @pytest.mark.parametrize("n, m, eps", [(2000, 4, 0.01), (3000, 3, 0.001)])
+    def test_no_repeat_in_long_transient(self, n, m, eps):
+        vt = solve(GameSpec(n, m, truncated_simplex([eps] * m)))
+        assert (vt.computed, vt.period) == (n, 0)
+
+    @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
+    def test_values_repeat_past_computed(self, label, K, detect):
+        for n in (detect, detect + 1, 2 * detect + 3):
+            vt = solve(GameSpec(n, K.m, K))
+            c, period = vt.computed, vt.period
+            assert (c, period) == (detect, CYCLE_PERIODS[label])
+            # p_ext[k+m-1] == p_ext[k+m-1-period] for every k > c - m
+            assert vt.p_ext[c:].tobytes() == vt.p_ext[c - period : vt.p_ext.size - period].tobytes()
+            assert vt.tie_sets[c:] == vt.tie_sets[c - period : n - period]
+
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
+    def test_moves_equal_picker_pass(self, label, K, detect, rule):
+        for n in (detect - 1, detect, detect + 1, 3 * detect + 2):
+            vt = solve(GameSpec(n, K.m, K), rule, seed=n)
+            assert vt.tie_rule == rule
+            want = _picker_pass(vt, rule, n)
+            assert vt.argmax_index.dtype == want.dtype
+            assert vt.argmax_index.tobytes() == want.tobytes()
