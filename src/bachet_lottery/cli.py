@@ -47,6 +47,12 @@ SIM_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
 SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n\n"
 SWEEP_ROW = "%d,%d,%.17g,%.17g,%s,%.17g,%.17g\n"
 
+# numpy refuses an array over sys.maxsize bytes with a ValueError.  With
+# the n + m doubles of the value table bounded by half that, a table too
+# large for memory fails to allocate instead: a MemoryError, which
+# `_solve` reports against game.n.
+MAX_TABLE = sys.maxsize // 16
+
 
 def _umask() -> int:
     mask = os.umask(0)
@@ -120,6 +126,7 @@ def _parse_game(node, where: str = "game") -> GameSpec:
     n, m = node.get("n"), node.get("m")
     _require(_is_int(n) and n >= 1, f"{where}.n", "must be an integer >= 1")
     _require(_is_int(m) and m >= 2, f"{where}.m", "must be an integer >= 2")
+    _require(n + m <= MAX_TABLE, f"{where}.n", f"must be at most {MAX_TABLE - m}")
     K = _parse_lottery_set(node.get("K"), f"{where}.K")
     try:
         return GameSpec(n=n, m=m, K=K)
@@ -195,8 +202,17 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _solve(spec: GameSpec) -> ValueTable:
+    """The table under lowest_index; one that does not fit in memory is a
+    config error on game.n."""
+    try:
+        return solve(spec, tie_rule=TIE_LOWEST)
+    except MemoryError as exc:
+        raise ConfigError(f"game.n: {spec.n} pile sizes do not fit in memory") from exc
+
+
 def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
-    vt = solve(spec, tie_rule=TIE_LOWEST)
+    vt = _solve(spec)
     dc = None
     if cond.eta_ok and cond.nu_ok:
         try:
@@ -280,7 +296,7 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
         "sim.n_values",
         f"must be a non-empty list of integers in 1..{spec.n}",
     )
-    vt = solve(spec, tie_rule=TIE_LOWEST)
+    vt = _solve(spec)
     lines = [SIM_HEADER]
     for n in n_values:
         res = estimate_win_prob(SimConfig(table=vt, n=n, replications=reps, seed=seed))

@@ -4,15 +4,24 @@ The mover at pile size k wins with probability 1 - sum_i pi_i * p_{k-i}
 for a chosen lottery pi, with the boundary convention p_s = 1 for s <= 0
 (taking the last object loses).  The equilibrium value p_k maximizes this
 over the candidate lotteries; the recursion runs k = 1..n.
+
+The recursion is one generated Python function per solve: the last m
+values live in locals, each pile size costs one ``max`` over the
+candidates' payoff expressions, and the loop stops at the first repeated
+state.  Everything about ties is worked out after the loop, in numpy,
+from the evaluated prefix: the kernel's expressions are elementwise, so
+on arrays they give the same doubles as in the loop.
 """
 from __future__ import annotations
 
-import operator
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lotteries import GameSpec, Lottery
 
@@ -30,17 +39,18 @@ class ValueTable:
 
     ``p_ext`` holds p_k for k = -(m-1)..n (index k + m - 1); the first m
     entries are the boundary ones.  ``argmax_index[k-1]`` is the candidate
-    chosen at pile size k, ``tie_sets[k-1]`` all candidates within TIE_TOL
-    of the maximum there.
+    chosen at pile size k.
 
     ``computed`` is the number of pile sizes the recursion evaluated before
     it stopped at a repeated state, and ``period`` the length of that
     repeat, or 0 when no state repeated before n (then computed == n).
     Beyond the evaluated part everything repeats: p_k == p_{k-period} for
-    k > computed - m, and tie_sets[k-1] == tie_sets[k-1-period] for
-    k > computed.  ``tie_rule`` names the rule the moves were picked by;
-    under lowest_index and highest_index argmax_index repeats there too,
-    under seeded_random it does not.
+    k > computed - m, and so do the tie sets for k > computed.
+    ``tie_mask`` is the (computed, |K|) boolean array whose row k-1 marks
+    the candidates within TIE_TOL of the maximum at pile size k; it covers
+    the evaluated pile sizes only.  ``tie_rule`` names the rule the moves
+    were picked by; under lowest_index and highest_index argmax_index
+    repeats past computed too, under seeded_random it does not.
     """
 
     m: int
@@ -48,10 +58,17 @@ class ValueTable:
     candidates: tuple[Lottery, ...]
     p_ext: np.ndarray
     argmax_index: np.ndarray
-    tie_sets: tuple[tuple[int, ...], ...]
+    tie_mask: np.ndarray
     tie_rule: str
     computed: int
     period: int
+
+    @cached_property
+    def tie_sets(self) -> tuple[tuple[int, ...], ...]:
+        """``tie_sets[k-1]``: the indices of all candidates within TIE_TOL of
+        the maximum at pile size k, for k = 1..n.  Built from ``tie_mask``
+        and the period on first read."""
+        return tuple(_tie_sets(self.tie_mask, self.period, self.n))
 
     def p(self, k: int) -> float:
         """Equilibrium win probability at pile size k (1 for k <= 0)."""
@@ -68,28 +85,75 @@ class ValueTable:
         return {k: float(self.p_ext[k + self.m - 1]) for k in range(1 - self.m, self.n + 1)}
 
 
-def payoff_kernel(candidates: Sequence[Lottery]):
-    """Build f(t_0, ..., t_{m-1}) -> tuple of per-candidate payoffs.
-
-    The payoff of lottery pi is the mover's win probability
-    1 - sum_i pi_i * p_{k-i}, summed left to right over i = 1..m with
-    zero weights left out.  t_j = p_{k-m+j}, i.e. the tail in increasing
-    k order.  n can reach 1e5..1e6, so the lottery coefficients are baked
-    into generated bytecode to keep the inner loop allocation-free.
-    """
+def _payoff_exprs(candidates: Sequence[Lottery]) -> list[str]:
+    """Each lottery's payoff 1 - sum_i pi_i * p_{k-i} as expression text in
+    t0..t{m-1}, where t_j = p_{k-m+j}: summed left to right over i = 1..m,
+    zero weights left out.  The one definition of the payoff."""
     m = candidates[0].m
-    args = ", ".join(f"t{j}" for j in range(m))
     exprs = []
     for lot in candidates:
-        # payoff 1 - sum_i pi_i * p_{k-i}; p_{k-i} is argument t_{m-i}
+        # p_{k-i} is t_{m-i}
         terms = " + ".join(
             f"{lot.probs[i - 1]!r}*t{m - i}" for i in range(1, m + 1) if lot.probs[i - 1] != 0.0
         )
         exprs.append(f"1.0 - ({terms})" if terms else "1.0")
-    src = f"def _kernel({args}):\n    return ({', '.join(exprs)},)"
+    return exprs
+
+
+def _compiled(src: str, name: str):
+    """The function ``name`` that the generated ``src`` defines."""
     ns: dict = {}
     exec(src, ns)
-    return ns["_kernel"]
+    return ns[name]
+
+
+def payoff_kernel(candidates: Sequence[Lottery]):
+    """Build f(t_0, ..., t_{m-1}) -> tuple of per-candidate payoffs.
+
+    t_j = p_{k-m+j}, i.e. the tail in increasing k order.  The lottery
+    coefficients are baked into generated bytecode.  The arguments may
+    be floats or equal-length float64 arrays: every operation is
+    elementwise, so entry j of the array result is the scalar result
+    for column j, bit for bit.
+    """
+    args = ", ".join(f"t{j}" for j in range(candidates[0].m))
+    body = ", ".join(_payoff_exprs(candidates))
+    return _compiled(f"def _kernel({args}):\n    return ({body},)", "_kernel")
+
+
+def _recursion(candidates: Sequence[Lottery]):
+    """Build run(put, n, t0, ..., t{m-1}) -> period.
+
+    From the state (t0, ..., t{m-1}) = (p_{1-m}, ..., p_0) it evaluates
+    p_k = max over the candidates' payoffs for k = 1, 2, ..., passes each
+    to ``put``, and shifts it into the locals.  Brent's saved state lives
+    in the locals s0..s{m-1}.  It returns the repeat length at the first
+    state equal to the saved one, or 0 after n pile sizes without one.
+    """
+    m = candidates[0].m
+    exprs = _payoff_exprs(candidates)
+    state = [f"t{j}" for j in range(m)]
+    saved = [f"s{j}" for j in range(m)]
+    shift = [f"t{j} = t{j + 1}" for j in range(m - 1)] + [f"t{m - 1} = best"]
+    same = " and ".join(f"{t} == {s}" for t, s in zip(state, saved))
+    best = exprs[0] if len(exprs) == 1 else f"max({', '.join(exprs)})"
+    lines = [
+        f"def _run(put, n, {', '.join(state)}):",
+        f"    {', '.join(saved)} = {', '.join(state)}",
+        "    period, power = 0, 1",
+        "    for _ in range(n):",
+        f"        best = {best}",
+        "        put(best)",
+        *(f"        {s}" for s in shift),
+        "        period += 1",
+        f"        if {same}:",
+        "            return period",
+        "        if period == power:",
+        f"            {', '.join(saved)} = {', '.join(state)}",
+        "            period, power = 0, 2 * power",
+        "    return 0",
+    ]
+    return _compiled("\n".join(lines), "_run")
 
 
 def _repeat_last(head: np.ndarray, period: int, size: int) -> np.ndarray:
@@ -106,73 +170,73 @@ def _repeat_last(head: np.ndarray, period: int, size: int) -> np.ndarray:
     return out[:size]
 
 
+def _tie_sets(mask: np.ndarray, period: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The tie set of each pile size 1..n in k order, from the mask of the
+    evaluated ones; past them the last ``period`` sets repeat."""
+    sets = [tuple(itertools.compress(range(mask.shape[1]), row)) for row in mask.tolist()]
+    cycle = itertools.cycle(sets[len(sets) - period :])
+    return itertools.chain(sets, itertools.islice(cycle, n - len(sets)))
+
+
 def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTable:
     """Solve the game by backward induction over pile sizes 1..n.
 
     The stored value at each k is the exact maximum over candidates, so
     the values map does not depend on the tie rule; only argmax_index may.
 
-    p_{k+1} and the tie set at k+1 are functions of the state
-    (p_{k-m+1}, ..., p_k) alone, so once a state repeats bit for bit the
-    rest of the table repeats with the same period.  Brent's cycle
-    detection compares each state with one saved state, moved at powers
-    of two; at the first match the loop stops and the last ``period``
-    values and tie sets are repeated up to n.  States are compared with
+    The loop is one generated function (see ``_recursion``) that does the
+    recursion and nothing else.  p_{k+1} and the tie set at k+1 are
+    functions of the state (p_{k-m+1}, ..., p_k) alone, so once a state
+    repeats bit for bit the rest of the table repeats with the same
+    period.  Brent's cycle detection compares each state with one saved
+    state, moved at powers of two; at the first match the loop stops and
+    the last ``period`` values are repeated up to n.  The state and the
+    saved state are m float locals each, compared one by one with
     ``==``, and that is enough for the tail to be bit-identical to the
-    full loop's: lotteries are finite, so no NaN arises, and two equal
-    states differ at most in the sign of a zero, which cannot change the
-    kernel's ``1.0 - (sum of w*t)`` (a zero term leaves a non-zero sum
-    unchanged, and 1.0 - (+-0.0) is 1.0).  The moves are picked after the
-    loop: seeded_random draws once per pile size in k order, the same
-    sequence as a pick inside the loop would; the deterministic rules pick
-    over the evaluated pile sizes and repeat their last ``period`` picks.
+    full loop's: lotteries are finite, so no NaN arises, and two locals
+    that compare equal differ at most in the sign of a zero, which cannot
+    change a payoff ``1.0 - (sum of w*t)`` (a zero term leaves a non-zero
+    sum unchanged, and 1.0 - (+-0.0) is 1.0).
+
+    The ties are found after the loop, over the evaluated pile sizes at
+    once: the (m, computed) window view of the prefix goes through
+    ``payoff_kernel``, which gives the loop's doubles, and a candidate
+    ties at k when its payoff is >= p_k - TIE_TOL, the same IEEE
+    operations as a test inside the loop would do.  lowest_index and
+    highest_index take the first and last marked candidate of each row
+    and repeat the last ``period`` picks; seeded_random draws once per
+    pile size in k order, the same sequence as a pick inside the loop.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     candidates = spec.K.lotteries
-    kernel = payoff_kernel(candidates)
     m, n = spec.m, spec.n
 
     p = [1.0] * m
-    tie_sets: list[tuple[int, ...]] = []
-    state = saved = p[:]
-    period, power = 0, 1
-    for k in range(1, n + 1):
-        vals = kernel(*state)
-        best = max(vals)
-        thr = best - TIE_TOL
-        tie_sets.append(tuple(i for i, v in enumerate(vals) if v >= thr))
-        p.append(best)
-        state = p[k:]
-        period += 1
-        if state == saved:
-            break
-        if period == power:
-            saved, period, power = state, 0, 2 * power
-    else:
-        period = 0  # no state repeated before n
-    computed = len(tie_sets)
-    p_ext = _repeat_last(np.asarray(p), period, n + m)
-    rest = n - computed
-    if rest:
-        # stopped at a repeat: the last `period` tie sets recur up to n
-        tie_sets += (tie_sets[-period:] * (rest // period + 1))[:rest]
+    period = _recursion(candidates)(p.append, n, *p)
+    computed = len(p) - m
+    head = np.array(p)
+    del p  # a float object per pile size; head holds the values now
+    p_ext = _repeat_last(head, period, n + m)
+
+    windows = sliding_window_view(head[:-1], m).T
+    thr = head[m:] - TIE_TOL
+    ties = np.stack([v >= thr for v in payoff_kernel(candidates)(*windows)], axis=1)
     if tie_rule == TIE_RANDOM:
         rng = random.Random(seed)
-        argmax = np.fromiter((t[rng.randrange(len(t))] for t in tie_sets), np.int64, n)
+        sets = _tie_sets(ties, period, n)
+        argmax = np.fromiter((t[rng.randrange(len(t))] for t in sets), np.int64, n)
+    elif tie_rule == TIE_LOWEST:
+        argmax = _repeat_last(ties.argmax(1), period, n)
     else:
-        # the picks repeat with the tie sets: pick over the evaluated part
-        # only (fromiter reads `computed` items, no copy of the list)
-        pick = operator.itemgetter(0 if tie_rule == TIE_LOWEST else -1)
-        picks = np.fromiter(map(pick, tie_sets), np.int64, computed)
-        argmax = _repeat_last(picks, period, n)
+        argmax = _repeat_last(len(candidates) - 1 - ties[:, ::-1].argmax(1), period, n)
     return ValueTable(
         m=m,
         n=n,
         candidates=candidates,
         p_ext=p_ext,
         argmax_index=argmax,
-        tie_sets=tuple(tie_sets),
+        tie_mask=ties,
         tie_rule=tie_rule,
         computed=computed,
         period=period,

@@ -107,6 +107,20 @@ def test_large_n_solve_budget():
     report(f"large n: n=1e6 m=3 eps=0.05 solve in {elapsed:.2f} s")
 
 
+def test_long_transient_solve_budget():
+    # at eps=0.001 the recursion runs 32771 pile sizes before a state repeats
+    spec = GameSpec(1_000_000, 3, truncated_simplex([0.001] * 3))
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        vt = solve(spec)
+        times.append(time.perf_counter() - t0)
+    assert (vt.computed, vt.period) == (32771, 4)
+    elapsed = min(times)
+    assert elapsed < 0.04, f"n=1e6 eps=0.001 solve took {elapsed:.3f} s"
+    report(f"long transient: n=1e6 m=3 eps=0.001 solve (32771 piles evaluated) in {elapsed:.3f} s")
+
+
 def test_large_n_cli_solve_budget(tmp_path):
     # rows past k=1027 repeat with period 4 and are written from one cycle
     game = {"n": 1_000_000, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -269,6 +270,25 @@ class TestConfigErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: config: cannot read ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("n", [10**15, 10**30], ids=["n=1e15", "n=1e30"])
+    def test_huge_n_exit_two_without_traceback(self, tmp_path, command, n):
+        # 1e15 piles need petabytes; 1e30 exceeds any array size numpy allows.
+        # The address space is capped first, so nothing large is ever allocated.
+        game = {"n": n, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
+        cfg = write_config(tmp_path, {"game": game})
+        env = {**os.environ, "PYTHONPATH": str(Path(bachet_lottery.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bachet_lottery.cli", command, "--config", str(cfg),
+             "--output", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: game.n: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 # Integer magnitudes are bounded so every run stays small, not because

@@ -66,6 +66,20 @@ class TestPayoffKernel:
         cands, tail = case
         assert win_probs(cands, tail) == tuple(reference_payoff(c, tail) for c in cands)
 
+    @settings(max_examples=200, deadline=None)
+    @given(lottery_sets(), st.data())
+    def test_arrays_match_scalar_calls(self, case, data):
+        # solve's tie pass runs the kernel on arrays and relies on this
+        cands, _ = case
+        m = cands[0].m
+        column = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)
+        columns = data.draw(st.lists(column, min_size=1, max_size=20))
+        kernel = payoff_kernel(cands)
+        got = np.array(kernel(*np.array(columns).T))
+        want = np.array([kernel(*col) for col in columns]).T
+        assert got.shape == want.shape == (len(cands), len(columns))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestExpectedWinProb:
     """The one-step payoff of a single lottery, as the kernel computes it."""
@@ -222,6 +236,7 @@ def assert_matches_reference(spec, tie_rule, seed=0):
     assert vt.argmax_index.dtype == argmax.dtype
     assert vt.argmax_index.tobytes() == argmax.tobytes()
     assert vt.tie_sets == tie_sets
+    return vt
 
 
 # (label, K, pile size at which solve first sees a repeated state).  The
@@ -280,6 +295,66 @@ class TestCycleDetection:
         monkeypatch.setattr(engine, "payoff_kernel", no_kernel)
         with pytest.raises(ValueError, match="'no_such_rule'"):
             solve(GameSpec(5, 2, HALF), "no_such_rule")
+
+
+def _reference_cycle(p_ext, m, n):
+    """(computed, period): Brent's search over the states p_ext[k : k+m] of
+    the full recursion, k = 0..n, stopping at the first repeat."""
+    saved, period, power = p_ext[:m].tolist(), 0, 1
+    for k in range(1, n + 1):
+        state = p_ext[k : k + m].tolist()
+        period += 1
+        if state == saved:
+            return k, period
+        if period == power:
+            saved, period, power = state, 0, 2 * power
+    return n, 0
+
+
+def _random_set(rng, count, m):
+    """``count`` lotteries over 1..m, about half their weights zero."""
+    rows = []
+    for _ in range(count):
+        v = [rng.choice((0.0, rng.uniform(0.01, 1.0))) for _ in range(m)]
+        v[rng.randrange(m)] = rng.uniform(0.01, 1.0)
+        rows.append([w / sum(v) for w in v])
+    return finite_set(rows)
+
+
+# (label, K, pile size at which solve first sees a repeated state): one of
+# each shape the generated loop takes
+SHAPES = [
+    ("|K|=1, no max", finite_set([[0.2, 0.3, 0.5]]), 256),
+    ("first weight zero", finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]]), 256),
+    ("30 random lotteries", _random_set(random.Random(30), 30, 4), 256),
+    ("m=2", truncated_simplex([0.2] * 2), 258),
+    ("m=6", truncated_simplex([0.02] * 6), 2054),
+]
+SHAPE_IDS = [label for label, _, _ in SHAPES]
+
+
+class TestGeneratedLoop:
+    """Each shape of the generated recursion against the full recursion."""
+
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    @pytest.mark.parametrize("label, K, detect", SHAPES, ids=SHAPE_IDS)
+    def test_matches_reference(self, label, K, detect, rule):
+        m = K.m
+        for n in (1, m, detect - 1, detect, 2 * detect + 3):
+            vt = assert_matches_reference(GameSpec(n, m, K), rule, seed=n)
+            # vt.p_ext is the full recursion's, bit for bit
+            assert (vt.computed, vt.period) == _reference_cycle(vt.p_ext, m, n)
+            assert vt.tie_mask.shape == (vt.computed, len(K.lotteries))
+
+    def test_cases_have_their_shape(self):
+        single, zero_first, many, two, six = (K for _, K, _ in SHAPES)
+        assert len(single.lotteries) == 1
+        assert zero_first.lotteries[0].probs[0] == 0.0
+        assert len(many.lotteries) == 30
+        assert any(0.0 in lot.probs for lot in many.lotteries)
+        assert (two.m, six.m) == (2, 6)
+        for label, K, detect in SHAPES:
+            assert solve(GameSpec(3 * detect, K.m, K)).computed == detect, label
 
 
 # the repeat lengths of CYCLES, in the same order
