@@ -14,11 +14,12 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
 from . import analysis
-from .engine import TIE_LOWEST, TIE_RANDOM, ValueTable, solve
+from .engine import ValueTable, solve
 from .errors import (
     ConfigError,
     DegenerateSetError,
@@ -38,19 +39,22 @@ from .oracles import SimConfig, estimate_win_prob
 
 COMMANDS = ("solve", "verify", "simulate", "sweep", "explore-nu-zero")
 
-# Each CSV is its header plus one row template; reals get 17 significant
-# digits, which round-trip any double.
+# Each CSV is its header plus one row template; values.csv fills its row
+# from the six series fields, the envelope and the move label.  Reals get
+# 17 significant digits, which round-trip any double.
 VALUES_HEADER = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index\n"
-VALUES_ROW = "%d," + "%.17g," * 6 + "{envelope}%d\n"
+VALUES_FIELDS = "%.17g," * 6
+VALUES_ROW = "%d,%s%s%s"
 SIM_HEADER = "n,replications,seed,p_hat,std_err,p_engine,z_score\n"
 SIM_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
 SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n\n"
 SWEEP_ROW = "%d,%d,%.17g,%.17g,%s,%.17g,%.17g\n"
 
 # numpy refuses an array over sys.maxsize bytes with a ValueError.  With
-# the n + m doubles of the value table bounded by half that, a table too
-# large for memory fails to allocate instead: a MemoryError, which
-# `_solve` reports against game.n.
+# the n + m doubles of the value table, and the replications x n doubles
+# of a Monte-Carlo draw matrix, bounded by half that, an array too large
+# for memory fails to allocate instead: a MemoryError, which
+# `_fits_in_memory` reports against the config field that asked for it.
 MAX_TABLE = sys.maxsize // 16
 
 
@@ -167,52 +171,54 @@ def load_config(path: str | Path, command: str) -> dict:
 
 
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    """The lines of values.csv, header first.
+    """The lines of values.csv: the header, then one string per 3m-block.
 
-    Rows 1..vt.computed are formatted one at a time.  Past them row k
-    repeats row k - vt.period in every field but k and the envelope (see
-    ValueTable), so the last cycle's six series and moves are formatted
-    once, and the tail is yielded one 3m-block at a time, each block with
-    its one envelope string.  Under seeded_random the moves do not repeat
-    and are formatted per row.  Without a delta the envelope field is
-    left empty.
+    A row is k, the six series fields, the envelope and the move.  The
+    series fields are streamed from the rows 1..vt.computed, then from a
+    cycle of the last vt.period of them, which is what every later row
+    repeats (see ValueTable).  The envelope is one string per block, left
+    empty without a delta, and the move is the label of
+    vt.argmax_index[k-1], formatted once per candidate.
     """
     m, n, c = vt.m, vt.n, vt.computed
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
-    envelope = [] if delta is None else [analysis.envelope(c, delta, m)]
-    row = VALUES_ROW.format(envelope="," if delta is None else "%.17g,")
-    yield VALUES_HEADER
-    yield from map(row.__mod__, zip(range(1, c + 1), *series, *envelope, vt.argmax_index))
-    if c == n:
-        return
-    cycle = slice(c - vt.period, c)
-    mid = itertools.cycle(map(("%.17g," * 6).__mod__, zip(*(s[cycle] for s in series))))
-    if vt.tie_rule == TIE_RANDOM:
-        arg = map("%d\n".__mod__, vt.argmax_index[c:])
-    else:
-        arg = itertools.cycle(["%d\n" % a for a in vt.argmax_index[cycle]])
+    fields = itertools.chain(
+        map(VALUES_FIELDS.__mod__, zip(*(s[:c] for s in series))),
+        itertools.cycle([VALUES_FIELDS % r for r in zip(*(s[c - vt.period : c] for s in series))]),
+    )
+    labels = ["%d\n" % i for i in range(len(vt.candidates))]
+    # the array's buffer yields Python ints, not a numpy scalar per row
+    moves = map(labels.__getitem__, vt.argmax_index.data)
     block = 3 * m
-    for j in range(c // block, (n - 1) // block + 1):
-        env = "," if delta is None else "%.17g," % analysis.envelope_bound(j * block + 1, delta, m)
-        ks = range(max(c, j * block) + 1, min(n, (j + 1) * block) + 1)
-        yield "".join(["%d,%s%s%s" % (k, md, env, a) for k, md, a in zip(ks, mid, arg)])
+    yield VALUES_HEADER
+    for start in range(0, n, block):
+        env = "," if delta is None else "%.17g," % analysis.envelope_bound(start + 1, delta, m)
+        ks = range(start + 1, min(n, start + block) + 1)
+        yield "".join([VALUES_ROW % (k, f, env, a) for k, f, a in zip(ks, fields, moves)])
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _solve(spec: GameSpec) -> ValueTable:
-    """The table under lowest_index; one that does not fit in memory is a
-    config error on game.n."""
+@contextmanager
+def _fits_in_memory(where: str, what: str):
+    """Report a MemoryError raised in the block as a config error on
+    ``where``: the config asks for more than this machine can hold."""
     try:
-        return solve(spec, tie_rule=TIE_LOWEST)
+        yield
     except MemoryError as exc:
-        raise ConfigError(f"game.n: {spec.n} pile sizes do not fit in memory") from exc
+        raise ConfigError(f"{where}: {what} do not fit in memory") from exc
+
+
+def _game_sized(spec: GameSpec):
+    """The block that holds n-length arrays of ``spec``: the table, the
+    deviation series and what is computed from them."""
+    return _fits_in_memory("game.n", f"{spec.n} pile sizes")
 
 
 def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
-    vt = _solve(spec)
+    vt = solve(spec)
     dc = None
     if cond.eta_ok and cond.nu_ok:
         try:
@@ -238,15 +244,16 @@ def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
                   file=sys.stderr)
     else:
         _reject_nu_zero(cond, "solve")
-    vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
-    ds = analysis.deviation_series(vt)
-    delta = None if (explore or dc is None) else dc.delta
-    _atomic_write(out / "values.csv", _values_csv(vt, ds, delta))
+    with _game_sized(spec):
+        vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+        ds = analysis.deviation_series(vt)
+        delta = None if (explore or dc is None) else dc.delta
+        _atomic_write(out / "values.csv", _values_csv(vt, ds, delta))
     summary = {
         "eta": cond.eta,
         "nu": cond.nu,
         "p_n": vt.p(vt.n),
-        "Delta_n": float(ds.delta[vt.n - 1]),
+        "Delta_n": abs(vt.p(vt.n) - 0.5),
     }
     if explore:
         summary["warning"] = "nu-zero exploration: convergence hypotheses not verified"
@@ -261,9 +268,9 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     if not cond.eta_ok:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
     kappa_grid = _parse_kappa_grid(cfg)
-    vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
-    ds = analysis.deviation_series(vt)
-    reports = analysis.run_checks(ds, cond, dc, kappa_grid)
+    with _game_sized(spec):
+        vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+        reports = analysis.run_checks(analysis.deviation_series(vt), cond, dc, kappa_grid)
     total_violations = sum(len(r.violations) for r in reports)
     report = {
         "eta": cond.eta,
@@ -296,10 +303,15 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
         "sim.n_values",
         f"must be a non-empty list of integers in 1..{spec.n}",
     )
-    vt = _solve(spec)
+    # the draw matrix of the longest game has reps rows of max(n_values) doubles
+    most = MAX_TABLE // max(n_values)
+    _require(reps <= most, "sim.replications", f"must be at most {most} for these n_values")
+    with _game_sized(spec):
+        vt = solve(spec)
     lines = [SIM_HEADER]
     for n in n_values:
-        res = estimate_win_prob(SimConfig(table=vt, n=n, replications=reps, seed=seed))
+        with _fits_in_memory("sim.replications", f"{reps} games of {n} pile sizes"):
+            res = estimate_win_prob(SimConfig(table=vt, n=n, replications=reps, seed=seed))
         p_eng = vt.p(n)
         z = 0.0 if res.std_err == 0.0 else (res.p_hat - p_eng) / res.std_err
         lines.append(SIM_ROW % (n, reps, seed, res.p_hat, res.std_err, p_eng, z))
@@ -342,7 +354,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     for spec in points:
         cond = compute_conditions(spec.K)
         _reject_nu_zero(cond, "sweep")
-        vt, dc = _solve_bundle(spec, cond, tau)
+        with _game_sized(spec):
+            vt, dc = _solve_bundle(spec, cond, tau)
         p_n = vt.p(vt.n)
         delta = "" if dc is None else "%.17g" % dc.delta
         lines.append(SWEEP_ROW % (spec.n, spec.m, cond.eta, cond.nu, delta, p_n, abs(p_n - 0.5)))

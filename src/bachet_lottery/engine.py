@@ -48,9 +48,7 @@ class ValueTable:
     k > computed - m, and so do the tie sets for k > computed.
     ``tie_mask`` is the (computed, |K|) boolean array whose row k-1 marks
     the candidates within TIE_TOL of the maximum at pile size k; it covers
-    the evaluated pile sizes only.  ``tie_rule`` names the rule the moves
-    were picked by; under lowest_index and highest_index argmax_index
-    repeats past computed too, under seeded_random it does not.
+    the evaluated pile sizes only.
     """
 
     m: int
@@ -59,7 +57,6 @@ class ValueTable:
     p_ext: np.ndarray
     argmax_index: np.ndarray
     tie_mask: np.ndarray
-    tie_rule: str
     computed: int
     period: int
 
@@ -237,7 +234,6 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
         p_ext=p_ext,
         argmax_index=argmax,
         tie_mask=ties,
-        tie_rule=tie_rule,
         computed=computed,
         period=period,
     )

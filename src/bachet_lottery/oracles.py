@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import ValueTable, payoff_kernel
 from .errors import InstanceTooLargeError
@@ -87,15 +88,12 @@ def one_shot_deviation_gap(vt: ValueTable) -> float:
     """Largest gain any single-state deviation achieves against the
     engine's policy; non-positive (up to round-off) iff the policy is
     subgame perfect."""
-    kernel = payoff_kernel(vt.candidates)
-    p, chosen = vt.p_ext.tolist(), vt.argmax_index.tolist()
-    gap = -math.inf
-    for k in range(1, vt.n + 1):
-        vals = kernel(*p[k - 1 : k + vt.m - 1])  # p_{k-m}..p_{k-1}
-        own = vals[chosen[k - 1]]
-        for val in vals:
-            gap = max(gap, val - own)
-    return gap
+    # column k-1 of the window view is p_{k-m}..p_{k-1}; row i of vals is
+    # candidate i's payoff at every pile size
+    windows = sliding_window_view(vt.p_ext[:-1], vt.m).T
+    vals = np.array(payoff_kernel(vt.candidates)(*windows))
+    own = vals[vt.argmax_index, np.arange(vt.n)]
+    return float((vals - own).max())
 
 
 def brute_force_values(spec: GameSpec) -> dict[int, float]:

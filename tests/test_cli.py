@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,22 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     return path
+
+
+def run_capped(tmp_path, command, payload, address_space):
+    """``python -m bachet_lottery.cli command`` on ``payload`` with its
+    address space capped at ``address_space`` bytes.  One BLAS thread keeps
+    the interpreter's own share of that space the same on any machine."""
+    cfg = write_config(tmp_path, payload)
+    env = {**os.environ, "PYTHONPATH": str(Path(bachet_lottery.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    limit = (address_space, address_space)
+    return subprocess.run(
+        [sys.executable, "-m", "bachet_lottery.cli", command, "--config", str(cfg),
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
 
 
 def read_csv(path):
@@ -277,16 +294,41 @@ class TestConfigErrors:
         # 1e15 piles need petabytes; 1e30 exceeds any array size numpy allows.
         # The address space is capped first, so nothing large is ever allocated.
         game = {"n": n, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
-        cfg = write_config(tmp_path, {"game": game})
-        env = {**os.environ, "PYTHONPATH": str(Path(bachet_lottery.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "bachet_lottery.cli", command, "--config", str(cfg),
-             "--output", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)),
-        )
+        proc = run_capped(tmp_path, command, {"game": game}, 4 << 30)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: game.n: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "explore-nu-zero"])
+    def test_series_too_large_exit_two_without_traceback(self, tmp_path, command):
+        # Under a 448 MiB address space the interpreter with numpy takes about
+        # 100 MiB and the 4e6-pile table 64 MiB, so solve succeeds; the
+        # deviation series needs 13 arrays of 32 MiB more and does not fit.
+        game = {"n": 4 * 10**6, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
+        proc = run_capped(tmp_path, command, {"game": game}, 448 << 20)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: game.n: 4000000 pile sizes do not fit in memory")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "values.csv").exists()
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "reps, message",
+        [
+            # a 5 TiB draw matrix: numpy tries to allocate it and fails
+            (10**11, "error: sim.replications: 100000000000 games of 7 pile sizes do not fit"),
+            # 7e18 doubles: beyond any array numpy allows, refused at parse time
+            (10**18, "error: sim.replications: must be at most "),
+        ],
+        ids=["reps=1e11", "reps=1e18"],
+    )
+    def test_huge_replications_exit_two_without_traceback(self, tmp_path, reps, message):
+        game = {"n": 7, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
+        payload = {"game": game, "sim": {"replications": reps, "seed": 0}}
+        proc = run_capped(tmp_path, "simulate", payload, 4 << 30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(message)
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
@@ -468,6 +510,8 @@ WRITER_SETS = [
     *((f"simplex m={m}", truncated_simplex([0.05] * m)) for m in (2, 3, 4, 5)),
     ("simplex m=4 eps=0.01", truncated_simplex([0.01] * 4)),
     ("|K|=10 pair set", finite_set([[0.1 + 0.08 * i, 0.9 - 0.08 * i] for i in range(10)])),
+    # picks candidates 10 and 11: move labels of two digits
+    ("|K|=12 pair set", finite_set([[0.05 + 0.075 * i, 0.95 - 0.075 * i] for i in range(12)])),
     ("pure moves m=3", finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
     ("zero-weight set", finite_set([[0.5, 0.3, 0.2], [0, 0.5, 0.5], [0.6, 0, 0.4]])),
 ]
@@ -518,3 +562,16 @@ class TestValuesWriter:
     @given(finite_games(), st.sampled_from(TIE_RULES), st.sampled_from([None, 0.5, 0.999]))
     def test_matches_reference_on_random_sets(self, spec, rule, delta):
         assert_writer_matches_reference(spec, delta, rule, seed=3)
+
+    def test_memory_does_not_grow_with_n(self):
+        # one block of rows at a time: no list or string of n entries
+        vt = solve(GameSpec(10**6, 3, truncated_simplex([0.05] * 3)))
+        ds = deviation_series(vt)
+        tracemalloc.start()
+        try:
+            for _ in _values_csv(vt, ds, 0.9):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

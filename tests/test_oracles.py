@@ -1,17 +1,24 @@
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bachet_lottery import (
     GameSpec,
+    LotterySet,
     SimConfig,
     brute_force_values,
     estimate_win_prob,
     finite_set,
     one_shot_deviation_gap,
+    payoff_kernel,
     solve,
+    validate_lottery,
 )
+from bachet_lottery.engine import TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
 
 HALF = finite_set([[0.5, 0.5]])
@@ -129,3 +136,37 @@ class TestOneShotDeviation:
         for vecs in ([[0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]):
             vt = solve(GameSpec(30, 2, finite_set(vecs)))
             assert one_shot_deviation_gap(vt) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_per_pile_loop(self, data):
+        m = data.draw(st.integers(2, 6))
+        weights = st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=m, max_size=m
+        ).filter(lambda v: sum(v) > 0.0)
+        raw = data.draw(st.lists(weights, min_size=1, max_size=8))
+        K = LotterySet(tuple(validate_lottery([w / sum(v) for w in v]) for v in raw))
+        vt = solve(GameSpec(data.draw(st.integers(1, 3000)), m, K),
+                   data.draw(st.sampled_from(TIE_RULES)), seed=data.draw(st.integers(0, 9)))
+        if data.draw(st.booleans()):
+            # an arbitrary policy, so that deviations gain something
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            policy = np.random.default_rng(seed).integers(0, len(K.lotteries), vt.n)
+            vt = dataclasses.replace(vt, argmax_index=policy)
+        got, want = one_shot_deviation_gap(vt), _reference_gap(vt)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def _reference_gap(vt):
+    """one_shot_deviation_gap as a loop over pile sizes: the kernel on each
+    window p_{k-m}..p_{k-1}, every payoff minus the chosen one."""
+    kernel = payoff_kernel(vt.candidates)
+    p, chosen = vt.p_ext.tolist(), vt.argmax_index.tolist()
+    gap = -math.inf
+    for k in range(1, vt.n + 1):
+        vals = kernel(*p[k - 1 : k + vt.m - 1])  # p_{k-m}..p_{k-1}
+        own = vals[chosen[k - 1]]
+        for val in vals:
+            gap = max(gap, val - own)
+    return gap
