@@ -33,6 +33,10 @@ class DeviationSeries:
 
     Arrays are indexed by k - 1; windows of k < m reach into the boundary
     values.  Accessors extend below k = 1 with the boundary values.
+
+    Round-to-nearest is monotone and odd, so the window maxima of Delta
+    and DeltaMinus are, bit for bit, max(fl(p_max - 1/2), fl(1/2 - p_min))
+    and max(fl(1/2 - p_min), 0): the window extrema of p fix both.
     """
 
     m: int
@@ -45,7 +49,7 @@ class DeviationSeries:
     delta_bar: np.ndarray    # max of delta over W_k
     delta_plus: np.ndarray   # max(0, D_k)
     delta_minus: np.ndarray  # max(0, -D_k)
-    delta_bar_minus: np.ndarray
+    delta_bar_minus: np.ndarray  # max of delta_minus over W_k
 
     def delta_at(self, k: int) -> float:
         return 0.5 if k <= 0 else float(self.delta[k - 1])
@@ -57,33 +61,26 @@ class DeviationSeries:
         return 0.0 if k <= 0 else float(self.delta_bar_minus[k - 1])
 
 
-def _windows(ext: np.ndarray, m: int) -> np.ndarray:
-    """The windows W_k, k = 1..n, of an extended series (index k + m - 1)
-    as the columns k - 1 of an (m, n) view.  Extrema over axis 0 take m
-    elementwise passes, far faster than n reductions of length m."""
-    return np.lib.stride_tricks.sliding_window_view(ext, m)[1:].T
-
-
 def deviation_series(vt: ValueTable) -> DeviationSeries:
     """Derive every series the checks read from a solved table."""
-    m, n = vt.m, vt.n
-    d_ext = vt.p_ext - 0.5
-    delta_ext = np.abs(d_ext)
-    plus_ext = np.maximum(d_ext, 0.0)
-    minus_ext = np.maximum(-d_ext, 0.0)
-    p_windows = _windows(vt.p_ext, m)
+    m = vt.m
+    # column k - 1 is W_k; extrema over axis 0 take m elementwise passes
+    windows = np.lib.stride_tricks.sliding_window_view(vt.p_ext, m)[1:].T
+    p_min, p_max = windows.min(axis=0), windows.max(axis=0)
+    d = vt.p_ext[m:] - 0.5
+    below = 0.5 - p_min
     return DeviationSeries(
         m=m,
-        n=n,
-        p=vt.p_ext[m:].copy(),
-        p_min=p_windows.min(axis=0),
-        p_max=p_windows.max(axis=0),
-        d=d_ext[m:].copy(),
-        delta=delta_ext[m:].copy(),
-        delta_plus=plus_ext[m:].copy(),
-        delta_minus=minus_ext[m:].copy(),
-        delta_bar=_windows(delta_ext, m).max(axis=0),
-        delta_bar_minus=_windows(minus_ext, m).max(axis=0),
+        n=vt.n,
+        p=vt.p_ext[m:],
+        p_min=p_min,
+        p_max=p_max,
+        d=d,
+        delta=np.abs(d),
+        delta_bar=np.maximum(p_max - 0.5, below),
+        delta_plus=np.maximum(d, 0.0),
+        delta_minus=np.maximum(-d, 0.0),
+        delta_bar_minus=np.maximum(below, 0.0),
     )
 
 
@@ -247,7 +244,7 @@ def check_corridor(ds: DeviationSeries, nu: float) -> BoundReport:
         max_{i in W_k} (p_i - (1/2 + Delta_{k+1}))
             >= (nu/(1-nu)) * max_{i in W_k} ((1/2 + Delta_{k+1}) - p_i).
 
-    Rounding is monotone, so max_i fl(c - p_i) = fl(c - min_i p_i) exactly.
+    max_i fl(c - p_i) = fl(c - min_i p_i) exactly (see `DeviationSeries`).
     """
     if not (0.0 < nu < 1.0):
         raise InvalidEtaNuError(f"corridor check needs 0 < nu < 1, got {nu}")

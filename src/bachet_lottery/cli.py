@@ -125,17 +125,17 @@ def _parse_lottery_set(node: dict, where: str) -> LotterySet:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_game(node, where: str = "game") -> GameSpec:
-    _require(isinstance(node, dict), where, "must be an object")
+def _parse_game(node, n_field: str = "game.n") -> GameSpec:
+    _require(isinstance(node, dict), "game", "must be an object")
     n, m = node.get("n"), node.get("m")
-    _require(_is_int(n) and n >= 1, f"{where}.n", "must be an integer >= 1")
-    _require(_is_int(m) and m >= 2, f"{where}.m", "must be an integer >= 2")
-    _require(n + m <= MAX_TABLE, f"{where}.n", f"must be at most {MAX_TABLE - m}")
-    K = _parse_lottery_set(node.get("K"), f"{where}.K")
+    _require(_is_int(n) and n >= 1, n_field, "must be an integer >= 1")
+    _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
+    _require(n + m <= MAX_TABLE, n_field, f"must be at most {MAX_TABLE - m}")
+    K = _parse_lottery_set(node.get("K"), "game.K")
     try:
         return GameSpec(n=n, m=m, K=K)
     except (ValueError,) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"game: {exc}") from exc
 
 
 def _parse_tau(cfg: dict) -> float | None:
@@ -211,10 +211,9 @@ def _fits_in_memory(where: str, what: str):
         raise ConfigError(f"{where}: {what} do not fit in memory") from exc
 
 
-def _game_sized(spec: GameSpec):
-    """The block that holds n-length arrays of ``spec``: the table, the
-    deviation series and what is computed from them."""
-    return _fits_in_memory("game.n", f"{spec.n} pile sizes")
+def _game_sized(spec: GameSpec, n_field: str = "game.n"):
+    """The block holding n-length arrays of ``spec``, its n from config ``n_field``."""
+    return _fits_in_memory(n_field, f"{spec.n} pile sizes")
 
 
 def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
@@ -324,14 +323,15 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     _require(isinstance(game, dict), "game", "must be an object")
     sweep = cfg.get("sweep")
     _require(isinstance(sweep, dict), "sweep", "required for sweep")
-    points: list[GameSpec] = []
+    points: list[tuple[GameSpec, str]] = []
     if "n_values" in sweep:
         n_values = sweep["n_values"]
         _require(isinstance(n_values, list) and n_values, "sweep.n_values",
                  "must be a non-empty list")
         for i, n in enumerate(n_values):
-            _require(_is_int(n) and n >= 1, f"sweep.n_values[{i}]", "integer >= 1")
-            points.append(_parse_game({**game, "n": n}))
+            where = f"sweep.n_values[{i}]"
+            _require(_is_int(n) and n >= 1, where, "integer >= 1")
+            points.append((_parse_game({**game, "n": n}, where), where))
     elif "epsilon_values" in sweep:
         m = game.get("m")
         _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
@@ -345,16 +345,16 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
                 f"must be a real in (0, 1/{m})",
             )
             node = {**game, "K": {"type": "truncated_simplex", "epsilon": [eps] * m}}
-            points.append(_parse_game(node))
+            points.append((_parse_game(node), "game.n"))
     else:
         raise ConfigError("sweep: needs n_values or epsilon_values")
 
     tau = _parse_tau(cfg)
     lines = [SWEEP_HEADER]
-    for spec in points:
+    for spec, n_field in points:
         cond = compute_conditions(spec.K)
         _reject_nu_zero(cond, "sweep")
-        with _game_sized(spec):
+        with _game_sized(spec, n_field):
             vt, dc = _solve_bundle(spec, cond, tau)
         p_n = vt.p(vt.n)
         delta = "" if dc is None else "%.17g" % dc.delta

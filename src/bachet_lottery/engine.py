@@ -118,6 +118,12 @@ def payoff_kernel(candidates: Sequence[Lottery]):
     return _compiled(f"def _kernel({args}):\n    return ({body},)", "_kernel")
 
 
+def payoffs(candidates: Sequence[Lottery], ext: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Candidate i's payoff at pile sizes k = 1..len(ext) - m as entry i,
+    from ``ext`` holding p_k at index k + m - 1; the recursion's doubles."""
+    return payoff_kernel(candidates)(*sliding_window_view(ext[:-1], candidates[0].m).T)
+
+
 def _recursion(candidates: Sequence[Lottery]):
     """Build run(put, n, t0, ..., t{m-1}) -> period.
 
@@ -196,8 +202,7 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     sum unchanged, and 1.0 - (+-0.0) is 1.0).
 
     The ties are found after the loop, over the evaluated pile sizes at
-    once: the (m, computed) window view of the prefix goes through
-    ``payoff_kernel``, which gives the loop's doubles, and a candidate
+    once: ``payoffs`` of the prefix gives the loop's doubles, and a candidate
     ties at k when its payoff is >= p_k - TIE_TOL, the same IEEE
     operations as a test inside the loop would do.  lowest_index and
     highest_index take the first and last marked candidate of each row
@@ -216,9 +221,8 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     del p  # a float object per pile size; head holds the values now
     p_ext = _repeat_last(head, period, n + m)
 
-    windows = sliding_window_view(head[:-1], m).T
     thr = head[m:] - TIE_TOL
-    ties = np.stack([v >= thr for v in payoff_kernel(candidates)(*windows)], axis=1)
+    ties = np.stack([v >= thr for v in payoffs(candidates, head)], axis=1)
     if tie_rule == TIE_RANDOM:
         rng = random.Random(seed)
         sets = _tie_sets(ties, period, n)

@@ -10,7 +10,7 @@ finite candidate list: the list itself, or the m simplex vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -141,12 +141,14 @@ class ConditionReport:
 
     eta: float
     nu: float
-    eta_ok: bool = field(init=False)
-    nu_ok: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta_ok", self.eta < 1.0)
-        object.__setattr__(self, "nu_ok", self.nu > 0.0)
+    @property
+    def eta_ok(self) -> bool:
+        return self.eta < 1.0
+
+    @property
+    def nu_ok(self) -> bool:
+        return self.nu > 0.0
 
 
 def compute_conditions(K: LotterySet) -> ConditionReport:

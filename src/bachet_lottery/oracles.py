@@ -4,7 +4,7 @@ Two routes that never touch the backward-induction maximization or its
 tie rule: Monte-Carlo play of the actual game under the engine's policy,
 and exhaustive enumeration of stationary pure profiles on small instances
 with a one-shot-deviation optimality filter.  Both share only the
-one-step payoff, `payoff_kernel`, with the engine.
+one-step payoff, `payoff_kernel` and `payoffs`, with the engine.
 """
 from __future__ import annotations
 
@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .engine import ValueTable, payoff_kernel
+from .engine import ValueTable, payoff_kernel, payoffs
 from .errors import InstanceTooLargeError
 from .lotteries import GameSpec
 
@@ -88,10 +87,7 @@ def one_shot_deviation_gap(vt: ValueTable) -> float:
     """Largest gain any single-state deviation achieves against the
     engine's policy; non-positive (up to round-off) iff the policy is
     subgame perfect."""
-    # column k-1 of the window view is p_{k-m}..p_{k-1}; row i of vals is
-    # candidate i's payoff at every pile size
-    windows = sliding_window_view(vt.p_ext[:-1], vt.m).T
-    vals = np.array(payoff_kernel(vt.candidates)(*windows))
+    vals = np.array(payoffs(vt.candidates, vt.p_ext))
     own = vals[vt.argmax_index, np.arange(vt.n)]
     return float((vals - own).max())
 

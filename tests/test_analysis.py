@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,7 +80,66 @@ def _assert_p_windows(vt, ds):
         assert ds.p_max[k - 1] == max(window)
 
 
+# 1/2 and its neighbours, the ends, the smallest subnormal and normal
+# doubles, and 2^-54, the spacing of the doubles just below 1/2
+EDGE_P = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 0.0, 1.0,
+          5e-324, sys.float_info.min, 2.0**-54]
+
+
+@st.composite
+def _p_ext_tables(draw):
+    """A solved table whose p_ext, boundary entries included, is replaced
+    by arbitrary values in [0, 1]."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 60))
+    p = st.floats(0.0, 1.0) | st.sampled_from(EDGE_P)
+    p_ext = np.array(draw(st.lists(p, min_size=n + m, max_size=n + m)))
+    vt = solve(GameSpec(n, m, truncated_simplex([0.05] * m)))
+    return dataclasses.replace(vt, p_ext=p_ext)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 class TestDeviationSeries:
+    @given(_p_ext_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_every_series_matches_its_definition(self, vt):
+        """Bit for bit, index by index: the pointwise series against their
+        expressions in p_k, the window series against maxima over W_k."""
+        ds = deviation_series(vt)
+        ext, m = vt.p_ext.tolist(), vt.m
+        p = ext[m:]
+        windows = [ext[k : k + m] for k in range(1, vt.n + 1)]  # W_k, p_{k-m+1}..p_k
+        d = [x - 0.5 for x in p]
+        minus = [max(0.0, -(x - 0.5)) for x in p]
+        assert _bits(ds.p) == _bits(p)
+        assert _bits(ds.p_min) == _bits([min(w) for w in windows])
+        assert _bits(ds.p_max) == _bits([max(w) for w in windows])
+        assert _bits(ds.d) == _bits(d)
+        assert _bits(ds.delta) == _bits([abs(x) for x in d])
+        assert _bits(ds.delta_plus) == _bits([max(0.0, x) for x in d])
+        assert _bits(ds.delta_minus) == _bits(minus)
+        assert _bits(ds.delta_bar) == _bits([max(abs(x - 0.5) for x in w) for w in windows])
+        assert _bits(ds.delta_bar_minus) == _bits(
+            [max(max(0.0, -(x - 0.5)) for x in w) for w in windows]
+        )
+
+    def test_peak_memory_at_n_1e6(self):
+        # p is a view of the table: the 8 other series, and one temporary
+        # at a time beside them
+        n = 10**6
+        vt = solve(GameSpec(n, 3, truncated_simplex([0.05] * 3)))
+        tracemalloc.start()
+        try:
+            ds = deviation_series(vt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * n
+        assert np.shares_memory(ds.p, vt.p_ext)
+
     def test_delta_values(self, half_series):
         expect = [0.5, 0.0, 0.25, 0.125, 0.0625, 0.09375]
         for k, want in enumerate(expect, start=1):

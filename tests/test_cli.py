@@ -28,6 +28,9 @@ from bachet_lottery.engine import TIE_RULES
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
 TRUNC_GAME = {"n": 2000, "m": 2, "K": {"type": "truncated_simplex", "epsilon": [0.05, 0.05]}}
+# a table that fits in SERIES_CAP bytes of address space, its deviation series not
+SERIES_GAME = {"n": 4 * 10**6, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
+SERIES_CAP = 300 << 20
 # a config nested past the interpreter's recursion limit
 DEEP_CONFIG = b"[" * 100000 + b"]" * 100000
 
@@ -302,16 +305,42 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["solve", "verify", "explore-nu-zero"])
     def test_series_too_large_exit_two_without_traceback(self, tmp_path, command):
-        # Under a 448 MiB address space the interpreter with numpy takes about
-        # 100 MiB and the 4e6-pile table 64 MiB, so solve succeeds; the
-        # deviation series needs 13 arrays of 32 MiB more and does not fit.
-        game = {"n": 4 * 10**6, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
-        proc = run_capped(tmp_path, command, {"game": game}, 448 << 20)
+        # Under SERIES_CAP the interpreter with numpy takes about 100 MiB and
+        # the 4e6-pile table 61 MiB, so solve succeeds (see the next test);
+        # the deviation series needs 9 arrays of 31 MiB more and does not fit.
+        proc = run_capped(tmp_path, command, {"game": SERIES_GAME}, SERIES_CAP)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: game.n: 4000000 pile sizes do not fit in memory")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out" / "values.csv").exists()
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_series_game_table_fits(self, tmp_path):
+        # the other half of the test above: a sweep point solves the table
+        # and builds no deviation series
+        game = {k: v for k, v in SERIES_GAME.items() if k != "n"}
+        payload = {"game": game, "sweep": {"n_values": [SERIES_GAME["n"]]}}
+        proc = run_capped(tmp_path, "sweep", payload, SERIES_CAP)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_sweep_n_too_large_names_its_field(self, tmp_path, capsys):
+        game = {"m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
+        cfg = write_config(tmp_path, {"game": game, "sweep": {"n_values": [7, 10**30]}})
+        assert run("sweep", cfg, output=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: sweep.n_values[1]: must be at most ")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_n_out_of_memory_names_its_field(self, tmp_path):
+        game = {"m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
+        payload = {"game": game, "sweep": {"n_values": [7, 10**15]}}
+        proc = run_capped(tmp_path, "sweep", payload, 4 << 30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "error: sweep.n_values[1]: 1000000000000000 pile sizes do not fit in memory"
+        )
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "reps, message",
