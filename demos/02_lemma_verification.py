@@ -31,8 +31,8 @@ print(f"{'check':28s} {'applied':>8s} {'violations':>10s} {'min slack':>12s}")
 
 reports = run_checks(ds, cond, dc, DEFAULT_KAPPA_GRID)
 for rep in reports:
-    slack = "n/a" if rep.checked_k.size == 0 else f"{rep.min_slack:.2e}"
-    print(f"{rep.lemma_id:28s} {len(rep.checked_k):8d} {len(rep.violations):10d} {slack:>12s}")
+    slack = "n/a" if rep.checked == 0 else f"{rep.min_slack:.2e}"
+    print(f"{rep.lemma_id:28s} {rep.checked:8d} {rep.violation_count:10d} {slack:>12s}")
 
 assert all(rep.ok for rep in reports)
 print("\nall inequality checks clean (slack tolerance 1e-9)")

@@ -13,12 +13,13 @@ DeltaBar_1 = 1/2 exactly, which the geometric envelope uses.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ValueTable
+from .engine import ValueTable, fold
 from .errors import InvalidEtaNuError, TauOutOfRangeError
 from .lotteries import ConditionReport
 
@@ -29,10 +30,17 @@ DEFAULT_KAPPA_GRID = tuple(round(0.1 * i, 10) for i in range(1, 10))
 
 @dataclass(frozen=True)
 class DeviationSeries:
-    """p_k, its deviation from 1/2 and derived window extrema, k = 1..n.
+    """p_k, its deviation from 1/2 and derived window extrema.
 
-    Arrays are indexed by k - 1; windows of k < m reach into the boundary
-    values.  Accessors extend below k = 1 with the boundary values.
+    The arrays are indexed by k - 1 and cover k = 1..min(n, computed +
+    period + 3m); windows of k < m reach into the boundary values.  Past
+    computed - 1 every series repeats with the table's period, because
+    each window W_k with k >= computed holds only values that repeat.  A
+    check reads at most 3m pile sizes back, so its inputs repeat from
+    k = computed + 3m on, and the arrays reach one period past that (see
+    ``_folded``).  The accessors read any k in 1..n by going back whole
+    periods (see ``engine.fold``), and extend below k = 1 with the
+    boundary values.
 
     Round-to-nearest is monotone and odd, so the window maxima of Delta
     and DeltaMinus are, bit for bit, max(fl(p_max - 1/2), fl(1/2 - p_min))
@@ -41,6 +49,8 @@ class DeviationSeries:
 
     m: int
     n: int
+    computed: int
+    period: int
     p: np.ndarray            # p_k
     p_min: np.ndarray        # min of p over W_k
     p_max: np.ndarray        # max of p over W_k
@@ -51,28 +61,35 @@ class DeviationSeries:
     delta_minus: np.ndarray  # max(0, -D_k)
     delta_bar_minus: np.ndarray  # max of delta_minus over W_k
 
+    def index(self, k):
+        """The array index that holds pile size k (an int or an integer array)."""
+        return fold(k, self.computed, self.period) - 1
+
     def delta_at(self, k: int) -> float:
-        return 0.5 if k <= 0 else float(self.delta[k - 1])
+        return 0.5 if k <= 0 else float(self.delta[self.index(k)])
 
     def dbar(self, k: int) -> float:
-        return 0.5 if k <= 0 else float(self.delta_bar[k - 1])
+        return 0.5 if k <= 0 else float(self.delta_bar[self.index(k)])
 
     def dbar_minus(self, k: int) -> float:
-        return 0.0 if k <= 0 else float(self.delta_bar_minus[k - 1])
+        return 0.0 if k <= 0 else float(self.delta_bar_minus[self.index(k)])
 
 
 def deviation_series(vt: ValueTable) -> DeviationSeries:
     """Derive every series the checks read from a solved table."""
     m = vt.m
+    ext = vt.p_upto(min(vt.n, vt.computed + vt.period + 3 * m))
     # column k - 1 is W_k; extrema over axis 0 take m elementwise passes
-    windows = np.lib.stride_tricks.sliding_window_view(vt.p_ext, m)[1:].T
+    windows = np.lib.stride_tricks.sliding_window_view(ext, m)[1:].T
     p_min, p_max = windows.min(axis=0), windows.max(axis=0)
-    d = vt.p_ext[m:] - 0.5
+    d = ext[m:] - 0.5
     below = 0.5 - p_min
     return DeviationSeries(
         m=m,
         n=vt.n,
-        p=vt.p_ext[m:],
+        computed=vt.computed,
+        period=vt.period,
+        p=ext[m:],
         p_min=p_min,
         p_max=p_max,
         d=d,
@@ -147,36 +164,71 @@ def drop_constants(eta: float, nu: float, tau: float | None = None) -> DropConst
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of one inequality scan: where it applied, where it failed."""
+    """Outcome of one inequality scan: where it applied, where it failed.
+
+    ``k`` holds the representative pile sizes the scan evaluated, and
+    ``weight`` how many checked pile sizes each one stands for (see
+    ``_folded``).  ``checked`` and ``violation_count`` count every pile
+    size; ``violations`` lists (k, lhs, rhs) at the representatives that
+    fail, in k order.
+    """
 
     lemma_id: str
-    checked_k: np.ndarray
+    k: np.ndarray
+    weight: np.ndarray
+    violation_count: int
     violations: list[tuple[int, float, float]]
     min_slack: float
     extra: dict = field(default_factory=dict)
 
     @classmethod
     def scan(cls, lemma_id: str, k: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
-             **extra) -> BoundReport:
-        """Assert lhs <= rhs + SLACK_TOL at every index k (parallel arrays)."""
+             weight: np.ndarray, **extra) -> BoundReport:
+        """Assert lhs <= rhs + SLACK_TOL at every index k (parallel arrays),
+        where entry i stands for weight[i] checked pile sizes."""
         slack = rhs - lhs
-        bad = np.flatnonzero(slack < -SLACK_TOL)
-        violations = list(zip(k[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
+        bad = slack < -SLACK_TOL
+        at = np.flatnonzero(bad)
+        violations = list(zip(k[at].tolist(), lhs[at].tolist(), rhs[at].tolist()))
         min_slack = float(slack.min()) if slack.size else math.inf
-        return cls(lemma_id, np.asarray(k, dtype=np.int64), violations, min_slack, extra)
+        return cls(lemma_id, k, weight, int(weight[bad].sum()), violations, min_slack, extra)
+
+    @property
+    def checked(self) -> int:
+        return int(self.weight.sum())
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violation_count
 
     def summary(self) -> dict:
         return {
             "lemma_id": self.lemma_id,
-            "checked": len(self.checked_k),
-            "violations": len(self.violations),
+            "checked": self.checked,
+            "violations": self.violation_count,
             "min_slack": None if math.isinf(self.min_slack) else self.min_slack,
             **self.extra,
         }
+
+
+def _folded(ds: DeviationSeries, k_lo: int, k_hi: int, lag: int):
+    """The checked pile sizes k_lo..k_hi as (representative k, multiplicity).
+
+    Every series repeats past computed - 1, so a check that reads its
+    series at most ``lag`` pile sizes behind k, and anywhere ahead of it,
+    has the same lhs and rhs, bit for bit, at k and at k - period for
+    every k >= computed + lag.  The representatives are the pile sizes
+    below that point plus one period of them; each one from that point on
+    stands for every checked k of its residue class.
+    """
+    start, period = ds.computed + lag, ds.period
+    last = min(k_hi, max(start, k_lo) + period - 1) if period else k_hi
+    k = np.arange(k_lo, last + 1)
+    weight = np.ones_like(k)
+    if period:
+        tail = k >= start
+        weight[tail] = (k_hi - k[tail]) // period + 1
+    return k, weight
 
 
 def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -186,14 +238,16 @@ def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 def check_monotonicity(ds: DeviationSeries) -> BoundReport:
     """Delta_k <= DeltaBar_{k-1} and DeltaBar_k <= DeltaBar_{k-1} for k = 2..n."""
-    prev = ds.delta_bar[:-1]
+    k, weight = _folded(ds, 2, ds.n, 1)
+    prev = ds.delta_bar[k - 2]
     return BoundReport.scan(
         "monotonicity",
-        np.repeat(np.arange(2, ds.n + 1), 2),
-        _pairs(ds.delta[1:], ds.delta_bar[1:]),
+        np.repeat(k, 2),
+        _pairs(ds.delta[k - 1], ds.delta_bar[k - 1]),
         np.repeat(prev, 2),
+        np.repeat(weight, 2),
         # empirical observation only; per-step strict decrease is not asserted
-        delta_bar_strictly_decreasing_per_step=bool(np.all(ds.delta_bar[1:] < prev)),
+        delta_bar_strictly_decreasing_per_step=bool(np.all(ds.delta_bar[k - 1] < prev)),
     )
 
 
@@ -204,15 +258,17 @@ def check_no_long_winning(ds: DeviationSeries) -> BoundReport:
     p_{k-m} <= 1/2.
     """
     m, n = ds.m, ds.n
-    k = np.arange(m + 1, n + 1)
-    k = k[ds.p_min[k - 1] > 0.5]
-    # p_{k+1} is only checked while k + 1 <= n
-    p_next = ds.p[np.minimum(k, n - 1)]
-    keep = np.ones(2 * k.size, dtype=bool)
-    keep[0::2] = k < n
+    k, weight = _folded(ds, m + 1, n, m)
+    hit = ds.p_min[k - 1] > 0.5
+    k, weight = k[hit], weight[hit]
+    # p_{k+1} is only checked while k + 1 <= n: not at pile size n, the
+    # last member of the class that reaches it
+    ahead = weight - (k + (weight - 1) * ds.period == n)
+    p_next = ds.p[np.minimum(k, ds.p.size - 1)]
+    keep = _pairs(ahead > 0, weight > 0)
     lhs = _pairs(p_next, ds.p[k - m - 1])[keep]
     return BoundReport.scan("no_long_winning", np.repeat(k, 2)[keep], lhs,
-                            np.full_like(lhs, 0.5))
+                            np.full_like(lhs, 0.5), _pairs(ahead, weight)[keep])
 
 
 def check_km_bound(
@@ -222,7 +278,7 @@ def check_km_bound(
     deviation m steps back dominates: Delta_{k+1} <= eta/((2-eta)(1-kappa))
     * Delta_{k-m}.  One report per kappa.
     """
-    k = np.arange(ds.m + 1, ds.n)
+    k, weight = _folded(ds, ds.m + 1, ds.n - 1, ds.m)
     window_min = ds.p_min[k - 1]
     d_next = ds.delta[k]             # Delta_{k+1}
     d_back = ds.delta[k - ds.m - 1]  # Delta_{k-m}
@@ -233,7 +289,7 @@ def check_km_bound(
         factor = eta / ((2.0 - eta) * (1.0 - kappa))
         hit = window_min >= 0.5 + (1.0 - kappa) * d_next
         reports.append(BoundReport.scan(
-            f"km_bound[kappa={kappa:g}]", k[hit], d_next[hit], factor * d_back[hit]
+            f"km_bound[kappa={kappa:g}]", k[hit], d_next[hit], factor * d_back[hit], weight[hit]
         ))
     return reports
 
@@ -249,11 +305,12 @@ def check_corridor(ds: DeviationSeries, nu: float) -> BoundReport:
     if not (0.0 < nu < 1.0):
         raise InvalidEtaNuError(f"corridor check needs 0 < nu < 1, got {nu}")
     ratio = nu / (1.0 - nu)
-    k = np.arange(1, ds.n)
-    k = k[ds.p[k] < 0.5]
+    k, weight = _folded(ds, 1, ds.n - 1, 0)
+    losing = ds.p[k] < 0.5
+    k, weight = k[losing], weight[losing]
     ceil = 0.5 + ds.delta[k]
     return BoundReport.scan(
-        "corridor", k, ratio * (ceil - ds.p_min[k - 1]), ds.p_max[k - 1] - ceil
+        "corridor", k, ratio * (ceil - ds.p_min[k - 1]), ds.p_max[k - 1] - ceil, weight
     )
 
 
@@ -265,18 +322,19 @@ def check_drop_down(ds: DeviationSeries, dc: DropConstants) -> list[BoundReport]
     - all k > 3m: DeltaBar_k <= delta * DeltaBar_{k-3m}
     """
     m, n, delta = ds.m, ds.n, dc.delta
-    k = np.arange(m + 1, n)
-    k = k[ds.p[k] < 0.5]
+    k, weight = _folded(ds, m + 1, n - 1, m)
+    losing = ds.p[k] < 0.5
+    k, weight = k[losing], weight[losing]
     losing = BoundReport.scan(
-        "drop_down_losing", k, ds.delta[k], delta * ds.delta_bar[k - m - 1]
+        "drop_down_losing", k, ds.delta[k], delta * ds.delta_bar[k - m - 1], weight
     )
-    k = np.arange(2 * m + 1, n)
+    k, weight = _folded(ds, 2 * m + 1, n - 1, 2 * m)
     every = BoundReport.scan(
-        "drop_down_2m", k, ds.delta[k], delta * ds.delta_bar[k - 2 * m - 1]
+        "drop_down_2m", k, ds.delta[k], delta * ds.delta_bar[k - 2 * m - 1], weight
     )
-    k = np.arange(3 * m + 1, n + 1)
+    k, weight = _folded(ds, 3 * m + 1, n, 3 * m)
     block = BoundReport.scan(
-        "drop_down_3m", k, ds.delta_bar[k - 1], delta * ds.delta_bar[k - 3 * m - 1]
+        "drop_down_3m", k, ds.delta_bar[k - 1], delta * ds.delta_bar[k - 3 * m - 1], weight
     )
     return [losing, every, block]
 
@@ -284,8 +342,9 @@ def check_drop_down(ds: DeviationSeries, dc: DropConstants) -> list[BoundReport]
 def check_plus_minus(ds: DeviationSeries) -> BoundReport:
     """Upward deviation is capped by the recent downward ones:
     DeltaPlus_{k+1} <= DeltaBarMinus_k for k = 1..n-1."""
+    k, weight = _folded(ds, 1, ds.n - 1, 0)
     return BoundReport.scan(
-        "plus_minus", np.arange(1, ds.n), ds.delta_plus[1:], ds.delta_bar_minus[:-1]
+        "plus_minus", k, ds.delta_plus[k], ds.delta_bar_minus[k - 1], weight
     )
 
 
@@ -294,10 +353,39 @@ def check_envelope(ds: DeviationSeries, dc: DropConstants) -> BoundReport:
 
     At k = 1 + 3mN this is the N-fold contraction of DeltaBar_1 = 1/2;
     monotonicity of DeltaBar extends it to every k in between.
+
+    The one check whose rhs does not repeat.  Along a residue class past
+    the prefix DeltaBar repeats and the rhs does not increase, and
+    fl(a - c) is monotone in a, so the slack does not increase either:
+    the violations of a class are a suffix of it, found by a search over
+    its members, and its minimum slack is at its last member.  So each
+    class enters the scan as at most two pile sizes: its last member that
+    holds, standing for that one and every earlier member, and its last
+    member, standing for the suffix that fails.
     """
-    return BoundReport.scan(
-        "envelope", np.arange(1, ds.n + 1), ds.delta_bar, envelope(ds.n, dc.delta, ds.m)
-    )
+    m, delta, period = ds.m, dc.delta, ds.period
+    k, weight = _folded(ds, 1, ds.n, 0)
+    classes = weight > 1
+    ks, weights = [], []
+    for r, count in zip(k[classes].tolist(), weight[classes].tolist()):
+        bar = float(ds.delta_bar[r - 1])
+        members = range(r, r + count * period, period)
+        holds = bisect.bisect_left(
+            members, True, key=lambda j: envelope_bound(j, delta, m) - bar < -SLACK_TOL
+        )
+        if holds:
+            ks.append(members[holds - 1])
+            weights.append(holds)
+        if holds < count:
+            ks.append(members[-1])
+            weights.append(count - holds)
+    k = np.concatenate((k[~classes], np.array(ks, dtype=k.dtype)))
+    weight = np.concatenate((weight[~classes], np.array(weights, dtype=k.dtype)))
+    order = np.argsort(k)
+    k, weight = k[order], weight[order]
+    blocks, block_of = np.unique((k - 1) // (3 * m), return_inverse=True)
+    rhs = np.array([envelope_bound(1 + 3 * m * b, delta, m) for b in blocks.tolist()])
+    return BoundReport.scan("envelope", k, ds.delta_bar[ds.index(k)], rhs[block_of], weight)
 
 
 def run_checks(
@@ -317,13 +405,3 @@ def run_checks(
 def envelope_bound(k: int, delta: float, m: int) -> float:
     """The geometric envelope value at pile size k."""
     return 0.5 * delta ** ((k - 1) // (3 * m))
-
-
-def envelope(n: int, delta: float, m: int) -> np.ndarray:
-    """envelope_bound(k, delta, m) for k = 1..n, indexed by k - 1.
-
-    One scalar power per 3m-block keeps the float path of envelope_bound.
-    """
-    block = np.arange(n) // (3 * m)
-    bounds = [envelope_bound(1 + 3 * m * j, delta, m) for j in range((n - 1) // (3 * m) + 1)]
-    return np.array(bounds)[block]

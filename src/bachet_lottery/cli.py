@@ -51,10 +51,12 @@ SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n\n"
 SWEEP_ROW = "%d,%d,%.17g,%.17g,%s,%.17g,%.17g\n"
 
 # numpy refuses an array over sys.maxsize bytes with a ValueError.  With
-# the n + m doubles of the value table, and the replications x n doubles
-# of a Monte-Carlo draw matrix, bounded by half that, an array too large
-# for memory fails to allocate instead: a MemoryError, which
-# `_fits_in_memory` reports against the config field that asked for it.
+# the n + m doubles of a value table whose state never repeats, and the
+# replications x n doubles of a Monte-Carlo draw matrix, bounded by half
+# that, an array too large for memory fails to allocate instead: a
+# MemoryError, which `_fits_in_memory` reports against the config field
+# that asked for it.  Pile sizes then also fit the int64 index arithmetic
+# of `engine.fold`.
 MAX_TABLE = sys.maxsize // 16
 
 
@@ -177,8 +179,9 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     series fields are streamed from the rows 1..vt.computed, then from a
     cycle of the last vt.period of them, which is what every later row
     repeats (see ValueTable).  The envelope is one string per block, left
-    empty without a delta, and the move is the label of
-    vt.argmax_index[k-1], formatted once per candidate.
+    empty without a delta, and the move is the label of vt.argmax(k),
+    formatted once per candidate: the stored picks, then a cycle of their
+    last vt.period.
     """
     m, n, c = vt.m, vt.n, vt.computed
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
@@ -188,7 +191,9 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     )
     labels = ["%d\n" % i for i in range(len(vt.candidates))]
     # the array's buffer yields Python ints, not a numpy scalar per row
-    moves = map(labels.__getitem__, vt.argmax_index.data)
+    picks = vt.picks.data
+    cycle = itertools.cycle(picks[c - vt.period : c])
+    moves = map(labels.__getitem__, itertools.chain(picks, cycle))
     block = 3 * m
     yield VALUES_HEADER
     for start in range(0, n, block):
@@ -212,7 +217,8 @@ def _fits_in_memory(where: str, what: str):
 
 
 def _game_sized(spec: GameSpec, n_field: str = "game.n"):
-    """The block holding n-length arrays of ``spec``, its n from config ``n_field``."""
+    """The block holding arrays of ``spec`` that grow with n until its state
+    repeats, its n from config ``n_field``."""
     return _fits_in_memory(n_field, f"{spec.n} pile sizes")
 
 
@@ -270,7 +276,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     with _game_sized(spec):
         vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
         reports = analysis.run_checks(analysis.deviation_series(vt), cond, dc, kappa_grid)
-    total_violations = sum(len(r.violations) for r in reports)
+    total_violations = sum(r.violation_count for r in reports)
     report = {
         "eta": cond.eta,
         "nu": cond.nu,

@@ -10,7 +10,9 @@ values live in locals, each pile size costs one ``max`` over the
 candidates' payoff expressions, and the loop stops at the first repeated
 state.  Everything about ties is worked out after the loop, in numpy,
 from the evaluated prefix: the kernel's expressions are elementwise, so
-on arrays they give the same doubles as in the loop.
+on arrays they give the same doubles as in the loop.  The table keeps
+that prefix only, so its size does not grow with n once a state repeats;
+a later pile size is read by going back whole periods (``fold``).
 """
 from __future__ import annotations
 
@@ -33,53 +35,85 @@ TIE_RANDOM = "seeded_random"
 TIE_RULES = (TIE_LOWEST, TIE_HIGHEST, TIE_RANDOM)
 
 
+def fold(k, computed: int, period: int):
+    """The pile size whose value, move and tie set pile size ``k`` repeats:
+    ``k`` itself up to ``computed``, else ``k`` less the whole number of
+    periods that brings it into computed - period + 1..computed.  ``k``
+    may be an int or an integer array."""
+    if not period:
+        return k
+    back = period * ((k - computed - 1) // period + 1)
+    if isinstance(k, np.ndarray):
+        return np.where(k > computed, k - back, k)
+    return k - back if k > computed else k
+
+
 @dataclass(frozen=True)
 class ValueTable:
     """Solved equilibrium values and move choices for one game spec.
 
-    ``p_ext`` holds p_k for k = -(m-1)..n (index k + m - 1); the first m
-    entries are the boundary ones.  ``argmax_index[k-1]`` is the candidate
-    chosen at pile size k.
+    Only the evaluated prefix is stored.  ``computed`` is the number of
+    pile sizes the recursion evaluated before it stopped at a repeated
+    state, and ``period`` the length of that repeat, or 0 when no state
+    repeated before n (then computed == n).  Beyond the evaluated part
+    everything repeats: p_k == p_{k-period} for k > computed - m, and so
+    do the tie sets and the moves for k > computed.
 
-    ``computed`` is the number of pile sizes the recursion evaluated before
-    it stopped at a repeated state, and ``period`` the length of that
-    repeat, or 0 when no state repeated before n (then computed == n).
-    Beyond the evaluated part everything repeats: p_k == p_{k-period} for
-    k > computed - m, and so do the tie sets for k > computed.
-    ``tie_mask`` is the (computed, |K|) boolean array whose row k-1 marks
-    the candidates within TIE_TOL of the maximum at pile size k; it covers
-    the evaluated pile sizes only.
+    ``p_prefix`` holds p_k for k = -(m-1)..computed (index k + m - 1); the
+    first m entries are the boundary ones.  ``picks[k-1]`` is the candidate
+    chosen at pile size k, for k = 1..computed, or for k = 1..n under
+    seeded_random, whose draws do not repeat.  ``tie_mask`` is the
+    (computed, |K|) boolean array whose row k-1 marks the candidates within
+    TIE_TOL of the maximum at pile size k.  ``p(k)`` and ``argmax(k)`` read
+    any k in 1..n through ``fold``; ``p_ext``, ``argmax_index`` and
+    ``tie_sets`` are the dense n-length forms, built on first read.
     """
 
     m: int
     n: int
     candidates: tuple[Lottery, ...]
-    p_ext: np.ndarray
-    argmax_index: np.ndarray
+    p_prefix: np.ndarray
+    picks: np.ndarray
     tie_mask: np.ndarray
     computed: int
     period: int
 
     @cached_property
+    def p_ext(self) -> np.ndarray:
+        """p_k for k = -(m-1)..n, index k + m - 1."""
+        return self.p_upto(self.n)
+
+    @cached_property
+    def argmax_index(self) -> np.ndarray:
+        """``argmax_index[k-1]``: the candidate chosen at pile size k, k = 1..n."""
+        return _repeat_last(self.picks, self.period, self.n)
+
+    @cached_property
     def tie_sets(self) -> tuple[tuple[int, ...], ...]:
         """``tie_sets[k-1]``: the indices of all candidates within TIE_TOL of
-        the maximum at pile size k, for k = 1..n.  Built from ``tie_mask``
-        and the period on first read."""
+        the maximum at pile size k, for k = 1..n."""
         return tuple(_tie_sets(self.tie_mask, self.period, self.n))
 
     def p(self, k: int) -> float:
         """Equilibrium win probability at pile size k (1 for k <= 0)."""
         if k <= 0:
             return 1.0
-        return float(self.p_ext[k + self.m - 1])
+        return float(self.p_prefix[fold(k, self.computed, self.period) + self.m - 1])
+
+    def p_upto(self, last: int) -> np.ndarray:
+        """p_k for k = -(m-1)..last, index k + m - 1: a view of
+        ``p_prefix`` while last <= computed, else a copy extended by whole
+        periods."""
+        return _repeat_last(self.p_prefix, self.period, last + self.m)
+
+    def argmax(self, k):
+        """The candidate index chosen at pile size k, for an int or an
+        integer array of pile sizes in 1..n."""
+        return self.picks[fold(k, self.picks.size, self.period) - 1]
 
     def policy(self, k: int) -> Lottery:
         """Lottery the engine plays at pile size k."""
-        return self.candidates[int(self.argmax_index[k - 1])]
-
-    def values(self) -> dict[int, float]:
-        """All stored values as a map k -> p_k, k = -(m-1)..n."""
-        return {k: float(self.p_ext[k + self.m - 1]) for k in range(1 - self.m, self.n + 1)}
+        return self.candidates[int(self.argmax(k))]
 
 
 def _payoff_exprs(candidates: Sequence[Lottery]) -> list[str]:
@@ -160,12 +194,13 @@ def _recursion(candidates: Sequence[Lottery]):
 
 
 def _repeat_last(head: np.ndarray, period: int, size: int) -> np.ndarray:
-    """``head`` extended to ``size`` entries by repeating its last ``period``
-    entries.  The tail is one broadcast copy into a (cycles, period) view
-    of the result, so no repeated temporary is built."""
+    """The first ``size`` entries of ``head`` extended by repeating its last
+    ``period`` entries: a view of ``head`` when it is long enough, else
+    one broadcast copy of that period into a (cycles, period) view of the
+    result, so no repeated temporary is built."""
     start, rest = head.size, size - head.size
-    if not rest:
-        return head
+    if rest <= 0:
+        return head[:size]
     cycles = -(-rest // period)
     out = np.empty(start + cycles * period, head.dtype)
     out[:start] = head
@@ -185,29 +220,30 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     """Solve the game by backward induction over pile sizes 1..n.
 
     The stored value at each k is the exact maximum over candidates, so
-    the values map does not depend on the tie rule; only argmax_index may.
+    the values do not depend on the tie rule; only the picks may.
 
     The loop is one generated function (see ``_recursion``) that does the
     recursion and nothing else.  p_{k+1} and the tie set at k+1 are
     functions of the state (p_{k-m+1}, ..., p_k) alone, so once a state
     repeats bit for bit the rest of the table repeats with the same
     period.  Brent's cycle detection compares each state with one saved
-    state, moved at powers of two; at the first match the loop stops and
-    the last ``period`` values are repeated up to n.  The state and the
-    saved state are m float locals each, compared one by one with
-    ``==``, and that is enough for the tail to be bit-identical to the
-    full loop's: lotteries are finite, so no NaN arises, and two locals
-    that compare equal differ at most in the sign of a zero, which cannot
-    change a payoff ``1.0 - (sum of w*t)`` (a zero term leaves a non-zero
-    sum unchanged, and 1.0 - (+-0.0) is 1.0).
+    state, moved at powers of two; at the first match the loop stops, and
+    the table keeps the evaluated prefix (see ``ValueTable``).  The state
+    and the saved state are m float locals each, compared one by one with
+    ``==``, and that is enough for the repeated tail to be bit-identical
+    to the full loop's: lotteries are finite, so no NaN arises, and two
+    locals that compare equal differ at most in the sign of a zero, which
+    cannot change a payoff ``1.0 - (sum of w*t)`` (a zero term leaves a
+    non-zero sum unchanged, and 1.0 - (+-0.0) is 1.0).
 
     The ties are found after the loop, over the evaluated pile sizes at
     once: ``payoffs`` of the prefix gives the loop's doubles, and a candidate
     ties at k when its payoff is >= p_k - TIE_TOL, the same IEEE
     operations as a test inside the loop would do.  lowest_index and
-    highest_index take the first and last marked candidate of each row
-    and repeat the last ``period`` picks; seeded_random draws once per
-    pile size in k order, the same sequence as a pick inside the loop.
+    highest_index take the first and last marked candidate of each row,
+    and the table repeats the last ``period`` of them; seeded_random draws
+    once per pile size 1..n in k order, the same sequence as a pick inside
+    the loop.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}")
@@ -219,24 +255,23 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     computed = len(p) - m
     head = np.array(p)
     del p  # a float object per pile size; head holds the values now
-    p_ext = _repeat_last(head, period, n + m)
 
     thr = head[m:] - TIE_TOL
     ties = np.stack([v >= thr for v in payoffs(candidates, head)], axis=1)
     if tie_rule == TIE_RANDOM:
         rng = random.Random(seed)
         sets = _tie_sets(ties, period, n)
-        argmax = np.fromiter((t[rng.randrange(len(t))] for t in sets), np.int64, n)
+        picks = np.fromiter((t[rng.randrange(len(t))] for t in sets), np.int64, n)
     elif tie_rule == TIE_LOWEST:
-        argmax = _repeat_last(ties.argmax(1), period, n)
+        picks = ties.argmax(1)
     else:
-        argmax = _repeat_last(len(candidates) - 1 - ties[:, ::-1].argmax(1), period, n)
+        picks = len(candidates) - 1 - ties[:, ::-1].argmax(1)
     return ValueTable(
         m=m,
         n=n,
         candidates=candidates,
-        p_ext=p_ext,
-        argmax_index=argmax,
+        p_prefix=head,
+        picks=picks,
         tie_mask=ties,
         computed=computed,
         period=period,

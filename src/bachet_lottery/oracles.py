@@ -56,7 +56,7 @@ def estimate_win_prob(cfg: SimConfig) -> SimResult:
     """
     vt, n, R = cfg.table, cfg.n, cfg.replications
     # cumulative move probabilities of the policy at pile size k, row k - 1
-    cum = np.cumsum([c.probs for c in vt.candidates], axis=1)[vt.argmax_index[:n]]
+    cum = np.cumsum([c.probs for c in vt.candidates], axis=1)[vt.argmax(np.arange(1, n + 1))]
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     draws = rng.random((R, n))
 

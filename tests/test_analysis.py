@@ -2,12 +2,14 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bachet_lottery import (
+    DropConstants,
     GameSpec,
     check_corridor,
     check_drop_down,
@@ -71,13 +73,21 @@ def _games(draw):
 
 
 def _assert_p_windows(vt, ds):
-    """p, p_min and p_max against per-index values of the table."""
-    assert ds.p.shape == ds.p_min.shape == ds.p_max.shape == (vt.n,)
-    for k in range(1, vt.n + 1):
-        window = [vt.p(j) for j in range(k - vt.m + 1, k + 1)]
-        assert ds.p[k - 1] == vt.p(k)
-        assert ds.p_min[k - 1] == min(window)
-        assert ds.p_max[k - 1] == max(window)
+    """p, p_min and p_max against per-index values of the table: in order
+    over the arrays, and through ``ds.index`` at every pile size 1..n."""
+    assert ds.n == vt.n
+    size = min(vt.n, vt.computed + vt.period + 3 * vt.m)
+    assert ds.p.shape == ds.p_min.shape == ds.p_max.shape == (size,)
+    windows = [[vt.p(j) for j in range(k - vt.m + 1, k + 1)] for k in range(1, vt.n + 1)]
+    assert ds.p.tolist() == [vt.p(k) for k in range(1, size + 1)]
+    assert ds.p_min.tolist() == [min(w) for w in windows[:size]]
+    assert ds.p_max.tolist() == [max(w) for w in windows[:size]]
+    for k, window in enumerate(windows, start=1):
+        i = ds.index(k)
+        assert (ds.p[i], ds.p_min[i], ds.p_max[i]) == (vt.p(k), min(window), max(window))
+        assert ds.delta_at(k) == abs(vt.p(k) - 0.5)
+        assert ds.dbar(k) == max(abs(x - 0.5) for x in window)
+        assert ds.dbar_minus(k) == max(max(0.0, -(x - 0.5)) for x in window)
 
 
 # 1/2 and its neighbours, the ends, the smallest subnormal and normal
@@ -94,8 +104,12 @@ def _p_ext_tables(draw):
     n = draw(st.integers(1, 60))
     p = st.floats(0.0, 1.0) | st.sampled_from(EDGE_P)
     p_ext = np.array(draw(st.lists(p, min_size=n + m, max_size=n + m)))
-    vt = solve(GameSpec(n, m, truncated_simplex([0.05] * m)))
-    return dataclasses.replace(vt, p_ext=p_ext)
+    return _with_p_ext(solve(GameSpec(n, m, truncated_simplex([0.05] * m))), p_ext)
+
+
+def _with_p_ext(vt, p_ext):
+    """``vt`` with the values p_ext for k = 1-m..n, none of them repeating."""
+    return dataclasses.replace(vt, p_prefix=p_ext, computed=vt.n, period=0)
 
 
 def _bits(values) -> bytes:
@@ -127,18 +141,26 @@ class TestDeviationSeries:
         )
 
     def test_peak_memory_at_n_1e6(self):
-        # p is a view of the table: the 8 other series, and one temporary
-        # at a time beside them
-        n = 10**6
-        vt = solve(GameSpec(n, 3, truncated_simplex([0.05] * 3)))
+        # the table repeats from pile size 1027 with period 4: the series
+        # and the checks cover about 1040 pile sizes, whatever n is
+        K = truncated_simplex([0.05] * 3)
+        vt = solve(GameSpec(10**6, 3, K))
+        cond = compute_conditions(K)
+        dc = drop_constants(cond.eta, cond.nu)
         tracemalloc.start()
         try:
-            ds = deviation_series(vt)
+            reports = run_checks(deviation_series(vt), cond, dc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 8 * n
-        assert np.shares_memory(ds.p, vt.p_ext)
+        assert peak < 1 << 20
+        assert all(r.ok for r in reports)
+
+    def test_p_is_a_view_of_the_table(self):
+        # without a repeat the series covers the whole prefix
+        vt = solve(GameSpec(3000, 3, truncated_simplex([0.001] * 3)))
+        assert vt.period == 0
+        assert np.shares_memory(deviation_series(vt).p, vt.p_prefix)
 
     def test_delta_values(self, half_series):
         expect = [0.5, 0.0, 0.25, 0.125, 0.0625, 0.09375]
@@ -252,7 +274,7 @@ class TestMonotonicity:
         assert isinstance(rep.extra["delta_bar_strictly_decreasing_per_step"], bool)
 
     def test_bar_sequence_sorted_descending(self, trunc_series):
-        bars = trunc_series.delta_bar
+        bars = [trunc_series.dbar(k) for k in range(1, trunc_series.n + 1)]
         assert all(bars[i + 1] <= bars[i] + 1e-12 for i in range(len(bars) - 1))
 
 
@@ -262,7 +284,7 @@ class TestNoLongWinning:
         vt = solve(GameSpec(50, 3, K))
         rep = check_no_long_winning(deviation_series(vt))
         assert rep.ok
-        assert rep.checked_k.size  # runs of three wins do occur
+        assert rep.checked  # runs of three wins do occur
 
     def test_vacuous_when_no_window_qualifies(self, half_series):
         # with p2 = 0.5 the m=2 window {p3, p2} never satisfies p_j > 1/2 twice in a row early on
@@ -294,11 +316,11 @@ class TestCorridor:
         assert lhs == pytest.approx(0.125, abs=1e-15)
         assert rhs == pytest.approx(0.125, abs=1e-15)
         rep = check_corridor(half_series, nu=0.5)
-        assert rep.ok and 3 in rep.checked_k
+        assert rep.ok and 3 in rep.k
 
     def test_winning_positions_skipped(self, half_series):
         rep = check_corridor(half_series, nu=0.5)
-        assert 2 not in rep.checked_k  # p3 = 0.75 >= 1/2
+        assert 2 not in rep.k  # p3 = 0.75 >= 1/2
 
     def test_full_scan(self, trunc_series):
         nu = compute_conditions(truncated_simplex([0.05, 0.05])).nu
@@ -326,7 +348,7 @@ class TestDropDown:
     def test_small_k_excluded_from_block_form(self, half_series):
         dc = drop_constants(0.5, 0.5, tau=0.5)
         block = check_drop_down(half_series, dc)[2]
-        assert min(block.checked_k) == 3 * half_series.m + 1
+        assert min(block.k) == 3 * half_series.m + 1
 
 
 class TestPlusMinus:
@@ -435,7 +457,7 @@ def _reference_checks(vt, ds, nu, dc, kappa_grid):
     reports += [losing, every, block]
     plus = _RefReport("plus_minus")
     for k in range(1, n):
-        plus.record(k, float(ds.delta_plus[k]), ds.dbar_minus(k))
+        plus.record(k, max(0.0, vt.p(k + 1) - 0.5), ds.dbar_minus(k))
     envelope = _RefReport("envelope")
     for k in range(1, n + 1):
         envelope.record(k, ds.dbar(k), 0.5 * delta ** ((k - 1) // (3 * m)))
@@ -447,9 +469,11 @@ def _assert_matches_reference(vt, ds, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 
     got = run_checks(ds, cond, dc, kappa_grid)
     want = _reference_checks(vt, ds, cond.nu, dc, kappa_grid)
     assert [r.summary() for r in got] == [r.summary() for r in want]
-    for g, w in zip(got, want):
-        assert g.violations == w.violations
-        assert g.checked_k.tolist() == w.checked_k
+    if vt.n == vt.computed:
+        # nothing repeats: every checked k is its own representative
+        for g, w in zip(got, want):
+            assert g.violations == w.violations
+            assert g.k.tolist() == w.checked_k
     return got
 
 
@@ -479,9 +503,172 @@ class TestMatchesPerIndexReference:
         K = truncated_simplex([0.05, 0.05, 0.05])
         vt = solve(GameSpec(2000, 3, K))
         noise = np.random.default_rng(1).uniform(0.0, 1.0, vt.n)
-        vt = dataclasses.replace(vt, p_ext=np.concatenate((vt.p_ext[: vt.m], noise)))
+        vt = _with_p_ext(vt, np.concatenate((vt.p_ext[: vt.m], noise)))
         cond = compute_conditions(K)
         got = _assert_matches_reference(
             vt, deviation_series(vt), cond, drop_constants(cond.eta, cond.nu)
         )
         assert all(r.violations for r in got)
+
+
+def _dense_series(vt):
+    """Every series at every pile size 1..n, from the dense ``vt.p_ext``."""
+    m = vt.m
+    windows = np.lib.stride_tricks.sliding_window_view(vt.p_ext, m)[1:].T
+    p_min, p_max = windows.min(axis=0), windows.max(axis=0)
+    p = vt.p_ext[m:]
+    d = p - 0.5
+    below = 0.5 - p_min
+    return SimpleNamespace(
+        m=m, n=vt.n, p=p, p_min=p_min, p_max=p_max, delta=np.abs(d),
+        delta_bar=np.maximum(p_max - 0.5, below), delta_plus=np.maximum(d, 0.0),
+        delta_bar_minus=np.maximum(below, 0.0),
+    )
+
+
+def _dense_scan(lemma_id, k, lhs, rhs, **extra):
+    """(summary, violations) of one check scanned at every index k."""
+    slack = rhs - lhs
+    bad = np.flatnonzero(slack < -1e-9)
+    violations = list(zip(k[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
+    summary = {
+        "lemma_id": lemma_id,
+        "checked": len(k),
+        "violations": len(violations),
+        "min_slack": float(slack.min()) if slack.size else None,
+        **extra,
+    }
+    return summary, violations
+
+
+def _dense_envelope(n, delta, m):
+    """0.5 * delta^floor((k-1)/(3m)) for k = 1..n, one scalar power per block."""
+    block = np.arange(n) // (3 * m)
+    return np.array([0.5 * delta**j for j in range((n - 1) // (3 * m) + 1)])[block]
+
+
+def _pairs(first, second):
+    return np.column_stack((first, second)).ravel()
+
+
+def _dense_checks(vt, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    """Every check scanned at every pile size 1..n, in report order: the
+    vectorised checks as they were before their scans were folded."""
+    ds = _dense_series(vt)
+    m, n, delta = ds.m, ds.n, dc.delta
+    prev = ds.delta_bar[:-1]
+    out = [_dense_scan(
+        "monotonicity", np.repeat(np.arange(2, n + 1), 2),
+        _pairs(ds.delta[1:], ds.delta_bar[1:]), np.repeat(prev, 2),
+        delta_bar_strictly_decreasing_per_step=bool(np.all(ds.delta_bar[1:] < prev)),
+    )]
+    k = np.arange(m + 1, n + 1)
+    k = k[ds.p_min[k - 1] > 0.5]
+    keep = np.ones(2 * k.size, dtype=bool)
+    keep[0::2] = k < n
+    lhs = _pairs(ds.p[np.minimum(k, n - 1)], ds.p[k - m - 1])[keep]
+    out.append(_dense_scan("no_long_winning", np.repeat(k, 2)[keep], lhs, np.full_like(lhs, 0.5)))
+    k = np.arange(m + 1, n)
+    for kappa in kappa_grid:
+        factor = cond.eta / ((2.0 - cond.eta) * (1.0 - kappa))
+        hit = ds.p_min[k - 1] >= 0.5 + (1.0 - kappa) * ds.delta[k]
+        out.append(_dense_scan(f"km_bound[kappa={kappa:g}]", k[hit], ds.delta[k][hit],
+                               factor * ds.delta[k - m - 1][hit]))
+    k = np.arange(1, n)
+    k = k[ds.p[k] < 0.5]
+    ceil = 0.5 + ds.delta[k]
+    out.append(_dense_scan("corridor", k, cond.nu / (1.0 - cond.nu) * (ceil - ds.p_min[k - 1]),
+                           ds.p_max[k - 1] - ceil))
+    k = np.arange(m + 1, n)
+    k = k[ds.p[k] < 0.5]
+    out.append(_dense_scan("drop_down_losing", k, ds.delta[k], delta * ds.delta_bar[k - m - 1]))
+    k = np.arange(2 * m + 1, n)
+    out.append(_dense_scan("drop_down_2m", k, ds.delta[k], delta * ds.delta_bar[k - 2 * m - 1]))
+    k = np.arange(3 * m + 1, n + 1)
+    out.append(_dense_scan("drop_down_3m", k, ds.delta_bar[k - 1],
+                           delta * ds.delta_bar[k - 3 * m - 1]))
+    out.append(_dense_scan("plus_minus", np.arange(1, n), ds.delta_plus[1:],
+                           ds.delta_bar_minus[:-1]))
+    out.append(_dense_scan("envelope", np.arange(1, n + 1), ds.delta_bar,
+                           _dense_envelope(n, delta, m)))
+    return out
+
+
+def _assert_matches_dense(vt, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    """The folded checks against the dense scans: equal summaries (floats
+    compared with ==), and equal violation lists while nothing repeats."""
+    got = run_checks(deviation_series(vt), cond, dc, kappa_grid)
+    want = _dense_checks(vt, cond, dc, kappa_grid)
+    assert [r.summary() for r in got] == [s for s, _ in want]
+    if vt.n == vt.computed:
+        assert [r.violations for r in got] == [v for _, v in want]
+    return got, want
+
+
+# every set of the values.csv writer tests that has eta < 1 and nu > 0
+DENSE_SETS = [
+    *((f"simplex m={m}", truncated_simplex([0.05] * m)) for m in (2, 3, 4, 5)),
+    ("simplex m=4 eps=0.01", truncated_simplex([0.01] * 4)),
+    ("|K|=10 pair set", finite_set([[0.1 + 0.08 * i, 0.9 - 0.08 * i] for i in range(10)])),
+    ("|K|=12 pair set", finite_set([[0.05 + 0.075 * i, 0.95 - 0.075 * i] for i in range(12)])),
+    ("zero-weight set", finite_set([[0.5, 0.3, 0.2], [0, 0.5, 0.5], [0.6, 0, 0.4]])),
+]
+AROUND_COMPUTED = ["c-1", "c", "c+1", "c+period", "c+3m-1", "c+3m+1", "3c", "1e5"]
+
+
+def _periodic_table(rng, m, transient, period, cycles, n):
+    """A table of random values in (0, 1) whose last ``cycles`` periods
+    repeat one random cycle; it repeats that cycle up to n."""
+    values = np.concatenate((np.ones(m), rng.uniform(0.0, 1.0, transient),
+                             np.tile(rng.uniform(0.0, 1.0, period), cycles)))
+    vt = solve(GameSpec(n, m, truncated_simplex([0.05] * m)))
+    computed = values.size - m
+    return dataclasses.replace(vt, p_prefix=values, computed=computed, period=period)
+
+
+class TestMatchesDenseScan:
+    """The checks fold each repeating range onto one period; every count
+    and min_slack must be what a scan of every pile size gives."""
+
+    @pytest.mark.parametrize("at", AROUND_COMPUTED)
+    @pytest.mark.parametrize("label, K", DENSE_SETS, ids=[label for label, _ in DENSE_SETS])
+    def test_solved_tables(self, label, K, at):
+        probe = solve(GameSpec(10**5, K.m, K))
+        c, period, m = probe.computed, probe.period, K.m
+        assert period > 0
+        n = {"c-1": c - 1, "c": c, "c+1": c + 1, "c+period": c + period,
+             "c+3m-1": c + 3 * m - 1, "c+3m+1": c + 3 * m + 1, "3c": 3 * c, "1e5": 10**5}[at]
+        cond = compute_conditions(K)
+        _assert_matches_dense(solve(GameSpec(n, m, K)), cond, drop_constants(cond.eta, cond.nu))
+
+    @pytest.mark.parametrize("delta", [0.01, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("m, transient, period", [(2, 40, 3), (3, 200, 7), (4, 5, 1)])
+    @pytest.mark.parametrize("n", [230, 2000, 10**5])
+    def test_periodic_table_with_violations(self, m, transient, period, n, delta):
+        # deviations of order 0.1 repeat for ever, so small factors fail in
+        # the tail: drop_down_* everywhere, envelope once its rhs has
+        # fallen below a class's DeltaBar, which differs between classes
+        rng = np.random.default_rng(transient + period + n)
+        vt = _periodic_table(rng, m, transient, period, -(-m // period) + 1, n)
+        cond = compute_conditions(truncated_simplex([0.05] * m))
+        dc = DropConstants(eta=cond.eta, nu=cond.nu, tau=0.5, delta=delta)
+        got, want = _assert_matches_dense(vt, cond, dc)
+        drops = {r.lemma_id: r for r in got}
+        assert all(drops[f"drop_down_{x}"].violation_count for x in ("2m", "3m"))
+        # envelope: each residue class past the prefix fails on a suffix of
+        # it, and the report holds that suffix as one weighted entry
+        env, (_, dense) = got[-1], want[-1]
+        c = vt.computed
+        per_class = {}
+        for k, _, _ in dense:
+            if k >= c:
+                per_class.setdefault((k - c) % period, []).append(k)
+        for members in per_class.values():
+            last = members[-1]
+            assert last > n - period
+            assert members == list(range(last - (len(members) - 1) * period, last + 1, period))
+        weights = dict(zip(env.k.tolist(), env.weight.tolist()))
+        folded = {(k - c) % period: weights[k] for k, _, _ in env.violations if k >= c}
+        assert folded == {r: len(members) for r, members in per_class.items()}
+        if n > 2 * c and delta < 0.99:
+            assert per_class  # the tail does fail

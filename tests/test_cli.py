@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -7,6 +8,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,14 +25,20 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
+from bachet_lottery import cli
 from bachet_lottery.cli import _values_csv, run
 from bachet_lottery.engine import TIE_RULES
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
 TRUNC_GAME = {"n": 2000, "m": 2, "K": {"type": "truncated_simplex", "epsilon": [0.05, 0.05]}}
-# a table that fits in SERIES_CAP bytes of address space, its deviation series not
+# a game whose dense table fits in SERIES_CAP bytes of address space, and
+# whose dense deviation series would not
 SERIES_GAME = {"n": 4 * 10**6, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
 SERIES_CAP = 300 << 20
+# a game of 1e15 pile sizes, the same set
+HUGE_GAME = {**SERIES_GAME, "n": 10**15}
+# the largest file a capped run may write
+FILE_CAP = 64 << 20
 # a config nested past the interpreter's recursion limit
 DEEP_CONFIG = b"[" * 100000 + b"]" * 100000
 
@@ -44,18 +52,27 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def run_capped(tmp_path, command, payload, address_space):
     """``python -m bachet_lottery.cli command`` on ``payload`` with its
-    address space capped at ``address_space`` bytes.  One BLAS thread keeps
-    the interpreter's own share of that space the same on any machine."""
+    address space capped at ``address_space`` bytes, and each file it
+    writes at FILE_CAP bytes.  One BLAS thread keeps the interpreter's own
+    share of that space the same on any machine.  Past FILE_CAP a write
+    fails with EFBIG: the interpreter ignores SIGXFSZ."""
     cfg = write_config(tmp_path, payload)
     env = {**os.environ, "PYTHONPATH": str(Path(bachet_lottery.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
-    limit = (address_space, address_space)
+
+    def caps():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_CAP, FILE_CAP))
+
     return subprocess.run(
         [sys.executable, "-m", "bachet_lottery.cli", command, "--config", str(cfg),
          "--output", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=caps,
     )
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def read_csv(path):
@@ -292,9 +309,9 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    @pytest.mark.parametrize("n", [10**15, 10**30], ids=["n=1e15", "n=1e30"])
+    @pytest.mark.parametrize("n", [10**30], ids=["n=1e30"])
     def test_huge_n_exit_two_without_traceback(self, tmp_path, command, n):
-        # 1e15 piles need petabytes; 1e30 exceeds any array size numpy allows.
+        # 1e30 exceeds any array size numpy allows.
         # The address space is capped first, so nothing large is ever allocated.
         game = {"n": n, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
         proc = run_capped(tmp_path, command, {"game": game}, 4 << 30)
@@ -303,26 +320,62 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["solve", "verify", "explore-nu-zero"])
-    def test_series_too_large_exit_two_without_traceback(self, tmp_path, command):
-        # Under SERIES_CAP the interpreter with numpy takes about 100 MiB and
-        # the 4e6-pile table 61 MiB, so solve succeeds (see the next test);
-        # the deviation series needs 9 arrays of 31 MiB more and does not fit.
-        proc = run_capped(tmp_path, command, {"game": SERIES_GAME}, SERIES_CAP)
+    def test_huge_n_solve_stops_at_the_file_limit(self, tmp_path):
+        # the table stops at pile size 1027, but values.csv has a row for
+        # each of the 1e15 pile sizes: the write fails at FILE_CAP
+        proc = run_capped(tmp_path, "solve", {"game": HUGE_GAME}, 4 << 30)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: game.n: 4000000 pile sizes do not fit in memory")
+        assert proc.stderr.startswith("error: output: cannot write ")
+        assert "File too large" in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "out" / "values.csv").exists()
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert list((tmp_path / "out").iterdir()) == []  # no temp file left
+
+    def test_huge_n_verify_exit_zero(self, tmp_path):
+        # verify reads the repeating table through one period: the counts
+        # cover all 1e15 pile sizes, the work and memory do not
+        proc = run_capped(tmp_path, "verify", {"game": HUGE_GAME}, 4 << 30)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        n, m = 10**15, 3
+        checked = {c["lemma_id"]: c["checked"] for c in report["checks"]}
+        assert report["all_passed"] and report["n"] == n
+        assert checked["monotonicity"] == 2 * (n - 1)
+        assert checked["drop_down_2m"] == n - 1 - 2 * m
+        assert checked["drop_down_3m"] == n - 3 * m
+        assert checked["plus_minus"] == n - 1 and checked["envelope"] == n
+        assert sha256(tmp_path / "out" / "report.json") == (
+            "1985adbd65e1a851d4b5cbe39e44926592b1a6d00809c5d5ec9a39e7a0f1174f"
+        )
+
+    def test_series_game_verifies_under_cap(self, tmp_path):
+        # At n=4e6 the dense table and deviation series took 726 MiB; the
+        # folded ones cover about 1040 pile sizes.  The report is the one the
+        # dense scan writes, byte for byte.
+        proc = run_capped(tmp_path, "verify", {"game": SERIES_GAME}, SERIES_CAP)
+        assert proc.returncode == 0, proc.stderr
+        assert sha256(tmp_path / "out" / "report.json") == (
+            "fcd9a3166995e94b2fce930349d540ef1b0ba74cdc365add8826137ef43bbbff"
+        )
 
     def test_series_game_table_fits(self, tmp_path):
-        # the other half of the test above: a sweep point solves the table
-        # and builds no deviation series
+        # a sweep point solves the table and builds no deviation series
         game = {k: v for k, v in SERIES_GAME.items() if k != "n"}
         payload = {"game": game, "sweep": {"n_values": [SERIES_GAME["n"]]}}
         proc = run_capped(tmp_path, "sweep", payload, SERIES_CAP)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "explore-nu-zero"])
+    def test_series_out_of_memory_names_game_n(self, tmp_path, capsys, monkeypatch, command):
+        def no_memory(vt):
+            raise MemoryError
+
+        monkeypatch.setattr(analysis, "deviation_series", no_memory)
+        cfg = write_config(tmp_path, {"game": SERIES_GAME})
+        assert run(command, cfg, output=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: game.n: 4000000 pile sizes do not fit in memory")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_n_too_large_names_its_field(self, tmp_path, capsys):
         game = {"m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
@@ -331,16 +384,35 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error: sweep.n_values[1]: must be at most ")
         assert not (tmp_path / "out").exists()
 
-    def test_sweep_n_out_of_memory_names_its_field(self, tmp_path):
+    def test_sweep_n_out_of_memory_names_its_field(self, tmp_path, capsys, monkeypatch):
+        solve = cli.solve
+
+        def no_memory_past_1e6(spec):
+            if spec.n > 10**6:
+                raise MemoryError
+            return solve(spec)
+
+        monkeypatch.setattr(cli, "solve", no_memory_past_1e6)
         game = {"m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
-        payload = {"game": game, "sweep": {"n_values": [7, 10**15]}}
-        proc = run_capped(tmp_path, "sweep", payload, 4 << 30)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith(
+        cfg = write_config(tmp_path, {"game": game, "sweep": {"n_values": [7, 10**15]}})
+        assert run("sweep", cfg, output=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(
             "error: sweep.n_values[1]: 1000000000000000 pile sizes do not fit in memory"
         )
-        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_huge_n_exit_zero(self, tmp_path):
+        game = {k: v for k, v in HUGE_GAME.items() if k != "n"}
+        payload = {"game": game, "sweep": {"n_values": [7, HUGE_GAME["n"]]}}
+        proc = run_capped(tmp_path, "sweep", payload, 4 << 30)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "sweep.csv").read_text() == (
+            SWEEP_HEAD
+            + "7,3,0.90000000000000002,0.90000000000000002,0.83636363636766486,"
+            "0.82417993750000007,0.32417993750000007\n"
+            "1000000000000000,3,0.90000000000000002,0.90000000000000002,0.83636363636766486,"
+            "0.50000000000000022,2.2204460492503131e-16\n"
+        )
 
     @pytest.mark.parametrize(
         "reps, message",
@@ -513,21 +585,28 @@ def test_artifacts_honour_umask(tmp_path, umask):
         assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
 
-def _reference_values_csv(vt, ds, delta):
-    """values.csv as one `%` template mapped over the full arrays."""
-    series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
+def _reference_values_csv(vt, delta):
+    """values.csv as one `%` template mapped over every series at every
+    pile size, each from its definition over the dense ``vt.p_ext``."""
+    m, n = vt.m, vt.n
+    p = vt.p_ext[m:]
+    d = p - 0.5
+    windows = np.lib.stride_tricks.sliding_window_view(vt.p_ext, m)[1:]  # row k - 1: W_k
+    bar = np.abs(windows - 0.5).max(axis=1)
+    series = [p, d, np.abs(d), bar, np.maximum(d, 0.0), np.maximum(-d, 0.0)]
     if delta is not None:
-        series.append(analysis.envelope(ds.n, delta, ds.m))
+        block = np.arange(n) // (3 * m)
+        bounds = [analysis.envelope_bound(1 + 3 * m * j, delta, m) for j in range(block[-1] + 1)]
+        series.append(np.array(bounds)[block])
     row = "%d," + "%.17g," * 6 + ("," if delta is None else "%.17g,") + "%d\n"
-    rows = zip(range(1, ds.n + 1), *series, vt.argmax_index)
+    rows = zip(range(1, n + 1), *series, vt.argmax_index)
     return VALUES_HEAD + "".join(map(row.__mod__, rows))
 
 
 def assert_writer_matches_reference(spec, delta, rule=TIE_LOWEST, seed=0):
     vt = solve(spec, rule, seed=seed)
-    ds = deviation_series(vt)
-    got = "".join(_values_csv(vt, ds, delta))
-    want = _reference_values_csv(vt, ds, delta)
+    got = "".join(_values_csv(vt, deviation_series(vt), delta))
+    want = _reference_values_csv(vt, delta)
     if got != want:
         # name the first differing line instead of diffing megabytes of text
         a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)

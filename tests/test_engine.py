@@ -200,8 +200,8 @@ class TestSolve:
         vt = solve(GameSpec(5, 2, HALF))
         assert vt.policy(3).probs == (0.5, 0.5)
         assert vt.tie_sets[0] == (0,)
-        vals = vt.values()
-        assert vals[-1] == 1.0 and vals[1] == 0.0 and len(vals) == 7
+        assert [vt.p(k) for k in range(-1, 6)] == vt.p_ext.tolist()
+        assert vt.p(-1) == 1.0 and vt.p(1) == 0.0 and vt.p_ext.size == 7
 
 
 def _reference_solve(spec, tie_rule, seed):
@@ -402,3 +402,41 @@ class TestCycleFields:
             want = _picker_pass(vt, rule, n)
             assert vt.argmax_index.dtype == want.dtype
             assert vt.argmax_index.tobytes() == want.tobytes()
+
+
+class TestFoldedReads:
+    """The table keeps the evaluated prefix; ``p(k)``, ``argmax(k)`` and the
+    dense properties read every later pile size by going back whole periods."""
+
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
+    def test_reads_match_reference(self, label, K, detect, rule):
+        n = 3 * detect + 2
+        vt = solve(GameSpec(n, K.m, K), rule, seed=n)
+        p_ext, argmax, _ = _reference_solve(GameSpec(n, K.m, K), rule, n)
+        assert vt.p_prefix.size == vt.computed + K.m
+        assert vt.picks.size == (n if rule == TIE_RANDOM else vt.computed)
+        assert [vt.p(k) for k in range(1 - K.m, n + 1)] == p_ext.tolist()
+        k = np.arange(1, n + 1)
+        assert vt.argmax(k).tobytes() == argmax.tobytes()
+        assert [vt.policy(j) for j in k.tolist()] == [vt.candidates[i] for i in argmax]
+
+    def test_huge_n_stores_the_prefix_only(self):
+        n = 10**15
+        vt = solve(GameSpec(n, 3, truncated_simplex([0.05] * 3)))
+        assert (vt.computed, vt.period) == (1027, 4)
+        assert vt.p_prefix.size == 1030 and vt.picks.size == 1027
+        # n = 0 (mod 4): it repeats 1024, the first pile size of the last period
+        assert vt.p(n) == vt.p(1024) and vt.p(n - 1) == vt.p(1027)
+        assert vt.argmax(np.array([n, n - 1])).tolist() == vt.argmax(np.array([1024, 1027])).tolist()
+
+    @given(st.integers(1, 50), st.integers(0, 50), st.integers(1, 10**6))
+    def test_fold_lands_in_the_last_period(self, period, extra, k):
+        computed = period + extra
+        j = engine.fold(k, computed, period)
+        assert j == engine.fold(np.array([k]), computed, period)[0]
+        if k <= computed:
+            assert j == k
+        else:
+            assert computed - period < j <= computed and (k - j) % period == 0
+        assert engine.fold(k, computed, 0) == k

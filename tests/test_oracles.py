@@ -40,7 +40,7 @@ class TestSimulateGame:
     def test_forced_take_two(self):
         # take 1 at pile 1, take 2 at pile 2: the first mover overshoots
         vt = solve(GameSpec(2, 2, finite_set([[1.0, 0.0], [0.0, 1.0]])))
-        forced = dataclasses.replace(vt, argmax_index=np.array([0, 1]))
+        forced = dataclasses.replace(vt, picks=np.array([0, 1]))
         assert _p_hat(forced, 2) == 0.0
 
     def test_forced_take_one(self):
@@ -53,7 +53,7 @@ class TestSimulateGame:
         rng = np.random.default_rng(3)
         for _ in range(30):
             policy = rng.integers(0, 3, vt.n)
-            forced = dataclasses.replace(vt, argmax_index=policy)
+            forced = dataclasses.replace(vt, picks=policy)
             for n in range(1, vt.n + 1):
                 pile, mover = n, 0
                 while policy[pile - 1] + 1 < pile:
@@ -152,7 +152,7 @@ class TestOneShotDeviation:
             # an arbitrary policy, so that deviations gain something
             seed = data.draw(st.integers(0, 2**32 - 1))
             policy = np.random.default_rng(seed).integers(0, len(K.lotteries), vt.n)
-            vt = dataclasses.replace(vt, argmax_index=policy)
+            vt = dataclasses.replace(vt, picks=policy)
         got, want = one_shot_deviation_gap(vt), _reference_gap(vt)
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", want)
