@@ -300,7 +300,8 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
     reps = sim.get("replications")
     _require(_is_int(reps) and reps >= 1, "sim.replications", "must be an integer >= 1")
     seed = seed_override if seed_override is not None else sim.get("seed")
-    _require(_is_int(seed) and seed >= 0, "sim.seed", "must be a non-negative integer")
+    where = "sim.seed" if seed_override is None else "--seed"
+    _require(_is_int(seed) and seed >= 0, where, "must be a non-negative integer")
     n_values = sim.get("n_values", [spec.n])
     _require(
         isinstance(n_values, list) and n_values

@@ -42,10 +42,7 @@ def fold(k, computed: int, period: int):
     may be an int or an integer array."""
     if not period:
         return k
-    back = period * ((k - computed - 1) // period + 1)
-    if isinstance(k, np.ndarray):
-        return np.where(k > computed, k - back, k)
-    return k - back if k > computed else k
+    return k - (k > computed) * (period * ((k - computed - 1) // period + 1))
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,7 @@ class ValueTable:
     seeded_random, whose draws do not repeat.  ``tie_mask`` is the
     (computed, |K|) boolean array whose row k-1 marks the candidates within
     TIE_TOL of the maximum at pile size k.  ``p(k)`` and ``argmax(k)`` read
-    any k in 1..n through ``fold``; ``p_ext``, ``argmax_index`` and
-    ``tie_sets`` are the dense n-length forms, built on first read.
+    any k in 1..n through ``fold``.
     """
 
     m: int
@@ -80,18 +76,15 @@ class ValueTable:
 
     @cached_property
     def p_ext(self) -> np.ndarray:
-        """p_k for k = -(m-1)..n, index k + m - 1."""
+        """p_k for k = -(m-1)..n, index k + m - 1: the dense form, built on
+        first read; no package code reads it."""
         return self.p_upto(self.n)
-
-    @cached_property
-    def argmax_index(self) -> np.ndarray:
-        """``argmax_index[k-1]``: the candidate chosen at pile size k, k = 1..n."""
-        return _repeat_last(self.picks, self.period, self.n)
 
     @cached_property
     def tie_sets(self) -> tuple[tuple[int, ...], ...]:
         """``tie_sets[k-1]``: the indices of all candidates within TIE_TOL of
-        the maximum at pile size k, for k = 1..n."""
+        the maximum at pile size k, for k = 1..n: the dense form, built on
+        first read; no package code reads it."""
         return tuple(_tie_sets(self.tie_mask, self.period, self.n))
 
     def p(self, k: int) -> float:
@@ -102,13 +95,24 @@ class ValueTable:
 
     def p_upto(self, last: int) -> np.ndarray:
         """p_k for k = -(m-1)..last, index k + m - 1: a view of
-        ``p_prefix`` while last <= computed, else a copy extended by whole
-        periods."""
-        return _repeat_last(self.p_prefix, self.period, last + self.m)
+        ``p_prefix`` while last <= computed, else one broadcast copy of its
+        last period into a (cycles, period) view of the result, so no
+        repeated temporary is built."""
+        head, size = self.p_prefix, last + self.m
+        if size <= head.size:
+            return head[:size]
+        cycles = -(-(size - head.size) // self.period)
+        out = np.empty(head.size + cycles * self.period, head.dtype)
+        out[: head.size] = head
+        out[head.size :].reshape(cycles, self.period)[...] = head[-self.period :]
+        return out[:size]
 
     def argmax(self, k):
         """The candidate index chosen at pile size k, for an int or an
-        integer array of pile sizes in 1..n."""
+        integer array of pile sizes in 1..n; any other pile size raises
+        ValueError."""
+        if not np.all((k >= 1) & (k <= self.n)):
+            raise ValueError(f"pile size outside 1..{self.n}")
         return self.picks[fold(k, self.picks.size, self.period) - 1]
 
     def policy(self, k: int) -> Lottery:
@@ -191,21 +195,6 @@ def _recursion(candidates: Sequence[Lottery]):
         "    return 0",
     ]
     return _compiled("\n".join(lines), "_run")
-
-
-def _repeat_last(head: np.ndarray, period: int, size: int) -> np.ndarray:
-    """The first ``size`` entries of ``head`` extended by repeating its last
-    ``period`` entries: a view of ``head`` when it is long enough, else
-    one broadcast copy of that period into a (cycles, period) view of the
-    result, so no repeated temporary is built."""
-    start, rest = head.size, size - head.size
-    if rest <= 0:
-        return head[:size]
-    cycles = -(-rest // period)
-    out = np.empty(start + cycles * period, head.dtype)
-    out[:start] = head
-    out[start:].reshape(cycles, period)[...] = head[-period:]
-    return out[:size]
 
 
 def _tie_sets(mask: np.ndarray, period: int, n: int) -> Iterator[tuple[int, ...]]:

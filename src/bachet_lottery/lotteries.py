@@ -33,9 +33,6 @@ class Lottery:
     def m(self) -> int:
         return len(self.probs)
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
 
 def validate_lottery(probs: Sequence[float]) -> Lottery:
     """Validate a raw vector and wrap it as a Lottery.

@@ -3,8 +3,9 @@
 Two routes that never touch the backward-induction maximization or its
 tie rule: Monte-Carlo play of the actual game under the engine's policy,
 and exhaustive enumeration of stationary pure profiles on small instances
-with a one-shot-deviation optimality filter.  Both share only the
-one-step payoff, `payoff_kernel` and `payoffs`, with the engine.
+with a one-shot-deviation optimality filter.  Both share with the engine
+only the one-step payoff, `payoff_kernel` and `payoffs`, and `fold`,
+which reads a pile size past the table's stored prefix.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ValueTable, payoff_kernel, payoffs
+from .engine import ValueTable, fold, payoff_kernel, payoffs
 from .errors import InstanceTooLargeError
 from .lotteries import GameSpec
 
@@ -86,10 +87,15 @@ def estimate_win_prob(cfg: SimConfig) -> SimResult:
 def one_shot_deviation_gap(vt: ValueTable) -> float:
     """Largest gain any single-state deviation achieves against the
     engine's policy; non-positive (up to round-off) iff the policy is
-    subgame perfect."""
-    vals = np.array(payoffs(vt.candidates, vt.p_ext))
-    own = vals[vt.argmax_index, np.arange(vt.n)]
-    return float((vals - own).max())
+    subgame perfect.
+
+    The payoffs come from the evaluated prefix, one column per pile size
+    1..computed; each stored pick is compared with the column of the pile
+    size it repeats.  Later pile sizes repeat the last period's columns
+    and picks, so the maximum is over the same gains as over 1..n."""
+    vals = np.array(payoffs(vt.candidates, vt.p_prefix))
+    col = fold(np.arange(1, vt.picks.size + 1), vt.computed, vt.period) - 1
+    return float((vals[:, col] - vals[vt.picks, col]).max())
 
 
 def brute_force_values(spec: GameSpec) -> dict[int, float]:

@@ -163,6 +163,20 @@ class TestSimulate:
         rows = read_csv(tmp_path / "a" / "simulation.csv")
         assert rows[1].split(",")[2] == "99"
 
+    def test_bad_seed_override_names_the_option(self, tmp_path):
+        # the config's own seed is valid: the error is the option's
+        payload = {"game": {**HALF_GAME, "n": 4}, "sim": {"replications": 10, "seed": 1}}
+        cfg = write_config(tmp_path, payload)
+        env = {**os.environ, "PYTHONPATH": str(Path(bachet_lottery.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bachet_lottery.cli", "simulate", "--config", str(cfg),
+             "--output", str(tmp_path / "out"), "--seed", "-1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: --seed: must be a non-negative integer"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_row_per_point(self, tmp_path):
@@ -599,7 +613,7 @@ def _reference_values_csv(vt, delta):
         bounds = [analysis.envelope_bound(1 + 3 * m * j, delta, m) for j in range(block[-1] + 1)]
         series.append(np.array(bounds)[block])
     row = "%d," + "%.17g," * 6 + ("," if delta is None else "%.17g,") + "%d\n"
-    rows = zip(range(1, n + 1), *series, vt.argmax_index)
+    rows = zip(range(1, n + 1), *series, vt.argmax(np.arange(1, n + 1)))
     return VALUES_HEAD + "".join(map(row.__mod__, rows))
 
 

@@ -187,7 +187,8 @@ class TestSolve:
         spec = GameSpec(30, 2, K)
         a = solve(spec, TIE_RANDOM, seed=3)
         b = solve(spec, TIE_RANDOM, seed=3)
-        assert (a.argmax_index == b.argmax_index).all()
+        k = np.arange(1, 31)
+        assert (a.argmax(k) == b.argmax(k)).all()
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2), min_size=1, max_size=4))
@@ -205,7 +206,7 @@ class TestSolve:
 
 
 def _reference_solve(spec, tie_rule, seed):
-    """(p_ext, argmax_index, tie_sets) from the recursion at every pile size,
+    """(p_ext, argmax, tie_sets) from the recursion at every pile size,
     with the move picked inside the loop and no cycle detection."""
     kernel = payoff_kernel(spec.K.lotteries)
     m, n = spec.m, spec.n
@@ -233,8 +234,8 @@ def assert_matches_reference(spec, tie_rule, seed=0):
     vt = solve(spec, tie_rule, seed=seed)
     p_ext, argmax, tie_sets = _reference_solve(spec, tie_rule, seed)
     assert vt.p_ext.dtype == p_ext.dtype and vt.p_ext.tobytes() == p_ext.tobytes()
-    assert vt.argmax_index.dtype == argmax.dtype
-    assert vt.argmax_index.tobytes() == argmax.tobytes()
+    moves = vt.argmax(np.arange(1, spec.n + 1))
+    assert moves.dtype == argmax.dtype and moves.tobytes() == argmax.tobytes()
     assert vt.tie_sets == tie_sets
     return vt
 
@@ -285,7 +286,8 @@ class TestCycleDetection:
         for n in (1, detect - 1, detect, detect + 1, 2 * detect + 1):
             part = solve(GameSpec(n, K.m, K), rule, seed=seed)
             assert part.p_ext.tobytes() == full.p_ext[: n + K.m].tobytes()
-            assert part.argmax_index.tobytes() == full.argmax_index[:n].tobytes()
+            k = np.arange(1, n + 1)
+            assert part.argmax(k).tobytes() == full.argmax(k).tobytes()
             assert part.tie_sets == full.tie_sets[:n]
 
     def test_unknown_tie_rule_rejected_first(self, monkeypatch):
@@ -362,7 +364,7 @@ CYCLE_PERIODS = dict(zip(CYCLE_IDS, (3, 4, 5, 1, 4, 1)))
 
 
 def _picker_pass(vt, rule, seed):
-    """argmax_index as one picker mapped over all n tie sets in k order."""
+    """The moves at 1..n as one picker mapped over all n tie sets in k order."""
     if rule == TIE_RANDOM:
         rng = random.Random(seed)
         picks = [t[rng.randrange(len(t))] for t in vt.tie_sets]
@@ -400,8 +402,8 @@ class TestCycleFields:
         for n in (detect - 1, detect, detect + 1, 3 * detect + 2):
             vt = solve(GameSpec(n, K.m, K), rule, seed=n)
             want = _picker_pass(vt, rule, n)
-            assert vt.argmax_index.dtype == want.dtype
-            assert vt.argmax_index.tobytes() == want.tobytes()
+            moves = vt.argmax(np.arange(1, n + 1))
+            assert moves.dtype == want.dtype and moves.tobytes() == want.tobytes()
 
 
 class TestFoldedReads:
@@ -429,6 +431,21 @@ class TestFoldedReads:
         # n = 0 (mod 4): it repeats 1024, the first pile size of the last period
         assert vt.p(n) == vt.p(1024) and vt.p(n - 1) == vt.p(1027)
         assert vt.argmax(np.array([n, n - 1])).tolist() == vt.argmax(np.array([1024, 1027])).tolist()
+
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    def test_moves_outside_the_game_rejected(self, rule):
+        small = solve(GameSpec(10, 2, finite_set([[0.7, 0.3], [0.3, 0.7]])), rule)
+        # the picks run to 2000 under seeded_random, to 1027 otherwise
+        long = solve(GameSpec(2000, 3, truncated_simplex([0.05] * 3)), rule)
+        for vt in (small, long):
+            n = vt.n
+            assert vt.argmax(np.array([1, n])).tolist() == [vt.argmax(1), vt.argmax(n)]
+            for bad in (0, -1, n + 1, np.array([1, n + 1]), np.array([0, n])):
+                with pytest.raises(ValueError, match=f"pile size outside 1\\.\\.{n}$"):
+                    vt.argmax(bad)
+            for bad in (0, -1, n + 1):
+                with pytest.raises(ValueError, match=f"1\\.\\.{n}"):
+                    vt.policy(bad)
 
     @given(st.integers(1, 50), st.integers(0, 50), st.integers(1, 10**6))
     def test_fold_lands_in_the_last_period(self, period, extra, k):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bachet_lottery import (
     one_shot_deviation_gap,
     payoff_kernel,
     solve,
+    truncated_simplex,
     validate_lottery,
 )
 from bachet_lottery.engine import TIE_RULES
@@ -157,12 +159,24 @@ class TestOneShotDeviation:
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", want)
 
+    def test_prefix_only_at_large_n(self):
+        # n = 1e6 repeats from pile size 1027: the gap reads 1027 columns
+        vt = solve(GameSpec(10**6, 3, truncated_simplex([0.05] * 3)))
+        tracemalloc.start()
+        try:
+            got = one_shot_deviation_gap(vt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert struct.pack("<d", got) == struct.pack("<d", 9.287015600989434e-13)
+        assert peak < 1 << 20
+
 
 def _reference_gap(vt):
     """one_shot_deviation_gap as a loop over pile sizes: the kernel on each
     window p_{k-m}..p_{k-1}, every payoff minus the chosen one."""
     kernel = payoff_kernel(vt.candidates)
-    p, chosen = vt.p_ext.tolist(), vt.argmax_index.tolist()
+    p, chosen = vt.p_ext.tolist(), vt.argmax(np.arange(1, vt.n + 1)).tolist()
     gap = -math.inf
     for k in range(1, vt.n + 1):
         vals = kernel(*p[k - 1 : k + vt.m - 1])  # p_{k-m}..p_{k-1}
