@@ -16,7 +16,9 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import analysis
 from .engine import ValueTable, solve
@@ -39,12 +41,14 @@ from .oracles import SimConfig, estimate_win_prob
 
 COMMANDS = ("solve", "verify", "simulate", "sweep", "explore-nu-zero")
 
-# Each CSV is its header plus one row template; values.csv fills its row
-# from the six series fields, the envelope and the move label.  Reals get
+# Each CSV is its header plus one row template.  A values.csv row is k,
+# the six series fields as VALUES_FIELDS prints them, the envelope and the
+# move label; the writer builds it from cells (see _values_csv).  Reals get
 # 17 significant digits, which round-trip any double.
 VALUES_HEADER = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index\n"
 VALUES_FIELDS = "%.17g," * 6
-VALUES_ROW = "%d,%s%s%s"
+# rows of values.csv built at a time: the writer holds one chunk's strings
+CHUNK_ROWS = 512
 SIM_HEADER = "n,replications,seed,p_hat,std_err,p_engine,z_score\n"
 SIM_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
 SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n\n"
@@ -172,34 +176,71 @@ def load_config(path: str | Path, command: str) -> dict:
     return raw
 
 
-def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    """The lines of values.csv: the header, then one string per 3m-block.
+def _cells(cols: np.ndarray) -> np.ndarray:
+    """The "%.17g," text of each double in ``cols``, as an object array of
+    the same shape.  Each distinct magnitude is formatted once, and a cell
+    whose sign bit is set gets a "-" in front: what "%.17g" prints for any
+    double but a NaN, -0.0 included."""
+    mags = np.abs(cols).ravel().tolist()
+    text = {x: "%.17g," % x for x in dict.fromkeys(mags)}
+    cells = np.array(list(map(text.__getitem__, mags)), dtype=object).reshape(cols.shape)
+    neg = np.signbit(cols)
+    cells[neg] = "-" + cells[neg]
+    return cells
 
-    A row is k, the six series fields, the envelope and the move.  The
-    series fields are streamed from the rows 1..vt.computed, then from a
-    cycle of the last vt.period of them, which is what every later row
-    repeats (see ValueTable).  The envelope is one string per block, left
-    empty without a delta, and the move is the label of vt.argmax(k),
-    formatted once per candidate: the stored picks, then a cycle of their
-    last vt.period.
+
+def _envelopes(delta: float | None, m: int) -> Iterator[str]:
+    """The envelope field of each 3m-block in order, empty without a delta.
+    A bound is 0.0 only for delta < 1, and then every later power is
+    smaller: from the first 0.0 on, the field is "0," and no power is
+    taken."""
+    if delta is None:
+        yield from itertools.repeat(",")
+        return
+    for start in itertools.count(1, 3 * m):
+        bound = analysis.envelope_bound(start, delta, m)
+        if bound == 0.0:
+            break
+        yield "%.17g," % bound
+    yield from itertools.repeat("0,")
+
+
+def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
+    """The lines of values.csv: the header, then one string per chunk of
+    whole 3m-blocks, about CHUNK_ROWS rows.
+
+    A row is k, the six series fields, the envelope and the move, joined
+    from a (rows, 9) array of strings.  The series fields of the rows
+    1..vt.computed come from ``_cells`` a chunk at a time, so each
+    distinct magnitude is formatted once per chunk and the writer never
+    holds more than a chunk's strings.  Every later row repeats one of the
+    last vt.period rows (see ValueTable), whose cells are made once.  The
+    envelope is one string per block (``_envelopes``), and the move is the
+    label of vt.argmax(k), formatted once per candidate.
     """
-    m, n, c = vt.m, vt.n, vt.computed
+    m, n, c, period = vt.m, vt.n, vt.computed, vt.period
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
-    fields = itertools.chain(
-        map(VALUES_FIELDS.__mod__, zip(*(s[:c] for s in series))),
-        itertools.cycle([VALUES_FIELDS % r for r in zip(*(s[c - vt.period : c] for s in series))]),
-    )
-    labels = ["%d\n" % i for i in range(len(vt.candidates))]
-    # the array's buffer yields Python ints, not a numpy scalar per row
-    picks = vt.picks.data
-    cycle = itertools.cycle(picks[c - vt.period : c])
-    moves = map(labels.__getitem__, itertools.chain(picks, cycle))
+    if n > c:
+        tail = _cells(np.stack([s[c - period : c] for s in series], axis=1))
+    labels = np.array(["%d\n" % i for i in range(len(vt.candidates))], dtype=object)
+    envs = _envelopes(delta, m)
     block = 3 * m
+    size = block * max(1, CHUNK_ROWS // block)
     yield VALUES_HEADER
-    for start in range(0, n, block):
-        env = "," if delta is None else "%.17g," % analysis.envelope_bound(start + 1, delta, m)
-        ks = range(start + 1, min(n, start + block) + 1)
-        yield "".join([VALUES_ROW % (k, f, env, a) for k, f, a in zip(ks, fields, moves)])
+    for lo in range(0, n, size):
+        hi = min(n, lo + size)
+        mid = min(max(lo, c), hi)  # rows lo..mid were evaluated, mid..hi repeat
+        ks = np.arange(lo + 1, hi + 1)
+        row = np.empty((hi - lo, 9), dtype=object)
+        row[:, 0] = ["%d," % k for k in range(lo + 1, hi + 1)]
+        if mid > lo:
+            row[: mid - lo, 1:7] = _cells(np.stack([s[lo:mid] for s in series], axis=1))
+        if hi > mid:
+            row[mid - lo :, 1:7] = tail[(ks[mid - lo :] - c - 1) % period]
+        env = np.array(list(itertools.islice(envs, -(-(hi - lo) // block))), dtype=object)
+        row[:, 7] = env.repeat(block)[: hi - lo]
+        row[:, 8] = labels[vt.argmax(ks)]
+        yield "".join(row.ravel().tolist())
 
 
 def _json_text(obj) -> str:

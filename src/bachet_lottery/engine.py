@@ -62,7 +62,7 @@ class ValueTable:
     seeded_random, whose draws do not repeat.  ``tie_mask`` is the
     (computed, |K|) boolean array whose row k-1 marks the candidates within
     TIE_TOL of the maximum at pile size k.  ``p(k)`` and ``argmax(k)`` read
-    any k in 1..n through ``fold``.
+    any k in 1..n through ``fold``, and reject a k past n.
     """
 
     m: int
@@ -88,9 +88,12 @@ class ValueTable:
         return tuple(_tie_sets(self.tie_mask, self.period, self.n))
 
     def p(self, k: int) -> float:
-        """Equilibrium win probability at pile size k (1 for k <= 0)."""
+        """Equilibrium win probability at pile size k: 1 for k <= 0, the
+        table's value for k in 1..n; a larger k raises ValueError."""
         if k <= 0:
             return 1.0
+        if k > self.n:
+            raise ValueError(f"pile size outside 1..{self.n}")
         return float(self.p_prefix[fold(k, self.computed, self.period) + self.m - 1])
 
     def p_upto(self, last: int) -> np.ndarray:

@@ -4,8 +4,7 @@ Two routes that never touch the backward-induction maximization or its
 tie rule: Monte-Carlo play of the actual game under the engine's policy,
 and exhaustive enumeration of stationary pure profiles on small instances
 with a one-shot-deviation optimality filter.  Both share with the engine
-only the one-step payoff, `payoff_kernel` and `payoffs`, and `fold`,
-which reads a pile size past the table's stored prefix.
+only the one-step payoff, `payoff_kernel` and `payoffs`.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ValueTable, fold, payoff_kernel, payoffs
+from .engine import ValueTable, payoff_kernel, payoffs
 from .errors import InstanceTooLargeError
 from .lotteries import GameSpec
 
@@ -90,12 +89,20 @@ def one_shot_deviation_gap(vt: ValueTable) -> float:
     subgame perfect.
 
     The payoffs come from the evaluated prefix, one column per pile size
-    1..computed; each stored pick is compared with the column of the pile
-    size it repeats.  Later pile sizes repeat the last period's columns
-    and picks, so the maximum is over the same gains as over 1..n."""
+    1..computed; each stored pick is marked in the column of the pile size
+    it repeats.  Later pile sizes repeat the last period's columns and
+    picks, so the gains are those of the marked (pick, column) pairs, at
+    most |K| per column however many picks are stored.  Rounding is
+    monotone, so the best payoff of a column less the pick's payoff is,
+    bit for bit, the largest of every payoff less the pick's."""
     vals = np.array(payoffs(vt.candidates, vt.p_prefix))
-    col = fold(np.arange(1, vt.picks.size + 1), vt.computed, vt.period) - 1
-    return float((vals[:, col] - vals[vt.picks, col]).max())
+    c, period, picks = vt.computed, vt.period, vt.picks
+    seen = np.zeros(vals.shape, dtype=bool)
+    seen[picks[:c], np.arange(c)] = True
+    # picks past computed (seeded_random's) take the last period's columns in turn
+    for r in range(min(period, picks.size - c)):
+        seen[picks[c + r :: period], c - period + r] = True
+    return float((vals.max(axis=0) - vals)[seen].max())
 
 
 def brute_force_values(spec: GameSpec) -> dict[int, float]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -26,8 +27,9 @@ from bachet_lottery import (
     validate_lottery,
 )
 from bachet_lottery import cli
-from bachet_lottery.cli import _values_csv, run
-from bachet_lottery.engine import TIE_RULES
+from bachet_lottery.analysis import DeviationSeries
+from bachet_lottery.cli import VALUES_FIELDS, _envelopes, _values_csv, run
+from bachet_lottery.engine import TIE_RULES, fold
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
 TRUNC_GAME = {"n": 2000, "m": 2, "K": {"type": "truncated_simplex", "epsilon": [0.05, 0.05]}}
@@ -638,6 +640,12 @@ WRITER_SETS = [
     ("zero-weight set", finite_set([[0.5, 0.3, 0.2], [0, 0.5, 0.5], [0.6, 0, 0.4]])),
 ]
 DELTAS = pytest.mark.parametrize("delta", [None, 0.9], ids=["no-envelope", "envelope"])
+# signed zeros, subnormals, 2^-54 and the values near 1/2 the series take
+FIELD_POOL = [0.0, -0.0, 0.5, 1.0, 5e-324, 2.0**-1060, 2.0**-54, 0.5 + 2.0**-53,
+              0.49999999999999994, 0.1, 1e300]
+# tables whose rows span several chunks: with a repeat, and without one
+FIELD_TABLES = [solve(GameSpec(n, 3, truncated_simplex([eps] * 3)))
+                for n, eps in ((2500, 0.05), (1200, 0.001), (7, 0.05))]
 
 
 @st.composite
@@ -685,15 +693,60 @@ class TestValuesWriter:
     def test_matches_reference_on_random_sets(self, spec, rule, delta):
         assert_writer_matches_reference(spec, delta, rule, seed=3)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rows_match_the_field_template(self, data):
+        # hand-built series drawn from a small pool, so that magnitudes
+        # repeat across columns and across chunks of rows
+        vt = data.draw(st.sampled_from(FIELD_TABLES))
+        pool = FIELD_POOL + data.draw(st.lists(st.floats(allow_nan=False), max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cols = np.array(pool)[rng.integers(0, len(pool), (6, vt.computed))]
+        cols *= rng.choice([-1.0, 1.0], cols.shape)
+        cols[:, 0] = -np.abs(cols[:, 0])  # a sign bit in every column
+        p, d, delta, bar, plus, minus = cols
+        ds = DeviationSeries(m=vt.m, n=vt.n, computed=vt.computed, period=vt.period,
+                             p=p, p_min=p, p_max=p, d=d, delta=delta, delta_bar=bar,
+                             delta_plus=plus, delta_minus=minus, delta_bar_minus=minus)
+        env = data.draw(st.sampled_from([None, 0.5]))
+        got = "".join(_values_csv(vt, ds, env)).splitlines(keepends=True)
+        assert got[0] == VALUES_HEAD
+        rows = cols.T.tolist()
+        for k, line in enumerate(got[1:], 1):
+            bound = "," if env is None else "%.17g," % analysis.envelope_bound(k, env, vt.m)
+            want = "%d," % k + VALUES_FIELDS % tuple(rows[fold(k, vt.computed, vt.period) - 1])
+            assert line == want + bound + "%d\n" % vt.argmax(k), k
+        assert len(got) == vt.n + 1
+
+    @pytest.mark.parametrize("delta", [0.5, 0.8363636363636363, 0.99])
+    def test_envelopes_stop_taking_powers_at_zero(self, delta, monkeypatch):
+        m = 3
+        want = []
+        while not want or want[-1] != "0,":
+            want.append("%.17g," % analysis.envelope_bound(1 + 3 * m * len(want), delta, m))
+        want += ["%.17g," % analysis.envelope_bound(1 + 3 * m * b, delta, m)
+                 for b in range(len(want), len(want) + 1000)]
+        calls = []
+        bound = analysis.envelope_bound
+        monkeypatch.setattr(analysis, "envelope_bound", lambda *a: calls.append(a) or bound(*a))
+        got = list(itertools.islice(_envelopes(delta, m), len(want)))
+        assert got == want
+        # the first 0.0 is the last power taken
+        assert len(calls) == want.index("0,") + 1
+
     def test_memory_does_not_grow_with_n(self):
-        # one block of rows at a time: no list or string of n entries
-        vt = solve(GameSpec(10**6, 3, truncated_simplex([0.05] * 3)))
-        ds = deviation_series(vt)
-        tracemalloc.start()
-        try:
-            for _ in _values_csv(vt, ds, 0.9):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # one chunk of rows at a time: no list or string of n entries, and
+        # at eps=0.001, whose 30000 rows are all evaluated, no string held
+        # for every cell of them
+        for n, eps, period in ((10**6, 0.05, 4), (30_000, 0.001, 0)):
+            vt = solve(GameSpec(n, 3, truncated_simplex([eps] * 3)))
+            assert vt.period == period
+            ds = deviation_series(vt)
+            tracemalloc.start()
+            try:
+                for _ in _values_csv(vt, ds, 0.9):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (n, eps)

@@ -447,6 +447,17 @@ class TestFoldedReads:
                 with pytest.raises(ValueError, match=f"1\\.\\.{n}"):
                     vt.policy(bad)
 
+    def test_values_past_n_rejected(self):
+        K = truncated_simplex([0.05] * 3)
+        repeats, plain = solve(GameSpec(2000, 3, K)), solve(GameSpec(50, 3, K))
+        assert repeats.period > 0 and plain.period == 0
+        for vt in (repeats, plain):
+            n = vt.n
+            assert vt.p(n) == vt.p_ext[-1] and vt.p(0) == vt.p(-5) == 1.0
+            for bad in (n + 1, 10**6):
+                with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
+                    vt.p(bad)
+
     @given(st.integers(1, 50), st.integers(0, 50), st.integers(1, 10**6))
     def test_fold_lands_in_the_last_period(self, period, extra, k):
         computed = period + extra

@@ -20,7 +20,7 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
-from bachet_lottery.engine import TIE_RULES
+from bachet_lottery.engine import TIE_LOWEST, TIE_RANDOM, TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
 
 HALF = finite_set([[0.5, 0.5]])
@@ -160,16 +160,32 @@ class TestOneShotDeviation:
         assert struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_prefix_only_at_large_n(self):
-        # n = 1e6 repeats from pile size 1027: the gap reads 1027 columns
-        vt = solve(GameSpec(10**6, 3, truncated_simplex([0.05] * 3)))
-        tracemalloc.start()
-        try:
-            got = one_shot_deviation_gap(vt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert struct.pack("<d", got) == struct.pack("<d", 9.287015600989434e-13)
-        assert peak < 1 << 20
+        # n = 1e6 repeats from pile size 1027: the gap reads 1027 columns,
+        # also under seeded_random, which stores 1e6 picks
+        spec = GameSpec(10**6, 3, truncated_simplex([0.05] * 3))
+        for rule, gap in ((TIE_LOWEST, 9.287015600989434e-13), (TIE_RANDOM, 9.988676552552533e-13)):
+            vt = solve(spec, rule)
+            tracemalloc.start()
+            try:
+                got = one_shot_deviation_gap(vt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert struct.pack("<d", got) == struct.pack("<d", gap), rule
+            assert peak < 1 << 20, rule
+
+    def test_gain_past_computed_counts(self):
+        # Bachet's game repeats from pile size 7: the engine's moves, but at
+        # one winning pile size past 7 a move that hands the opponent a win
+        vt = solve(GameSpec(40, 3, finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
+        assert (vt.computed, vt.period) == (7, 4)
+        picks = vt.argmax(np.arange(1, 41))
+        assert one_shot_deviation_gap(dataclasses.replace(vt, picks=picks)) == 0.0
+        for k in (38, 39, 40):
+            bad = picks.copy()
+            bad[k - 1] = (picks[k - 1] + 1) % 3
+            bad = dataclasses.replace(vt, picks=bad)
+            assert one_shot_deviation_gap(bad) == _reference_gap(bad) == 1.0
 
 
 def _reference_gap(vt):
