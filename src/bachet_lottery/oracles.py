@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,11 @@ OPTIMALITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte-Carlo setup: both players follow the table's argmax policy."""
+    """Monte-Carlo setup: both players follow the table's argmax policy.
+
+    ``n``, ``replications`` and ``seed`` are integers, numpy's included
+    and bool excluded, and ``seed`` is non-negative; a bad field raises
+    ValueError naming it, before numpy sees it."""
 
     table: ValueTable
     n: int
@@ -32,6 +37,12 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not (1 <= self.n <= self.table.n):
@@ -53,27 +64,48 @@ def estimate_win_prob(cfg: SimConfig) -> SimResult:
     seed; replication r consumes row r of the (R x n) uniform draw
     matrix, so results are reproducible and independent of evaluation
     order.  A game over n objects ends within n moves.
+
+    The policy is held as m - 1 threshold rows indexed by pile size:
+    ``thr[j, k]`` is entry j of the cumulative move probabilities of the
+    lottery picked at pile size k, and column 0, a finished game, holds
+    2.0, which no draw reaches.  Move t reads column t of the draws for
+    all R games at once, takes ``1 + #{j < m-1: u >= thr[j, pile]}``
+    objects from one length-R pile array, and clamps it at 0, where a
+    finished game stays; the games that reach 0 at an odd t are the first
+    player's wins.  The cumulative sums do not decrease, so u >= cum[m-1]
+    implies u >= every earlier entry, and the count without the last
+    entry equals ``min(1 + #{j <= m-1: u >= cum[j]}, m)`` bit for bit.
+    Besides the draws the loop holds four length-R buffers.
     """
-    vt, n, R = cfg.table, cfg.n, cfg.replications
-    # cumulative move probabilities of the policy at pile size k, row k - 1
-    cum = np.cumsum([c.probs for c in vt.candidates], axis=1)[vt.argmax(np.arange(1, n + 1))]
+    vt, n, R = cfg.table, int(cfg.n), int(cfg.replications)
+    cum = np.cumsum([c.probs for c in vt.candidates], axis=1)
+    thr = np.full((vt.m - 1, n + 1), 2.0)
+    thr[:, 1:] = cum[vt.argmax(np.arange(1, n + 1)), :-1].T
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     draws = rng.random((R, n))
 
-    pile = np.full(R, n, dtype=np.int64)
-    alive = np.arange(R)
-    wins = 0
+    pile = np.full(R, n, dtype=np.intp)
+    take = np.empty(R, dtype=np.intp)
+    bound = np.empty(R)
+    hit = np.empty(R, dtype=bool)
+    alive, wins = R, 0
     for t in range(n):
-        if alive.size == 0:
-            break
-        u = draws[alive, t]
-        take = 1 + (u[:, None] >= cum[pile[alive] - 1]).sum(axis=1)
-        np.minimum(take, vt.m, out=take)
-        ends = take >= pile[alive]
+        u = draws[:, t]
+        take.fill(1)
+        for row in thr:
+            # pile stays in 0..n: clip never clips, and spares the copy that
+            # take's default bounds check makes of ``out``
+            np.take(row, pile, out=bound, mode="clip")
+            np.greater_equal(u, bound, out=hit)
+            take += hit
+        pile -= take
+        np.maximum(pile, 0, out=pile)
+        left = int(np.count_nonzero(pile))
         if t % 2:
-            wins += int(ends.sum())
-        alive = alive[~ends]
-        pile[alive] -= take[~ends]
+            wins += alive - left
+        alive = left
+        if not alive:
+            break
     p_hat = wins / R
     return SimResult(
         wins_first_player=wins,

@@ -165,6 +165,24 @@ class TestSimulate:
         rows = read_csv(tmp_path / "a" / "simulation.csv")
         assert rows[1].split(",")[2] == "99"
 
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "1778c47d99f537bfd2e86f975334ceb8830e825524af712e5f063da2a1e53293"),
+            (7, "fc9c82d8558b92d501406a18fd2e74d812abbcaa3f6a457edfcc4c9304c4e22b"),
+        ],
+    )
+    def test_benchmark_config_bytes(self, tmp_path, seed, digest):
+        # the simulate-mc benchmark config, whose digest at seed 0 the
+        # benchmark pins: 2000 games at each of n = 25, 100, 400
+        payload = {
+            "game": {"n": 400, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}},
+            "sim": {"replications": 2000, "seed": 0, "n_values": [25, 100, 400]},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert run("simulate", cfg, output=tmp_path / "out", seed=seed) == 0
+        assert sha256(tmp_path / "out" / "simulation.csv") == digest
+
     def test_bad_seed_override_names_the_option(self, tmp_path):
         # the config's own seed is valid: the error is the option's
         payload = {"game": {**HALF_GAME, "n": 4}, "sim": {"replications": 10, "seed": 1}}

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import struct
 import tracemalloc
@@ -11,6 +12,7 @@ from bachet_lottery import (
     GameSpec,
     LotterySet,
     SimConfig,
+    SimResult,
     brute_force_values,
     estimate_win_prob,
     finite_set,
@@ -22,6 +24,7 @@ from bachet_lottery import (
 )
 from bachet_lottery.engine import TIE_LOWEST, TIE_RANDOM, TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
+from bachet_lottery.lotteries import SUM_TOL
 
 HALF = finite_set([[0.5, 0.5]])
 
@@ -98,6 +101,105 @@ class TestEstimateWinProb:
             SimConfig(table=vt, n=4, replications=10, seed=0)
         with pytest.raises(ValueError):
             SimConfig(table=vt, n=3, replications=0, seed=0)
+        good = {"n": 3, "replications": 10, "seed": 0}
+        bad = [
+            ("n", True), ("n", 3.0), ("n", np.bool_(True)), ("n", "3"),
+            ("replications", 2.5), ("replications", False),
+            ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", np.int64(-1)),
+        ]
+        for field, value in bad:
+            with pytest.raises(ValueError, match=f"^{field} "):
+                SimConfig(table=vt, **{**good, field: value})
+
+    def test_accepts_numpy_integers(self):
+        vt = solve(GameSpec(3, 2, HALF))
+        cfg = SimConfig(table=vt, n=np.int64(3), replications=np.int32(10), seed=np.uint64(4))
+        got = estimate_win_prob(cfg)
+        assert got == estimate_win_prob(SimConfig(table=vt, n=3, replications=10, seed=4))
+        assert [type(v) for v in dataclasses.astuple(got)] == [int, int, float, float]
+
+    def test_trailing_zero_weight(self):
+        # the last cumulative threshold is 1.0, which no draw reaches
+        K = finite_set([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        for rule in TIE_RULES:
+            vt = solve(GameSpec(30, 3, K), rule)
+            for n in (1, 2, 3, 17, 30):
+                cfg = SimConfig(table=vt, n=n, replications=40, seed=n)
+                assert estimate_win_prob(cfg) == _reference_result(cfg)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_per_game_loop(self, data):
+        m = data.draw(st.integers(2, 5))
+        if data.draw(st.booleans()):
+            eps = st.lists(st.floats(1e-3, 0.9 / m), min_size=m, max_size=m)
+            K = truncated_simplex(data.draw(eps))
+        else:
+            weights = st.lists(
+                st.one_of(st.just(0.0), st.just(0.5), st.floats(0.01, 1.0)), min_size=m, max_size=m
+            ).filter(lambda v: sum(v) > 0.0)
+            lots = []
+            for v in data.draw(st.lists(weights, min_size=1, max_size=5)):
+                probs = [w / sum(v) for w in v]
+                # a sum off 1 within SUM_TOL, which validate_lottery snaps
+                i = data.draw(st.integers(0, m - 1))
+                off = data.draw(st.floats(-SUM_TOL / 2, SUM_TOL / 2))
+                probs[i] = min(1.0, max(0.0, probs[i] + off))
+                lots.append(validate_lottery(probs))
+            K = LotterySet(tuple(lots))
+        vt = solve(GameSpec(data.draw(st.integers(1, 80)), m, K),
+                   data.draw(st.sampled_from(TIE_RULES)), seed=data.draw(st.integers(0, 9)))
+        if data.draw(st.booleans()):
+            # an arbitrary policy, so that every candidate gets played
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            policy = np.random.default_rng(seed).integers(0, len(K.lotteries), vt.n)
+            vt = dataclasses.replace(vt, picks=policy)
+        cfg = SimConfig(
+            table=vt,
+            n=data.draw(st.integers(1, vt.n)),
+            replications=data.draw(st.integers(1, 50)),
+            seed=data.draw(st.integers(0, 2**64)),
+        )
+        got = estimate_win_prob(cfg)
+        assert type(got.wins_first_player) is int
+        assert got == _reference_result(cfg)
+
+    def test_memory_is_the_draws_and_length_r_buffers(self):
+        # the benchmark's largest game; a second R x n array (a transposed
+        # copy of the draws, say) would break the bound
+        vt = solve(GameSpec(400, 3, truncated_simplex([0.05] * 3)))
+        R, n = 2000, 400
+        cfg = SimConfig(table=vt, n=n, replications=R, seed=0)
+        # the first draw in a process imports the modules of numpy's
+        # seeding, which tracemalloc would count
+        estimate_win_prob(SimConfig(table=vt, n=1, replications=1, seed=0))
+        tracemalloc.start()
+        try:
+            estimate_win_prob(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R * n * 8 + 16 * R * 8
+
+
+def _reference_result(cfg):
+    """estimate_win_prob as a loop over games and moves: game r reads row r
+    of the same Philox draws, moves min(1 + #{j: u >= cum_j}, m) objects
+    and ends on the move that takes at least the pile."""
+    vt, n, R = cfg.table, cfg.n, cfg.replications
+    draws = np.random.Generator(np.random.Philox(cfg.seed)).random((R, n)).tolist()
+    cums = [list(itertools.accumulate(vt.policy(k).probs)) for k in range(1, n + 1)]
+    wins = 0
+    for row in draws:
+        pile = n
+        for t, u in enumerate(row):
+            move = min(1 + sum(u >= c for c in cums[pile - 1]), vt.m)
+            if move >= pile:
+                wins += t % 2
+                break
+            pile -= move
+    p_hat = wins / R
+    return SimResult(wins, R, p_hat, math.sqrt(p_hat * (1.0 - p_hat) / R))
 
 
 class TestBruteForce:
