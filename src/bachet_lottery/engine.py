@@ -5,12 +5,15 @@ for a chosen lottery pi, with the boundary convention p_s = 1 for s <= 0
 (taking the last object loses).  The equilibrium value p_k maximizes this
 over the candidate lotteries; the recursion runs k = 1..n.
 
-The recursion is one generated Python function per solve: the last m
-values live in locals, each pile size costs one ``max`` over the
-candidates' payoff expressions, and the loop stops at the first repeated
-state.  Everything about ties is worked out after the loop, in numpy,
-from the evaluated prefix: the kernel's expressions are elementwise, so
-on arrays they give the same doubles as in the loop.  The table keeps
+The recursion is one generated Python function per shape of the
+candidate set (m and each lottery's nonzero positions), compiled once
+and called with the lottery weights bound: the last m values live in
+locals, each pile size keeps the least of the candidates' sums
+sum_i pi_i p_{k-i} and takes p_k = 1.0 less it, and the loop stops at the
+first repeated state.  Everything about ties is worked out after the
+loop, in numpy, from the evaluated prefix: the payoff kernel is written
+from the same sum text and is elementwise, so on arrays it gives the
+same doubles as the loop.  The table keeps
 that prefix only, so its size does not grow with n once a state repeats;
 a later pile size is read by going back whole periods (``fold``).
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -123,19 +126,29 @@ class ValueTable:
         return self.candidates[int(self.argmax(k))]
 
 
-def _payoff_exprs(candidates: Sequence[Lottery]) -> list[str]:
-    """Each lottery's payoff 1 - sum_i pi_i * p_{k-i} as expression text in
-    t0..t{m-1}, where t_j = p_{k-m+j}: summed left to right over i = 1..m,
-    zero weights left out.  The one definition of the payoff."""
+def _shape(candidates: Sequence[Lottery]) -> tuple[tuple, tuple[float, ...]]:
+    """(shape, weights) of a candidate list.  The shape is m and, for each
+    candidate in order, the positions i whose weight pi_i is nonzero; the
+    weights are those nonzero pi_i in the same order.  Sets of one shape
+    share their generated code, and only the weights bound to it differ."""
     m = candidates[0].m
-    exprs = []
-    for lot in candidates:
-        # p_{k-i} is t_{m-i}
-        terms = " + ".join(
-            f"{lot.probs[i - 1]!r}*t{m - i}" for i in range(1, m + 1) if lot.probs[i - 1] != 0.0
-        )
-        exprs.append(f"1.0 - ({terms})" if terms else "1.0")
-    return exprs
+    positions = tuple(
+        tuple(i for i in range(1, m + 1) if lot.probs[i - 1] != 0.0) for lot in candidates
+    )
+    weights = tuple(w for lot in candidates for w in lot.probs if w != 0.0)
+    return (m, positions), weights
+
+
+def _sum_exprs(shape: tuple) -> list[str]:
+    """Each candidate's sum_i pi_i * p_{k-i} as expression text in the
+    weights w0, w1, ... (numbered across the candidates, in ``_shape``'s
+    order) and t0..t{m-1}, where t_j = p_{k-m+j}: summed left to right
+    over i = 1..m, zero weights left out.  The payoff is 1.0 less this
+    sum: the one definition of the payoff."""
+    m, positions = shape
+    weight = itertools.count()
+    # p_{k-i} is t_{m-i}
+    return [" + ".join(f"w{next(weight)}*t{m - i}" for i in pos) or "0.0" for pos in positions]
 
 
 def _compiled(src: str, name: str):
@@ -145,18 +158,65 @@ def _compiled(src: str, name: str):
     return ns[name]
 
 
+@lru_cache(maxsize=64)
+def _generated(name: str, shape: tuple):
+    """The generated function ``name`` for one shape: ``_kernel`` (see
+    ``payoff_kernel``) or ``_run`` (see ``_recursion``), each taking the
+    weights w0, w1, ... as its leading parameters.  Both are written from
+    ``_sum_exprs``; the cache keeps the code of the last 64 (name, shape)
+    pairs, so a process compiles each shape's code once and holds a
+    bounded amount of it whatever sets it meets."""
+    m, positions = shape
+    sums = _sum_exprs(shape)
+    weights = [f"w{j}" for j in range(sum(map(len, positions)))]
+    state = [f"t{j}" for j in range(m)]
+    if name == "_kernel":
+        body = ", ".join(f"1.0 - ({s})" for s in sums)
+        return _compiled(f"def _kernel({', '.join(weights + state)}):\n    return ({body},)", name)
+    saved = [f"s{j}" for j in range(m)]
+    least = [f"x = {sums[0]}"]
+    for s in sums[1:]:
+        least += [f"y = {s}", "if y < x: x = y"]
+    shift = [f"t{j} = t{j + 1}" for j in range(m - 1)] + [f"t{m - 1} = best"]
+    same = " and ".join(f"{t} == {s}" for t, s in zip(state, saved))
+    lines = [
+        f"def _run({', '.join(weights + ['put', 'n'] + state)}):",
+        f"    {', '.join(saved)} = {', '.join(state)}",
+        "    period, power = 0, 1",
+        "    for _ in range(n):",
+        *(f"        {s}" for s in least),
+        "        best = 1.0 - x",
+        "        put(best)",
+        *(f"        {s}" for s in shift),
+        "        period += 1",
+        f"        if {same}:",
+        "            return period",
+        "        if period == power:",
+        f"            {', '.join(saved)} = {', '.join(state)}",
+        "            period, power = 0, 2 * power",
+        "    return 0",
+    ]
+    return _compiled("\n".join(lines), name)
+
+
+def _bound(name: str, candidates: Sequence[Lottery]):
+    """The generated function ``name`` for the candidates' shape, with
+    their weights bound."""
+    shape, weights = _shape(candidates)
+    return partial(_generated(name, shape), *weights)
+
+
 def payoff_kernel(candidates: Sequence[Lottery]):
     """Build f(t_0, ..., t_{m-1}) -> tuple of per-candidate payoffs.
 
-    t_j = p_{k-m+j}, i.e. the tail in increasing k order.  The lottery
-    coefficients are baked into generated bytecode.  The arguments may
-    be floats or equal-length float64 arrays: every operation is
-    elementwise, so entry j of the array result is the scalar result
-    for column j, bit for bit.
+    t_j = p_{k-m+j}, i.e. the tail in increasing k order.  Each payoff is
+    ``1.0 - (sum)`` with the sum from ``_sum_exprs``; the code is
+    generated once per shape and the lottery weights are bound to it.
+    The arguments may be floats or equal-length float64 arrays: every
+    operation is elementwise, so entry j of the array result is the
+    scalar result for column j, bit for bit.
     """
-    args = ", ".join(f"t{j}" for j in range(candidates[0].m))
-    body = ", ".join(_payoff_exprs(candidates))
-    return _compiled(f"def _kernel({args}):\n    return ({body},)", "_kernel")
+    return _bound("_kernel", candidates)
 
 
 def payoffs(candidates: Sequence[Lottery], ext: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -169,35 +229,17 @@ def _recursion(candidates: Sequence[Lottery]):
     """Build run(put, n, t0, ..., t{m-1}) -> period.
 
     From the state (t0, ..., t{m-1}) = (p_{1-m}, ..., p_0) it evaluates
-    p_k = max over the candidates' payoffs for k = 1, 2, ..., passes each
-    to ``put``, and shifts it into the locals.  Brent's saved state lives
-    in the locals s0..s{m-1}.  It returns the repeat length at the first
-    state equal to the saved one, or 0 after n pile sizes without one.
+    p_k for k = 1, 2, ..., passes each to ``put``, and shifts it into the
+    locals.  p_k is 1.0 less the least of the candidates' sums, kept by
+    one ``if y < x`` per candidate after the first: rounding to nearest
+    is monotone, so fl(1 - s) does not increase in s, and the maximum of
+    the payoffs fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is
+    never -0.0, so equal payoffs have equal bits).  Brent's saved state
+    lives in the locals s0..s{m-1}.  It returns the repeat length at the
+    first state equal to the saved one, or 0 after n pile sizes without
+    one.
     """
-    m = candidates[0].m
-    exprs = _payoff_exprs(candidates)
-    state = [f"t{j}" for j in range(m)]
-    saved = [f"s{j}" for j in range(m)]
-    shift = [f"t{j} = t{j + 1}" for j in range(m - 1)] + [f"t{m - 1} = best"]
-    same = " and ".join(f"{t} == {s}" for t, s in zip(state, saved))
-    best = exprs[0] if len(exprs) == 1 else f"max({', '.join(exprs)})"
-    lines = [
-        f"def _run(put, n, {', '.join(state)}):",
-        f"    {', '.join(saved)} = {', '.join(state)}",
-        "    period, power = 0, 1",
-        "    for _ in range(n):",
-        f"        best = {best}",
-        "        put(best)",
-        *(f"        {s}" for s in shift),
-        "        period += 1",
-        f"        if {same}:",
-        "            return period",
-        "        if period == power:",
-        f"            {', '.join(saved)} = {', '.join(state)}",
-        "            period, power = 0, 2 * power",
-        "    return 0",
-    ]
-    return _compiled("\n".join(lines), "_run")
+    return _bound("_run", candidates)
 
 
 def _tie_sets(mask: np.ndarray, period: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -225,8 +267,9 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     ``==``, and that is enough for the repeated tail to be bit-identical
     to the full loop's: lotteries are finite, so no NaN arises, and two
     locals that compare equal differ at most in the sign of a zero, which
-    cannot change a payoff ``1.0 - (sum of w*t)`` (a zero term leaves a
-    non-zero sum unchanged, and 1.0 - (+-0.0) is 1.0).
+    cannot change p_{k+1}, 1.0 less the least sum of w*t (a zero term
+    leaves a non-zero sum unchanged, a zero sum compares equal to a zero
+    of either sign, and 1.0 - (+-0.0) is 1.0).
 
     The ties are found after the loop, over the evaluated pile sizes at
     once: ``payoffs`` of the prefix gives the loop's doubles, and a candidate

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -16,7 +17,7 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
-from bachet_lottery import engine
+from bachet_lottery import cli, engine
 from bachet_lottery.engine import TIE_RULES, TIE_TOL
 from bachet_lottery.errors import DegenerateSetError
 
@@ -291,10 +292,13 @@ class TestCycleDetection:
             assert part.tie_sets == full.tie_sets[:n]
 
     def test_unknown_tie_rule_rejected_first(self, monkeypatch):
-        def no_kernel(candidates):
-            pytest.fail("kernel compiled before the tie rule was checked")
+        def no_code(name, shape):
+            pytest.fail(f"{name} built before the tie rule was checked")
 
-        monkeypatch.setattr(engine, "payoff_kernel", no_kernel)
+        # the cache may hold this shape already; the builder behind it is
+        # replaced, so reaching it fails either way
+        solve(GameSpec(5, 2, HALF))
+        monkeypatch.setattr(engine, "_generated", no_code)
         with pytest.raises(ValueError, match="'no_such_rule'"):
             solve(GameSpec(5, 2, HALF), "no_such_rule")
 
@@ -331,6 +335,7 @@ SHAPES = [
     ("30 random lotteries", _random_set(random.Random(30), 30, 4), 256),
     ("m=2", truncated_simplex([0.2] * 2), 258),
     ("m=6", truncated_simplex([0.02] * 6), 2054),
+    ("duplicate lotteries", finite_set([[0.1, 0.2, 0.7], [0.1, 0.2, 0.7], [0.6, 0.2, 0.2]]), 256),
 ]
 SHAPE_IDS = [label for label, _, _ in SHAPES]
 
@@ -349,14 +354,79 @@ class TestGeneratedLoop:
             assert vt.tie_mask.shape == (vt.computed, len(K.lotteries))
 
     def test_cases_have_their_shape(self):
-        single, zero_first, many, two, six = (K for _, K, _ in SHAPES)
+        single, zero_first, many, two, six, twins = (K for _, K, _ in SHAPES)
         assert len(single.lotteries) == 1
         assert zero_first.lotteries[0].probs[0] == 0.0
         assert len(many.lotteries) == 30
         assert any(0.0 in lot.probs for lot in many.lotteries)
         assert (two.m, six.m) == (2, 6)
+        # the twins' sums are equal at every pile size, so the least-sum
+        # chain meets equal sums, and each tie set holds both twins or neither
+        assert twins.lotteries[0] == twins.lotteries[1]
+        vt = solve(GameSpec(100, 3, twins))
+        assert vt.tie_mask[:, 0].tolist() == vt.tie_mask[:, 1].tolist() and vt.tie_mask[:, 0].any()
         for label, K, detect in SHAPES:
             assert solve(GameSpec(3 * detect, K.m, K)).computed == detect, label
+
+
+class TestLeastSum:
+    """The loop keeps the least candidate sum and subtracts it once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+        st.data(),
+    )
+    def test_max_of_payoffs_is_one_less_least_sum(self, sums, data):
+        # rounding to nearest is monotone, so fl(1 - s) does not increase in s
+        sums = sums + data.draw(st.lists(st.sampled_from(sums), max_size=4))
+        sums = data.draw(st.permutations(sums))
+        least = sums[0]
+        for y in sums[1:]:
+            if y < least:
+                least = y
+        want = max(1.0 - s for s in sums)
+        assert (1.0 - least).hex() == (1.0 - min(sums)).hex() == want.hex()
+
+
+class TestCompiledOncePerShape:
+    """The loop and the kernel are generated once per shape of the set."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        names = []
+        real = engine._compiled
+
+        def counting(src, name):
+            names.append(name)
+            return real(src, name)
+
+        engine._generated.cache_clear()
+        monkeypatch.setattr(engine, "_compiled", counting)
+        yield names
+        engine._generated.cache_clear()
+
+    def test_sweep_compiles_one_loop_and_one_kernel(self, compiled, tmp_path):
+        eps = [0.001, 0.003, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"game": {"n": 200, "m": 3}, "sweep": {"epsilon_values": eps}}))
+        assert cli.run("sweep", cfg, output=tmp_path / "out") == 0
+        assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 1 + len(eps)
+        assert sorted(compiled) == ["_kernel", "_run"]
+        # another shape: first weight zero
+        solve(GameSpec(50, 3, finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]])))
+        assert sorted(compiled) == ["_kernel", "_kernel", "_run", "_run"]
+        solve(GameSpec(50, 3, finite_set([[0.0, 0.5, 0.5], [0.2, 0.4, 0.4]])))
+        assert len(compiled) == 4
+
+    def test_cache_is_bounded(self, compiled):
+        size = engine._generated.cache_info().maxsize
+        assert isinstance(size, int) and size > 0
+        # sets of more shapes than the cache holds: |K| = 1..size, m = 2
+        for count in range(1, size + 2):
+            solve(GameSpec(5, 2, finite_set([[0.5, 0.5]] * count)))
+        assert engine._generated.cache_info().currsize == size
+        assert len(compiled) == 2 * (size + 1)
 
 
 # the repeat lengths of CYCLES, in the same order
