@@ -70,13 +70,14 @@ def _umask() -> int:
     return mask
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write the concatenated ``chunks`` to ``path`` via a temp file and a rename."""
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the concatenated ``chunks`` to ``path`` as they are, via a temp
+    file and a rename."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.writelines(chunks)
             # mkstemp creates the file 0600; give it the mode open() would have
             os.chmod(tmp, 0o666 & ~_umask())
@@ -99,7 +100,9 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A float, or an int that a double can hold: float() of a larger one
+    raises OverflowError."""
+    return isinstance(x, float) or (_is_int(x) and abs(x) <= sys.float_info.max)
 
 
 def _is_reals(x) -> bool:
@@ -178,12 +181,14 @@ def load_config(path: str | Path, command: str) -> dict:
 
 def _cells(cols: np.ndarray) -> np.ndarray:
     """The "%.17g," text of each double in ``cols``, as an object array of
-    the same shape.  Each distinct magnitude is formatted once, and a cell
-    whose sign bit is set gets a "-" in front: what "%.17g" prints for any
-    double but a NaN, -0.0 included."""
-    mags = np.abs(cols).ravel().tolist()
-    text = {x: "%.17g," % x for x in dict.fromkeys(mags)}
-    cells = np.array(list(map(text.__getitem__, mags)), dtype=object).reshape(cols.shape)
+    the same shape.  The distinct magnitudes (``np.unique``) are formatted
+    in one batch, one ``%`` on a template of "%.17g,\n" per magnitude whose
+    result is split at the newlines.  A cell whose sign bit is set gets a
+    "-" in front: what "%.17g" prints for any double but a NaN, -0.0
+    included."""
+    mags, inverse = np.unique(np.abs(cols), return_inverse=True)
+    text = ("%.17g,\n" * mags.size % tuple(mags.tolist())).split("\n")
+    cells = np.array(text[:-1], dtype=object)[inverse.reshape(cols.shape)]
     neg = np.signbit(cols)
     cells[neg] = "-" + cells[neg]
     return cells
@@ -195,56 +200,102 @@ def _envelopes(delta: float | None, m: int) -> Iterator[str]:
     smaller: from the first 0.0 on, the field is "0," and no power is
     taken."""
     if delta is None:
-        yield from itertools.repeat(",")
-        return
-    for start in itertools.count(1, 3 * m):
-        bound = analysis.envelope_bound(start, delta, m)
-        if bound == 0.0:
-            break
-        yield "%.17g," % bound
-    yield from itertools.repeat("0,")
+        return itertools.repeat(",")
+    bounds = (analysis.envelope_bound(k, delta, m) for k in itertools.count(1, 3 * m))
+    powers = ("%.17g," % bound for bound in itertools.takewhile(bool, bounds))
+    return itertools.chain(powers, itertools.repeat("0,"))
+
+
+def _repeat_start(picks: np.ndarray, series: list[np.ndarray], computed: int, period: int) -> int:
+    """The first row S from which the rows repeat: for every k >= S + period,
+    row k's six series fields and pick equal those of row k - period.  One
+    pass over the rows 1..computed, the doubles compared as int64 views so
+    that -0.0 != 0.0; past computed the rows repeat by ``engine.fold``."""
+    differs = picks[period:computed] != picks[: computed - period]
+    for s in series:
+        bits = s[:computed].view(np.int64)
+        differs |= bits[period:] != bits[: computed - period]
+    # entry i compares row i + 1 + period with row i + 1
+    last = np.flatnonzero(differs)
+    return int(last[-1]) + 2 if last.size else 1
+
+
+def _segments(body: list[str], moves: list[str], phase: int, block: int, digits: int) -> list[str]:
+    """The block + 1 strings whose join by an envelope field is the text of
+    a 3m-block whose first row repeats row ``phase`` of the cycle
+    (``body``: the six series fields, ``moves``: the move field), with
+    ``digits`` zeros where each row's k goes."""
+    rows = [(phase + r) % len(body) for r in range(block)]
+    heads = ["0" * digits + "," + body[i] for i in rows]
+    return [heads[0], *(moves[i] + h for i, h in zip(rows, heads[1:])), moves[rows[-1]]]
 
 
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    """The lines of values.csv: the header, then one string per chunk of
-    whole 3m-blocks, about CHUNK_ROWS rows.
+    """The bytes of values.csv: the header, then one ``bytes``-like chunk
+    per run of whole 3m-blocks, about CHUNK_ROWS rows.
 
-    A row is k, the six series fields, the envelope and the move, joined
-    from a (rows, 9) array of strings.  The series fields of the rows
-    1..vt.computed come from ``_cells`` a chunk at a time, so each
-    distinct magnitude is formatted once per chunk and the writer never
-    holds more than a chunk's strings.  Every later row repeats one of the
-    last vt.period rows (see ValueTable), whose cells are made once.  The
+    A row is k, the six series fields, the envelope and the move.  The
     envelope is one string per block (``_envelopes``), and the move is the
-    label of vt.argmax(k), formatted once per candidate.
+    label of vt.argmax(k).  When the picks repeat (not under
+    seeded_random), every row from S = ``_repeat_start`` on is k plus one
+    of the ``period`` rows S..S + period - 1, whose text is made once.  A
+    chunk that starts at or after S, holds whole blocks and whose k all
+    have the same number of digits is joined from that cycle: each block is
+    ``env.join`` of the phase's ``_segments``, and k's digits are then
+    written into the chunk by integer arithmetic, at offsets from a cumsum
+    of the row widths.  Every other chunk (the rows before S, every chunk
+    of a seeded_random table, the one holding a power of ten, a last one
+    that ends inside a block) reads its rows through ``ds.index`` and
+    formats each distinct magnitude once (``_cells``).  The writer holds
+    a chunk's text, one cycle's, and the block texts of about a chunk.
     """
     m, n, c, period = vt.m, vt.n, vt.computed, vt.period
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
-    if n > c:
-        tail = _cells(np.stack([s[c - period : c] for s in series], axis=1))
     labels = np.array(["%d\n" % i for i in range(len(vt.candidates))], dtype=object)
     envs = _envelopes(delta, m)
     block = 3 * m
     size = block * max(1, CHUNK_ROWS // block)
-    yield VALUES_HEADER
+    start = n + 1
+    if period and vt.picks.size == c:
+        start = _repeat_start(vt.picks, series, c, period)
+        cycle = _cells(np.stack([s[start - 1 : start - 1 + period] for s in series], axis=1))
+        body = ["".join(row) for row in cycle.tolist()]
+        moves = labels[vt.picks[start - 1 : start - 1 + period]].tolist()
+        width = np.array([len(b) + len(v) for b, v in zip(body, moves)])
+    segs: dict[tuple[int, int], list[str]] = {}  # (digits, phase): about a chunk's blocks
+    yield VALUES_HEADER.encode()
     for lo in range(0, n, size):
         hi = min(n, lo + size)
-        mid = min(max(lo, c), hi)  # rows lo..mid were evaluated, mid..hi repeat
         ks = np.arange(lo + 1, hi + 1)
+        env = list(itertools.islice(envs, -(-(hi - lo) // block)))
+        digits = len(str(hi))
+        if lo >= start - 1 and len(str(lo + 1)) == digits and (hi - lo) % block == 0:
+            phases = ((ks[::block] - start) % period).tolist()
+            if len(segs) > size // block:
+                segs.clear()
+            for f in set(phases):
+                if (digits, f) not in segs:
+                    segs[digits, f] = _segments(body, moves, f, block, digits)
+            parts = [segs[digits, f] for f in phases]
+            chunk = bytearray("".join(map(str.join, env, parts)), "ascii")
+            widths = width[(ks - start) % period] + (digits + 1)
+            widths += np.repeat([len(e) for e in env], block)
+            at = (np.cumsum(widths) - widths)[:, None] + np.arange(digits)
+            power = 10 ** np.arange(digits - 1, -1, -1)
+            np.frombuffer(chunk, np.uint8)[at] = ks[:, None] // power % 10 + ord("0")
+            yield chunk
+            continue
         row = np.empty((hi - lo, 9), dtype=object)
         row[:, 0] = ["%d," % k for k in range(lo + 1, hi + 1)]
-        if mid > lo:
-            row[: mid - lo, 1:7] = _cells(np.stack([s[lo:mid] for s in series], axis=1))
-        if hi > mid:
-            row[mid - lo :, 1:7] = tail[(ks[mid - lo :] - c - 1) % period]
-        env = np.array(list(itertools.islice(envs, -(-(hi - lo) // block))), dtype=object)
-        row[:, 7] = env.repeat(block)[: hi - lo]
+        idx = ds.index(ks)
+        row[:, 1:7] = _cells(np.stack([s[idx] for s in series], axis=1))
+        row[:, 7] = np.array(env, dtype=object).repeat(block)[: hi - lo]
         row[:, 8] = labels[vt.argmax(ks)]
-        yield "".join(row.ravel().tolist())
+        yield "".join(row.ravel().tolist()).encode()
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 @contextmanager
@@ -303,7 +354,7 @@ def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
     }
     if explore:
         summary["warning"] = "nu-zero exploration: convergence hypotheses not verified"
-    _atomic_write(out / "summary.json", (_json_text(summary),))
+    _atomic_write(out / "summary.json", (_json_bytes(summary),))
     return 0
 
 
@@ -328,7 +379,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         "all_passed": total_violations == 0,
         "checks": [r.summary() for r in reports],
     }
-    _atomic_write(out / "report.json", (_json_text(report),))
+    _atomic_write(out / "report.json", (_json_bytes(report),))
     return 0 if total_violations == 0 else 1
 
 
@@ -362,7 +413,7 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
         p_eng = vt.p(n)
         z = 0.0 if res.std_err == 0.0 else (res.p_hat - p_eng) / res.std_err
         lines.append(SIM_ROW % (n, reps, seed, res.p_hat, res.std_err, p_eng, z))
-    _atomic_write(out / "simulation.csv", lines)
+    _atomic_write(out / "simulation.csv", ("".join(lines).encode(),))
     return 0
 
 
@@ -407,7 +458,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         p_n = vt.p(vt.n)
         delta = "" if dc is None else "%.17g" % dc.delta
         lines.append(SWEEP_ROW % (spec.n, spec.m, cond.eta, cond.nu, delta, p_n, abs(p_n - 0.5)))
-    _atomic_write(out / "sweep.csv", lines)
+    _atomic_write(out / "sweep.csv", ("".join(lines).encode(),))
     return 0
 
 

@@ -28,7 +28,7 @@ from bachet_lottery import (
     solve,
     truncated_simplex,
 )
-from bachet_lottery.cli import run
+from bachet_lottery.cli import _values_csv, run
 
 HALF = finite_set([[0.5, 0.5]])
 MIRROR = finite_set([[0.9, 0.1], [0.1, 0.9]])
@@ -141,6 +141,61 @@ def test_large_n_cli_solve_budget(tmp_path):
     assert digest == "9866910c5289b9607a8259218a8457ab2bad7be0e2770a3a54db114e89973982"
     assert elapsed < 3.0, f"n=1e6 CLI solve took {elapsed:.2f} s"
     report(f"large n: n=1e6 m=3 eps=0.05 CLI solve, values.csv unchanged, in {elapsed:.2f} s")
+
+
+# midpoints of the edges of a truncated simplex, then its vertices: picks
+# reach all ten labels before the table repeats with period 5
+TEN_LOTTERIES = [[0.48 if i in pair else 0.02 for i in range(4)]
+                 for pair in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+TEN_LOTTERIES += [[0.94 if i == j else 0.02 for i in range(4)] for j in range(4)]
+
+
+def file_sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "game, digest",
+    [
+        # rows repeat from k=2715 with period 5, inside the envelope region
+        pytest.param({"n": 10**6, "m": 4, "K": {"type": "truncated_simplex", "epsilon": [0.01] * 4}},
+                     "aae5591309732224a19ffb0d20bd8571f3713d9582a280a641df1ffa42ce2d34",
+                     id="n=1e6 m=4 eps=0.01"),
+        # a late repeat: rows repeat from k=30696 with period 4
+        pytest.param({"n": 10**6, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.001] * 3}},
+                     "39ab48c0309debc1c63bd50c19b8f75ef9b27d8da03c1ab1f23f73225246f50b",
+                     id="n=1e6 m=3 eps=0.001"),
+        pytest.param({"n": 20_000, "m": 4, "K": {"type": "finite", "lotteries": TEN_LOTTERIES}},
+                     "91822cb002ee9c9813a38b2bb86ad56a0880a4deec28c3bb2c81ceba697d77d6",
+                     id="|K|=10"),
+    ],
+)
+def test_cli_values_csv_digest(tmp_path, game, digest):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"game": game}))
+    assert run("solve", cfg, output=tmp_path / "out") == 0
+    values = tmp_path / "out" / "values.csv"
+    got = file_sha256(values)
+    values.unlink()
+    assert got == digest
+    report(f"values.csv unchanged: n={game['n']} m={game['m']} {game['K']['type']} set")
+
+
+def test_highest_index_values_csv_digest():
+    # the CLI picks lowest_index; the writer reads any rule's picks
+    spec = GameSpec(20_000, 3, truncated_simplex([0.05] * 3))
+    vt = solve(spec, TIE_HIGHEST)
+    cond = compute_conditions(spec.K)
+    delta = drop_constants(cond.eta, cond.nu).delta
+    text = b"".join(_values_csv(vt, deviation_series(vt), delta))
+    assert hashlib.sha256(text).hexdigest() == (
+        "76ce1470882d1233131d553e3b81012a93d1a54fa428a3d136bdf425ed4e273c"
+    )
+    report("values.csv unchanged under highest_index at n=2e4 m=3 eps=0.05")
 
 
 def test_huge_n_verify_budget(tmp_path):

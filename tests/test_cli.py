@@ -28,7 +28,7 @@ from bachet_lottery import (
 )
 from bachet_lottery import cli
 from bachet_lottery.analysis import DeviationSeries
-from bachet_lottery.cli import VALUES_FIELDS, _envelopes, _values_csv, run
+from bachet_lottery.cli import VALUES_FIELDS, _envelopes, _repeat_start, _values_csv, run
 from bachet_lottery.engine import TIE_RULES, fold
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
@@ -327,6 +327,20 @@ class TestConfigErrors:
         assert run("verify", cfg, output=tmp_path / "out") == 2
         assert "nu = 0" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "simulate", "explore-nu-zero"])
+    @pytest.mark.parametrize(
+        "field,K",
+        [
+            ("game.K.epsilon", {"type": "truncated_simplex", "epsilon": [10**400, 0.05]}),
+            ("game.K.lotteries", {"type": "finite", "lotteries": [[0.5, 0.5], [10**400, 0]]}),
+        ],
+        ids=["epsilon", "lotteries"],
+    )
+    def test_int_past_double_range_names_field(self, tmp_path, capsys, command, field, K):
+        payload = {"game": {"n": 5, "m": 2, "K": K}, "sim": {"replications": 10, "seed": 1}}
+        assert run(command, write_config(tmp_path, payload), output=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
     def test_missing_file(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", output=tmp_path / "out") == 2
 
@@ -469,9 +483,11 @@ class TestConfigErrors:
 
 
 # Integer magnitudes are bounded so every run stays small, not because
-# larger ones are handled differently.
+# larger ones are handled differently; the two past the range of a double,
+# which JSON allows, stand for the integers a float cannot hold.
 JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 60), st.floats(), st.text(max_size=6)
+    st.none(), st.booleans(), st.integers(-3, 60), st.floats(), st.text(max_size=6),
+    st.sampled_from([10**400, -(10**400)]),
 )
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
@@ -639,7 +655,7 @@ def _reference_values_csv(vt, delta):
 
 def assert_writer_matches_reference(spec, delta, rule=TIE_LOWEST, seed=0):
     vt = solve(spec, rule, seed=seed)
-    got = "".join(_values_csv(vt, deviation_series(vt), delta))
+    got = b"".join(_values_csv(vt, deviation_series(vt), delta)).decode()
     want = _reference_values_csv(vt, delta)
     if got != want:
         # name the first differing line instead of diffing megabytes of text
@@ -666,6 +682,45 @@ FIELD_TABLES = [solve(GameSpec(n, 3, truncated_simplex([eps] * 3)))
                 for n, eps in ((2500, 0.05), (1200, 0.001), (7, 0.05))]
 
 
+def repeat_from(cols, start, period):
+    """Make the hand-built rows (the columns of ``cols``) repeat from row
+    ``start`` on, as a solved table's do from S."""
+    for k in range(start + period, cols.shape[1] + 1):
+        cols[:, k - 1] = cols[:, k - 1 - period]
+
+
+def assert_rows_match_the_fields(vt, cols, env):
+    """The writer's text, for ``vt`` with the six series of rows
+    1..computed replaced by the rows of ``cols``, against the field template."""
+    p, d, delta, bar, plus, minus = cols
+    ds = DeviationSeries(m=vt.m, n=vt.n, computed=vt.computed, period=vt.period,
+                         p=p, p_min=p, p_max=p, d=d, delta=delta, delta_bar=bar,
+                         delta_plus=plus, delta_minus=minus, delta_bar_minus=minus)
+    got = b"".join(_values_csv(vt, ds, env)).decode().splitlines(keepends=True)
+    assert got[0] == VALUES_HEAD
+    rows = cols.T.tolist()
+    for k, line in enumerate(got[1:], 1):
+        bound = "," if env is None else "%.17g," % analysis.envelope_bound(k, env, vt.m)
+        want = "%d," % k + VALUES_FIELDS % tuple(rows[fold(k, vt.computed, vt.period) - 1])
+        assert line == want + bound + "%d\n" % vt.argmax(k), k
+    assert len(got) == vt.n + 1
+
+
+def repeat_start(vt):
+    """The writer's first repeating row of a solved table."""
+    ds = deviation_series(vt)
+    series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
+    return _repeat_start(vt.picks, series, vt.computed, vt.period)
+
+
+def spied(monkeypatch, name):
+    """Count the calls of the cli function ``name``."""
+    calls = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 @st.composite
 def finite_games(draw):
     m = draw(st.integers(2, 5))
@@ -678,8 +733,74 @@ def finite_games(draw):
 
 
 class TestValuesWriter:
-    """The values.csv writer formats the repeating tail from one cycle; its
+    """The values.csv writer joins the repeating rows from one cycle; its
     text must equal one row template mapped over every row."""
+
+    @pytest.mark.parametrize("eps, m, start", [(0.01, 4, 2715), (0.05, 3, 628), (0.001, 3, 30696)])
+    def test_repeat_start_of_solved_tables(self, eps, m, start):
+        assert repeat_start(solve(GameSpec(10**5, m, truncated_simplex([eps] * m)))) == start
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_repeat_start_is_the_first_repeating_row(self, data):
+        period = data.draw(st.integers(1, 5))
+        computed = data.draw(st.integers(period, 40))
+        # a pool this small repeats rows by chance too; its zeros differ in sign
+        cell = st.sampled_from([0.0, -0.0, 0.5, 2.0**-54])
+        rows = data.draw(st.lists(st.tuples(*[cell] * 6, st.integers(0, 1)),
+                                  min_size=computed, max_size=computed))
+        planted = data.draw(st.integers(1, computed - period + 1))
+        for k in range(planted + period, computed + 1):
+            rows[k - 1] = rows[k - 1 - period]
+        cols = np.array([r[:6] for r in rows]).T
+        start = _repeat_start(np.array([r[6] for r in rows]), list(cols), computed, period)
+        bits = [tuple(np.array(r[:6]).view(np.int64).tolist()) + r[6:] for r in rows]
+        assert 1 <= start <= planted
+        assert all(bits[k - 1] == bits[k - 1 - period] for k in range(start + period, computed + 1))
+        if start > 1:
+            assert bits[start - 2 + period] != bits[start - 2]
+
+    @DELTAS
+    @pytest.mark.parametrize("at", ["S-1", "S", "S+period", "S+3m"])
+    @pytest.mark.parametrize("label, K", WRITER_SETS, ids=[label for label, _ in WRITER_SETS])
+    def test_matches_reference_around_repeat_start(self, label, K, at, delta):
+        # S: the first repeating row once n is large enough
+        probe = solve(GameSpec(100_000, K.m, K))
+        start, period, m = repeat_start(probe), probe.period, K.m
+        n = {"S-1": start - 1, "S": start, "S+period": start + period, "S+3m": start + 3 * m}[at]
+        assert_writer_matches_reference(GameSpec(max(1, n), K.m, K), delta)
+
+    @DELTAS
+    @pytest.mark.parametrize("rows", [1, 2 * 3 * 5, 100])
+    @pytest.mark.parametrize("label, K", WRITER_SETS, ids=[label for label, _ in WRITER_SETS])
+    def test_matches_reference_at_chunk_edges(self, label, K, rows, delta, monkeypatch):
+        # chunks of one block, and of a few: the first chunk joined from the
+        # cycle starts at the first chunk edge at or after S
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        probe = solve(GameSpec(100_000, K.m, K))
+        segments = spied(monkeypatch, "_segments")
+        n = max(3 * probe.computed, 1000) + 7 * K.m
+        assert_writer_matches_reference(GameSpec(n, K.m, K), delta)
+        assert segments
+
+    @DELTAS
+    @pytest.mark.parametrize("rows, n, digits", [(1, 10_017, {3, 4, 5}), (cli.CHUNK_ROWS, 10_007, {4})])
+    def test_power_of_ten_inside_the_row_template(self, rows, n, digits, delta, monkeypatch):
+        # rows repeat from k=628.  With one block per chunk, a chunk starts
+        # at k=10000; with 504 rows, the chunk that holds it is formatted
+        # row by row, and so is the last one, of part of a block
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        segments = spied(monkeypatch, "_segments")
+        assert_writer_matches_reference(GameSpec(n, 3, truncated_simplex([0.05] * 3)), delta)
+        assert {a[4] for a in segments} == digits
+
+    def test_seeded_random_stays_on_the_general_path(self, monkeypatch):
+        # its picks never repeat, so no row is joined from a cycle
+        spec = GameSpec(3 * 1027 + 2, 3, truncated_simplex([0.05] * 3))
+        assert solve(spec, TIE_RANDOM).picks.size == spec.n
+        segments = spied(monkeypatch, "_segments")
+        assert_writer_matches_reference(spec, 0.9, TIE_RANDOM, seed=1)
+        assert not segments
 
     @DELTAS
     @pytest.mark.parametrize("at", ["c-1", "c", "c+1", "c+period", "c+3m", "3c"])
@@ -722,19 +843,23 @@ class TestValuesWriter:
         cols = np.array(pool)[rng.integers(0, len(pool), (6, vt.computed))]
         cols *= rng.choice([-1.0, 1.0], cols.shape)
         cols[:, 0] = -np.abs(cols[:, 0])  # a sign bit in every column
-        p, d, delta, bar, plus, minus = cols
-        ds = DeviationSeries(m=vt.m, n=vt.n, computed=vt.computed, period=vt.period,
-                             p=p, p_min=p, p_max=p, d=d, delta=delta, delta_bar=bar,
-                             delta_plus=plus, delta_minus=minus, delta_bar_minus=minus)
-        env = data.draw(st.sampled_from([None, 0.5]))
-        got = "".join(_values_csv(vt, ds, env)).splitlines(keepends=True)
-        assert got[0] == VALUES_HEAD
-        rows = cols.T.tolist()
-        for k, line in enumerate(got[1:], 1):
-            bound = "," if env is None else "%.17g," % analysis.envelope_bound(k, env, vt.m)
-            want = "%d," % k + VALUES_FIELDS % tuple(rows[fold(k, vt.computed, vt.period) - 1])
-            assert line == want + bound + "%d\n" % vt.argmax(k), k
-        assert len(got) == vt.n + 1
+        if vt.period:
+            repeat_from(cols, data.draw(st.integers(1, vt.computed - vt.period + 1)), vt.period)
+        assert_rows_match_the_fields(vt, cols, data.draw(st.sampled_from([None, 0.5])))
+
+    @pytest.mark.parametrize("planted", [1008, 1009, 1010, 1011])
+    def test_rows_repeat_from_a_start_at_a_chunk_edge(self, planted):
+        # the third chunk of 504 rows starts at row 1009
+        vt = FIELD_TABLES[0]
+        rng = np.random.default_rng(planted)
+        cols = rng.choice(FIELD_POOL, (6, vt.computed)) * rng.choice([-1.0, 1.0], (6, vt.computed))
+        repeat_from(cols, planted, vt.period)
+        assert_rows_match_the_fields(vt, cols, 0.5)
+
+    def test_repeat_start_tells_signed_zeros_apart(self):
+        # rows 2 and 4 differ only in the sign of a zero
+        p = np.array([0.5, 0.0, 0.5, -0.0, 0.5, -0.0, 0.5, -0.0])
+        assert _repeat_start(np.zeros(8, int), [p] + [np.ones(8)] * 5, 8, 2) == 3
 
     @pytest.mark.parametrize("delta", [0.5, 0.8363636363636363, 0.99])
     def test_envelopes_stop_taking_powers_at_zero(self, delta, monkeypatch):
