@@ -439,7 +439,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
                  "must be a non-empty list")
         for i, eps in enumerate(eps_values):
             _require(
-                _is_real(eps) and 0.0 < eps < 1.0 / m,
+                _is_real(eps) and 0.0 < eps < 1 / m,  # int / int: no overflow
                 f"sweep.epsilon_values[{i}]",
                 f"must be a real in (0, 1/{m})",
             )

@@ -10,10 +10,11 @@ candidate set (m and each lottery's nonzero positions), compiled once
 and called with the lottery weights bound: the last m values live in
 locals, each pile size keeps the least of the candidates' sums
 sum_i pi_i p_{k-i} and takes p_k = 1.0 less it, and the loop stops at the
-first repeated state.  Everything about ties is worked out after the
-loop, in numpy, from the evaluated prefix: the payoff kernel is written
-from the same sum text and is elementwise, so on arrays it gives the
-same doubles as the loop.  The table keeps
+first repeated state it sees.  Everything about ties is worked out on the
+first read of a table's ties or moves, in numpy, from the evaluated
+prefix: the payoff kernel is written from the same sum text and is
+elementwise, so on arrays it gives the same doubles as the loop.  A
+caller that reads only values never pays for ties.  The table keeps
 that prefix only, so its size does not grow with n once a state repeats;
 a later pile size is read by going back whole periods (``fold``).
 """
@@ -60,28 +61,56 @@ class ValueTable:
     do the tie sets and the moves for k > computed.
 
     ``p_prefix`` holds p_k for k = -(m-1)..computed (index k + m - 1); the
-    first m entries are the boundary ones.  ``picks[k-1]`` is the candidate
-    chosen at pile size k, for k = 1..computed, or for k = 1..n under
-    seeded_random, whose draws do not repeat.  ``tie_mask`` is the
-    (computed, |K|) boolean array whose row k-1 marks the candidates within
-    TIE_TOL of the maximum at pile size k.  ``p(k)`` and ``argmax(k)`` read
-    any k in 1..n through ``fold``, and reject a k past n.
+    first m entries are the boundary ones.  ``tie_rule`` and ``seed`` are
+    the ones ``solve`` was given; only ``picks`` depends on them.
+    ``tie_mask`` and ``picks`` are worked out from the prefix on first
+    read and kept (see ``solve``).  ``p(k)`` and ``argmax(k)`` read any k
+    in 1..n through ``fold``, and reject a k past n.
     """
 
     m: int
     n: int
     candidates: tuple[Lottery, ...]
     p_prefix: np.ndarray
-    picks: np.ndarray
-    tie_mask: np.ndarray
     computed: int
     period: int
+    tie_rule: str
+    seed: int
 
     @cached_property
     def p_ext(self) -> np.ndarray:
         """p_k for k = -(m-1)..n, index k + m - 1: the dense form, built on
         first read; no package code reads it."""
         return self.p_upto(self.n)
+
+    @cached_property
+    def tie_mask(self) -> np.ndarray:
+        """The (computed, |K|) boolean array whose row k-1 marks the
+        candidates within TIE_TOL of the maximum at pile size k: a candidate
+        ties when its payoff (``payoffs`` of the prefix, the loop's doubles)
+        is >= p_k - TIE_TOL, the same IEEE operations as a test inside the
+        loop would do."""
+        thr = self.p_prefix[self.m :] - TIE_TOL
+        return np.stack([v >= thr for v in payoffs(self.candidates, self.p_prefix)], axis=1)
+
+    @cached_property
+    def picks(self) -> np.ndarray:
+        """``picks[k-1]``: the candidate chosen at pile size k under
+        ``tie_rule``, for k = 1..computed, or for k = 1..n under
+        seeded_random, whose draws do not repeat.  lowest_index and
+        highest_index take the first and last marked candidate of each
+        ``tie_mask`` row, and the table repeats the last ``period`` of
+        them; seeded_random draws once per pile size 1..n in k order from
+        ``random.Random(seed)``, the same sequence as a pick inside the
+        loop."""
+        ties = self.tie_mask
+        if self.tie_rule == TIE_RANDOM:
+            rng = random.Random(self.seed)
+            sets = _tie_sets(ties, self.period, self.n)
+            return np.fromiter((t[rng.randrange(len(t))] for t in sets), np.int64, self.n)
+        if self.tie_rule == TIE_LOWEST:
+            return ties.argmax(1)
+        return len(self.candidates) - 1 - ties[:, ::-1].argmax(1)
 
     @cached_property
     def tie_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -193,7 +222,7 @@ def _generated(name: str, shape: tuple):
         "            return period",
         "        if period == power:",
         f"            {', '.join(saved)} = {', '.join(state)}",
-        "            period, power = 0, 2 * power",
+        "            period, power = 0, power + (power >> 4) + 1",
         "    return 0",
     ]
     return _compiled("\n".join(lines), name)
@@ -261,8 +290,15 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     functions of the state (p_{k-m+1}, ..., p_k) alone, so once a state
     repeats bit for bit the rest of the table repeats with the same
     period.  Brent's cycle detection compares each state with one saved
-    state, moved at powers of two; at the first match the loop stops, and
-    the table keeps the evaluated prefix (see ``ValueTable``).  The state
+    state; at the first match the loop stops, and the table keeps the
+    evaluated prefix (see ``ValueTable``).  The saved state moves to the
+    current one when the count of pile sizes since it last moved reaches
+    a gap, and the gap then grows by a sixteenth of itself plus one (1, 2,
+    ..., 16, 18, 20, ...).  Any gaps that grow without bound give the
+    repeat length exactly, since after a move at or past the transient the
+    first match comes one period later; gaps this slow put that move
+    within about a sixteenth of the transient past its end, where doubling
+    ones could put it nearly a whole transient past.  The state
     and the saved state are m float locals each, compared one by one with
     ``==``, and that is enough for the repeated tail to be bit-identical
     to the full loop's: lotteries are finite, so no NaN arises, and two
@@ -271,14 +307,10 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     leaves a non-zero sum unchanged, a zero sum compares equal to a zero
     of either sign, and 1.0 - (+-0.0) is 1.0).
 
-    The ties are found after the loop, over the evaluated pile sizes at
-    once: ``payoffs`` of the prefix gives the loop's doubles, and a candidate
-    ties at k when its payoff is >= p_k - TIE_TOL, the same IEEE
-    operations as a test inside the loop would do.  lowest_index and
-    highest_index take the first and last marked candidate of each row,
-    and the table repeats the last ``period`` of them; seeded_random draws
-    once per pile size 1..n in k order, the same sequence as a pick inside
-    the loop.
+    solve runs only the loop: the ties and the moves under ``tie_rule``
+    are worked out from the prefix on the first read of ``tie_mask`` or
+    ``picks`` (or of anything built on them), so a caller that reads
+    values alone never computes them.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}")
@@ -287,27 +319,13 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
 
     p = [1.0] * m
     period = _recursion(candidates)(p.append, n, *p)
-    computed = len(p) - m
-    head = np.array(p)
-    del p  # a float object per pile size; head holds the values now
-
-    thr = head[m:] - TIE_TOL
-    ties = np.stack([v >= thr for v in payoffs(candidates, head)], axis=1)
-    if tie_rule == TIE_RANDOM:
-        rng = random.Random(seed)
-        sets = _tie_sets(ties, period, n)
-        picks = np.fromiter((t[rng.randrange(len(t))] for t in sets), np.int64, n)
-    elif tie_rule == TIE_LOWEST:
-        picks = ties.argmax(1)
-    else:
-        picks = len(candidates) - 1 - ties[:, ::-1].argmax(1)
     return ValueTable(
         m=m,
         n=n,
         candidates=candidates,
-        p_prefix=head,
-        picks=picks,
-        tie_mask=ties,
-        computed=computed,
+        p_prefix=np.array(p),
+        computed=len(p) - m,
         period=period,
+        tie_rule=tie_rule,
+        seed=seed,
     )

@@ -141,8 +141,8 @@ class TestDeviationSeries:
         )
 
     def test_peak_memory_at_n_1e6(self):
-        # the table repeats from pile size 1027 with period 4: the series
-        # and the checks cover about 1040 pile sizes, whatever n is
+        # the table stops at pile size 649 and repeats with period 4: the
+        # series and the checks cover about 660 pile sizes, whatever n is
         K = truncated_simplex([0.05] * 3)
         vt = solve(GameSpec(10**6, 3, K))
         cond = compute_conditions(K)

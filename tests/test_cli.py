@@ -26,7 +26,7 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
-from bachet_lottery import cli
+from bachet_lottery import cli, engine
 from bachet_lottery.analysis import DeviationSeries
 from bachet_lottery.cli import VALUES_FIELDS, _envelopes, _repeat_start, _values_csv, run
 from bachet_lottery.engine import TIE_RULES, fold
@@ -217,6 +217,45 @@ class TestSweep:
         assert len(read_csv(tmp_path / "out" / "sweep.csv")) == 4
 
 
+class TestTiesOnFirstRead:
+    """solve runs the recursion only: a table's tie pass runs on the first
+    read of its ties or moves, once, and never for the commands that read
+    values alone."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The tables cli.solve returns, and the prefix each tie pass read."""
+        tables, passes = [], []
+        solve_, payoffs = cli.solve, engine.payoffs
+        monkeypatch.setattr(cli, "solve", lambda *a: tables.append(solve_(*a)) or tables[-1])
+        monkeypatch.setattr(engine, "payoffs", lambda c, ext: passes.append(ext) or payoffs(c, ext))
+        return tables, passes
+
+    @pytest.mark.parametrize("command, payload", [
+        ("verify", {"game": TRUNC_GAME}),
+        ("sweep", {"game": {"n": 200, "m": 3}, "sweep": {"epsilon_values": [0.01, 0.05, 0.2]}}),
+        ("sweep", {"game": HALF_GAME, "sweep": {"n_values": [2, 5, 9]}}),
+    ])
+    def test_values_only_commands_compute_no_ties(self, recorded, tmp_path, command, payload):
+        tables, passes = recorded
+        assert run(command, write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        assert tables and passes == []
+        for vt in tables:
+            assert "tie_mask" not in vt.__dict__ and "picks" not in vt.__dict__
+
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", {"game": TRUNC_GAME}),
+        ("simulate", {"game": {**TRUNC_GAME, "n": 60},
+                      "sim": {"replications": 50, "seed": 3, "n_values": [10, 30, 60]}}),
+    ])
+    def test_move_readers_run_the_tie_pass_once(self, recorded, tmp_path, command, payload):
+        tables, passes = recorded
+        assert run(command, write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        assert len(tables) == len(passes) == 1
+        assert passes[0] is tables[0].p_prefix
+        assert "tie_mask" in tables[0].__dict__ and "picks" in tables[0].__dict__
+
+
 class TestExploreNuZero:
     def test_runs_with_warning(self, tmp_path, capsys):
         game = {"n": 12, "m": 2, "K": {"type": "finite", "lotteries": [[1.0, 0.0]]}}
@@ -270,6 +309,8 @@ class TestConfigErrors:
             ("sweep", {"game": HALF_GAME, "sweep": {"epsilon_values": []}}),
             ("simulate", {"game": HALF_GAME, "sim": {"replications": 10, "seed": 1,
                                                      "n_values": []}}),
+            # an m past the doubles: 1/m must not be taken in floats
+            ("sweep", {"game": {**HALF_GAME, "m": 10**400}, "sweep": {"epsilon_values": [0.05]}}),
         ],
     )
     def test_command_options_exit_two(self, tmp_path, capsys, command, payload):
@@ -369,7 +410,7 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_huge_n_solve_stops_at_the_file_limit(self, tmp_path):
-        # the table stops at pile size 1027, but values.csv has a row for
+        # the table stops at pile size 649, but values.csv has a row for
         # each of the 1e15 pile sizes: the write fails at FILE_CAP
         proc = run_capped(tmp_path, "solve", {"game": HUGE_GAME}, 4 << 30)
         assert proc.returncode == 2
@@ -885,6 +926,7 @@ class TestValuesWriter:
             vt = solve(GameSpec(n, 3, truncated_simplex([eps] * 3)))
             assert vt.period == period
             ds = deviation_series(vt)
+            vt.picks  # read first: the tie pass holds |K| payoffs per evaluated row
             tracemalloc.start()
             try:
                 for _ in _values_csv(vt, ds, 0.9):

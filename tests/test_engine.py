@@ -233,6 +233,8 @@ def _reference_solve(spec, tie_rule, seed):
 
 def assert_matches_reference(spec, tie_rule, seed=0):
     vt = solve(spec, tie_rule, seed=seed)
+    # solve runs the recursion only; the ties are worked out on first read
+    assert "tie_mask" not in vt.__dict__ and "picks" not in vt.__dict__
     p_ext, argmax, tie_sets = _reference_solve(spec, tie_rule, seed)
     assert vt.p_ext.dtype == p_ext.dtype and vt.p_ext.tobytes() == p_ext.tobytes()
     moves = vt.argmax(np.arange(1, spec.n + 1))
@@ -244,14 +246,14 @@ def assert_matches_reference(spec, tie_rule, seed=0):
 # (label, K, pile size at which solve first sees a repeated state).  The
 # periodic parts start at k = 970 (period 3), 629 (4), 2716 (5), 210 (1),
 # 1 (4) and 158 (1); the repeat is seen later because the saved state
-# moves only at powers of two.
+# moves only after a gap that grows by a sixteenth of itself plus one.
 CYCLES = [
-    ("simplex m=2 eps=0.05", truncated_simplex([0.05] * 2), 1026),
-    ("simplex m=3 eps=0.05", truncated_simplex([0.05] * 3), 1027),
-    ("simplex m=4 eps=0.01", truncated_simplex([0.01] * 4), 4100),
-    ("|K|=10 pair set", finite_set([[0.1 + 0.08 * i, 0.9 - 0.08 * i] for i in range(10)]), 256),
-    ("classical pure moves m=3", finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 7),
-    ("duplicate lotteries m=2", finite_set([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]), 256),
+    ("simplex m=2 eps=0.05", truncated_simplex([0.05] * 2), 981),
+    ("simplex m=3 eps=0.05", truncated_simplex([0.05] * 3), 649),
+    ("simplex m=4 eps=0.01", truncated_simplex([0.01] * 4), 2789),
+    ("|K|=10 pair set", finite_set([[0.1 + 0.08 * i, 0.9 - 0.08 * i] for i in range(10)]), 221),
+    ("classical pure moves m=3", finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 10),
+    ("duplicate lotteries m=2", finite_set([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]), 175),
 ]
 CYCLE_IDS = [label for label, _, _ in CYCLES]
 
@@ -305,15 +307,17 @@ class TestCycleDetection:
 
 def _reference_cycle(p_ext, m, n):
     """(computed, period): Brent's search over the states p_ext[k : k+m] of
-    the full recursion, k = 0..n, stopping at the first repeat."""
-    saved, period, power = p_ext[:m].tolist(), 0, 1
+    the full recursion, k = 0..n, stopping at the first repeat; the saved
+    state moves after gaps of 1, 2, ..., 16, 18, 20, ..., each the last
+    plus a sixteenth of it plus one."""
+    saved, period, gap = p_ext[:m].tolist(), 0, 1
     for k in range(1, n + 1):
         state = p_ext[k : k + m].tolist()
         period += 1
         if state == saved:
             return k, period
-        if period == power:
-            saved, period, power = state, 0, 2 * power
+        if period == gap:
+            saved, period, gap = state, 0, gap + gap // 16 + 1
     return n, 0
 
 
@@ -330,12 +334,12 @@ def _random_set(rng, count, m):
 # (label, K, pile size at which solve first sees a repeated state): one of
 # each shape the generated loop takes
 SHAPES = [
-    ("|K|=1, no max", finite_set([[0.2, 0.3, 0.5]]), 256),
-    ("first weight zero", finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]]), 256),
-    ("30 random lotteries", _random_set(random.Random(30), 30, 4), 256),
-    ("m=2", truncated_simplex([0.2] * 2), 258),
-    ("m=6", truncated_simplex([0.02] * 6), 2054),
-    ("duplicate lotteries", finite_set([[0.1, 0.2, 0.7], [0.1, 0.2, 0.7], [0.6, 0.2, 0.2]]), 256),
+    ("|K|=1, no max", finite_set([[0.2, 0.3, 0.5]]), 197),
+    ("first weight zero", finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]]), 221),
+    ("30 random lotteries", _random_set(random.Random(30), 30, 4), 247),
+    ("m=2", truncated_simplex([0.2] * 2), 223),
+    ("m=6", truncated_simplex([0.02] * 6), 1153),
+    ("duplicate lotteries", finite_set([[0.1, 0.2, 0.7], [0.1, 0.2, 0.7], [0.6, 0.2, 0.2]]), 175),
 ]
 SHAPE_IDS = [label for label, _, _ in SHAPES]
 
@@ -406,17 +410,23 @@ class TestCompiledOncePerShape:
         yield names
         engine._generated.cache_clear()
 
-    def test_sweep_compiles_one_loop_and_one_kernel(self, compiled, tmp_path):
+    def test_sweep_compiles_one_loop_and_picks_one_kernel(self, compiled, tmp_path, monkeypatch):
         eps = [0.001, 0.003, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3]
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"game": {"n": 200, "m": 3}, "sweep": {"epsilon_values": eps}}))
+        tables = []
+        monkeypatch.setattr(cli, "solve", lambda *a: tables.append(solve(*a)) or tables[-1])
         assert cli.run("sweep", cfg, output=tmp_path / "out") == 0
         assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 1 + len(eps)
+        # sweep reads values only; the kernel is built on the first read of picks
+        assert compiled == ["_run"] and len(tables) == len(eps)
+        for vt in tables:
+            vt.picks
         assert sorted(compiled) == ["_kernel", "_run"]
         # another shape: first weight zero
-        solve(GameSpec(50, 3, finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]])))
+        solve(GameSpec(50, 3, finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]]))).picks
         assert sorted(compiled) == ["_kernel", "_kernel", "_run", "_run"]
-        solve(GameSpec(50, 3, finite_set([[0.0, 0.5, 0.5], [0.2, 0.4, 0.4]])))
+        solve(GameSpec(50, 3, finite_set([[0.0, 0.5, 0.5], [0.2, 0.4, 0.4]]))).picks
         assert len(compiled) == 4
 
     def test_cache_is_bounded(self, compiled):
@@ -424,7 +434,7 @@ class TestCompiledOncePerShape:
         assert isinstance(size, int) and size > 0
         # sets of more shapes than the cache holds: |K| = 1..size, m = 2
         for count in range(1, size + 2):
-            solve(GameSpec(5, 2, finite_set([[0.5, 0.5]] * count)))
+            solve(GameSpec(5, 2, finite_set([[0.5, 0.5]] * count))).picks
         assert engine._generated.cache_info().currsize == size
         assert len(compiled) == 2 * (size + 1)
 
@@ -443,8 +453,44 @@ def _picker_pass(vt, rule, seed):
     return np.array(picks, dtype=np.int64)
 
 
+# (m, eps, the pile size at which solve stopped when its saved state moved
+# at powers of two): the sets of the measured state in ROADMAP.md
+DOUBLING_STOPS = [
+    (2, 0.05, 1026),
+    (2, 0.001, 65538),
+    (3, 0.05, 1027),
+    (3, 0.001, 32771),
+    (4, 0.01, 4100),
+    (6, 0.001, 32774),
+]
+
+
+def _first_repeat(p_ext, m):
+    """(mu, lam): the state after pile size mu + lam is the first state
+    p_ext[k : k+m] equal to an earlier one, the state after mu."""
+    seen = {}
+    for k in range(p_ext.size - m + 1):
+        state = p_ext[k : k + m].tobytes()
+        if state in seen:
+            return seen[state], k - seen[state]
+        seen[state] = k
+    raise AssertionError("no state repeats")
+
+
 class TestCycleFields:
     """`computed` and `period` record where solve stopped and what repeats."""
+
+    @pytest.mark.parametrize("m, eps, doubling", DOUBLING_STOPS)
+    def test_stops_within_a_tenth_of_the_first_repeat(self, m, eps, doubling):
+        # no detector can stop before mu + lam; the slow-growing gaps stop
+        # at most a tenth past it, and never later than doubling ones did
+        K = truncated_simplex([eps] * m)
+        vt = solve(GameSpec(10**6, m, K))
+        p_ext, _, _ = _reference_solve(GameSpec(vt.computed, m, K), TIE_LOWEST, 0)
+        mu, lam = _first_repeat(p_ext, m)
+        assert vt.period == lam
+        assert mu + lam <= vt.computed <= 1.10 * (mu + lam)
+        assert vt.computed <= doubling
 
     @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
     def test_no_repeat_before_n(self, label, K, detect):
@@ -496,16 +542,17 @@ class TestFoldedReads:
     def test_huge_n_stores_the_prefix_only(self):
         n = 10**15
         vt = solve(GameSpec(n, 3, truncated_simplex([0.05] * 3)))
-        assert (vt.computed, vt.period) == (1027, 4)
-        assert vt.p_prefix.size == 1030 and vt.picks.size == 1027
-        # n = 0 (mod 4): it repeats 1024, the first pile size of the last period
-        assert vt.p(n) == vt.p(1024) and vt.p(n - 1) == vt.p(1027)
-        assert vt.argmax(np.array([n, n - 1])).tolist() == vt.argmax(np.array([1024, 1027])).tolist()
+        assert (vt.computed, vt.period) == (649, 4)
+        assert vt.p_prefix.size == 652 and vt.picks.size == 649
+        # n = 0 (mod 4): it repeats 648, the third pile size of the last
+        # period 646..649, and n - 1 repeats 647
+        assert vt.p(n) == vt.p(648) and vt.p(n - 1) == vt.p(647)
+        assert vt.argmax(np.array([n, n - 1])).tolist() == vt.argmax(np.array([648, 647])).tolist()
 
     @pytest.mark.parametrize("rule", TIE_RULES)
     def test_moves_outside_the_game_rejected(self, rule):
         small = solve(GameSpec(10, 2, finite_set([[0.7, 0.3], [0.3, 0.7]])), rule)
-        # the picks run to 2000 under seeded_random, to 1027 otherwise
+        # the picks run to 2000 under seeded_random, to 649 otherwise
         long = solve(GameSpec(2000, 3, truncated_simplex([0.05] * 3)), rule)
         for vt in (small, long):
             n = vt.n

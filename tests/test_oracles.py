@@ -29,6 +29,14 @@ from bachet_lottery.lotteries import SUM_TOL
 HALF = finite_set([[0.5, 0.5]])
 
 
+def _with_picks(vt, picks):
+    """A copy of ``vt`` that plays ``picks`` (picks[k-1] at pile size k):
+    they are set as its cached ``picks``, which no tie pass then replaces."""
+    forced = dataclasses.replace(vt)
+    forced.__dict__["picks"] = np.asarray(picks)
+    return forced
+
+
 def _p_hat(vt, n, seed=0, replications=50):
     return estimate_win_prob(SimConfig(table=vt, n=n, replications=replications, seed=seed)).p_hat
 
@@ -45,7 +53,7 @@ class TestSimulateGame:
     def test_forced_take_two(self):
         # take 1 at pile 1, take 2 at pile 2: the first mover overshoots
         vt = solve(GameSpec(2, 2, finite_set([[1.0, 0.0], [0.0, 1.0]])))
-        forced = dataclasses.replace(vt, picks=np.array([0, 1]))
+        forced = _with_picks(vt, [0, 1])
         assert _p_hat(forced, 2) == 0.0
 
     def test_forced_take_one(self):
@@ -58,7 +66,7 @@ class TestSimulateGame:
         rng = np.random.default_rng(3)
         for _ in range(30):
             policy = rng.integers(0, 3, vt.n)
-            forced = dataclasses.replace(vt, picks=policy)
+            forced = _with_picks(vt, policy)
             for n in range(1, vt.n + 1):
                 pile, mover = n, 0
                 while policy[pile - 1] + 1 < pile:
@@ -153,7 +161,7 @@ class TestEstimateWinProb:
             # an arbitrary policy, so that every candidate gets played
             seed = data.draw(st.integers(0, 2**32 - 1))
             policy = np.random.default_rng(seed).integers(0, len(K.lotteries), vt.n)
-            vt = dataclasses.replace(vt, picks=policy)
+            vt = _with_picks(vt, policy)
         cfg = SimConfig(
             table=vt,
             n=data.draw(st.integers(1, vt.n)),
@@ -256,17 +264,19 @@ class TestOneShotDeviation:
             # an arbitrary policy, so that deviations gain something
             seed = data.draw(st.integers(0, 2**32 - 1))
             policy = np.random.default_rng(seed).integers(0, len(K.lotteries), vt.n)
-            vt = dataclasses.replace(vt, picks=policy)
+            vt = _with_picks(vt, policy)
         got, want = one_shot_deviation_gap(vt), _reference_gap(vt)
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_prefix_only_at_large_n(self):
-        # n = 1e6 repeats from pile size 1027: the gap reads 1027 columns,
-        # also under seeded_random, which stores 1e6 picks
+        # solve stops at pile size 649 at n = 1e6: the gap reads 649
+        # columns, also under seeded_random, which stores 1e6 picks.  The
+        # picks are read first, so their tie pass is not counted
         spec = GameSpec(10**6, 3, truncated_simplex([0.05] * 3))
         for rule, gap in ((TIE_LOWEST, 9.287015600989434e-13), (TIE_RANDOM, 9.988676552552533e-13)):
             vt = solve(spec, rule)
+            vt.picks
             tracemalloc.start()
             try:
                 got = one_shot_deviation_gap(vt)
@@ -277,16 +287,17 @@ class TestOneShotDeviation:
             assert peak < 1 << 20, rule
 
     def test_gain_past_computed_counts(self):
-        # Bachet's game repeats from pile size 7: the engine's moves, but at
-        # one winning pile size past 7 a move that hands the opponent a win
+        # solve stops at pile size 10 in Bachet's game: the engine's moves,
+        # but at one winning pile size past 10 a move that hands the
+        # opponent a win
         vt = solve(GameSpec(40, 3, finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
-        assert (vt.computed, vt.period) == (7, 4)
+        assert (vt.computed, vt.period) == (10, 4)
         picks = vt.argmax(np.arange(1, 41))
-        assert one_shot_deviation_gap(dataclasses.replace(vt, picks=picks)) == 0.0
+        assert one_shot_deviation_gap(_with_picks(vt, picks)) == 0.0
         for k in (38, 39, 40):
             bad = picks.copy()
             bad[k - 1] = (picks[k - 1] + 1) % 3
-            bad = dataclasses.replace(vt, picks=bad)
+            bad = _with_picks(vt, bad)
             assert one_shot_deviation_gap(bad) == _reference_gap(bad) == 1.0
 
 
