@@ -37,7 +37,7 @@ from .lotteries import (
     finite_set,
     truncated_simplex,
 )
-from .oracles import SimConfig, estimate_win_prob
+from .oracles import SimConfig, draw_stream, estimate_win_prob
 
 COMMANDS = ("solve", "verify", "simulate", "sweep", "explore-nu-zero")
 
@@ -56,11 +56,11 @@ SWEEP_ROW = "%d,%d,%.17g,%.17g,%s,%.17g,%.17g\n"
 
 # numpy refuses an array over sys.maxsize bytes with a ValueError.  With
 # the n + m doubles of a value table whose state never repeats, and the
-# replications x n doubles of a Monte-Carlo draw matrix, bounded by half
-# that, an array too large for memory fails to allocate instead: a
-# MemoryError, which `_fits_in_memory` reports against the config field
-# that asked for it.  Pile sizes then also fit the int64 index arithmetic
-# of `engine.fold`.
+# replications x max(n_values) doubles of a Monte-Carlo draw stream,
+# bounded by half that, an array too large for memory fails to allocate
+# instead: a MemoryError, which `_fits_in_memory` reports against the
+# config field that asked for it.  Pile sizes then also fit the int64
+# index arithmetic of `engine.fold`.
 MAX_TABLE = sys.maxsize // 16
 
 
@@ -401,18 +401,21 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
         "sim.n_values",
         f"must be a non-empty list of integers in 1..{spec.n}",
     )
-    # the draw matrix of the longest game has reps rows of max(n_values) doubles
-    most = MAX_TABLE // max(n_values)
+    # the draws of the longest game: reps rows of max(n_values) doubles
+    longest = max(n_values)
+    most = MAX_TABLE // longest
     _require(reps <= most, "sim.replications", f"must be at most {most} for these n_values")
     with _game_sized(spec):
         vt = solve(spec)
     lines = [SIM_HEADER]
-    for n in n_values:
-        with _fits_in_memory("sim.replications", f"{reps} games of {n} pile sizes"):
-            res = estimate_win_prob(SimConfig(table=vt, n=n, replications=reps, seed=seed))
-        p_eng = vt.p(n)
-        z = 0.0 if res.std_err == 0.0 else (res.p_hat - p_eng) / res.std_err
-        lines.append(SIM_ROW % (n, reps, seed, res.p_hat, res.std_err, p_eng, z))
+    with _fits_in_memory("sim.replications", f"{reps} games of {longest} pile sizes"):
+        # one stream per run: each n plays a prefix of it
+        stream = draw_stream(seed, reps * longest)
+        for n in n_values:
+            res = estimate_win_prob(SimConfig(table=vt, n=n, replications=reps, seed=seed), stream)
+            p_eng = vt.p(n)
+            z = 0.0 if res.std_err == 0.0 else (res.p_hat - p_eng) / res.std_err
+            lines.append(SIM_ROW % (n, reps, seed, res.p_hat, res.std_err, p_eng, z))
     _atomic_write(out / "simulation.csv", ("".join(lines).encode(),))
     return 0
 

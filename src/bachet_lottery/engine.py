@@ -49,7 +49,7 @@ def fold(k, computed: int, period: int):
     return k - (k > computed) * (period * ((k - computed - 1) // period + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueTable:
     """Solved equilibrium values and move choices for one game spec.
 
@@ -66,6 +66,9 @@ class ValueTable:
     ``tie_mask`` and ``picks`` are worked out from the prefix on first
     read and kept (see ``solve``).  ``p(k)`` and ``argmax(k)`` read any k
     in 1..n through ``fold``, and reject a k past n.
+
+    Tables compare and hash by identity: the generated ``==`` would
+    compare the prefix arrays, whose truth value numpy refuses.
     """
 
     m: int
@@ -90,8 +93,23 @@ class ValueTable:
         ties when its payoff (``payoffs`` of the prefix, the loop's doubles)
         is >= p_k - TIE_TOL, the same IEEE operations as a test inside the
         loop would do."""
+        return self._ties(payoffs(self.candidates, self.p_prefix))
+
+    def _ties(self, vals) -> np.ndarray:
+        """``tie_mask`` from the payoff rows ``vals`` of the prefix."""
         thr = self.p_prefix[self.m :] - TIE_TOL
-        return np.stack([v >= thr for v in payoffs(self.candidates, self.p_prefix)], axis=1)
+        return np.stack([v >= thr for v in vals], axis=1)
+
+    def payoff_rows(self) -> np.ndarray:
+        """The (|K|, computed) array of ``payoffs`` of the prefix: row i is
+        candidate i's payoff at pile sizes 1..computed.  A table whose ties
+        were not read yet keeps its ``tie_mask`` from these rows, so a
+        caller that reads the payoffs and then the moves evaluates the
+        payoffs once."""
+        vals = np.array(payoffs(self.candidates, self.p_prefix))
+        if "tie_mask" not in self.__dict__:
+            self.__dict__["tie_mask"] = self._ties(vals)
+        return vals
 
     @cached_property
     def picks(self) -> np.ndarray:
@@ -211,18 +229,19 @@ def _generated(name: str, shape: tuple):
     lines = [
         f"def _run({', '.join(weights + ['put', 'n'] + state)}):",
         f"    {', '.join(saved)} = {', '.join(state)}",
-        "    period, power = 0, 1",
-        "    for _ in range(n):",
-        *(f"        {s}" for s in least),
-        "        best = 1.0 - x",
-        "        put(best)",
-        *(f"        {s}" for s in shift),
-        "        period += 1",
-        f"        if {same}:",
-        "            return period",
-        "        if period == power:",
-        f"            {', '.join(saved)} = {', '.join(state)}",
-        "            period, power = 0, power + (power >> 4) + 1",
+        "    power = 1",
+        "    while n:",
+        "        gap = min(power, n)",
+        "        n -= gap",
+        "        for period in range(1, gap + 1):",
+        *(f"            {s}" for s in least),
+        "            best = 1.0 - x",
+        "            put(best)",
+        *(f"            {s}" for s in shift),
+        f"            if {same}:",
+        "                return period",
+        f"        {', '.join(saved)} = {', '.join(state)}",
+        "        power += (power >> 4) + 1",
         "    return 0",
     ]
     return _compiled("\n".join(lines), name)
@@ -264,9 +283,12 @@ def _recursion(candidates: Sequence[Lottery]):
     is monotone, so fl(1 - s) does not increase in s, and the maximum of
     the payoffs fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is
     never -0.0, so equal payoffs have equal bits).  Brent's saved state
-    lives in the locals s0..s{m-1}.  It returns the repeat length at the
-    first state equal to the saved one, or 0 after n pile sizes without
-    one.
+    lives in the locals s0..s{m-1}.  The pile sizes run one gap at a
+    time, the last gap cut short at n: an inner ``for`` over the gap
+    counts the distance from the saved state, and the state is saved
+    after each gap, so no pile size updates or tests a counter of its
+    own.  It returns the repeat length at the first state equal to the
+    saved one, or 0 after n pile sizes without one.
     """
     return _bound("_run", candidates)
 

@@ -4,7 +4,8 @@ Two routes that never touch the backward-induction maximization or its
 tie rule: Monte-Carlo play of the actual game under the engine's policy,
 and exhaustive enumeration of stationary pure profiles on small instances
 with a one-shot-deviation optimality filter.  Both share with the engine
-only the one-step payoff, `payoff_kernel` and `payoffs`.
+only the one-step payoff: `payoff_kernel`, and `payoffs` of the prefix
+through `ValueTable.payoff_rows`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ValueTable, payoff_kernel, payoffs
+from .engine import ValueTable, payoff_kernel
 from .errors import InstanceTooLargeError
 from .lotteries import GameSpec
 
@@ -57,13 +58,26 @@ class SimResult:
     std_err: float
 
 
-def estimate_win_prob(cfg: SimConfig) -> SimResult:
+def draw_stream(seed: int, size: int) -> np.ndarray:
+    """The first ``size`` uniforms in [0, 1) of the counter-based Philox
+    stream keyed by ``seed`` (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC'11).  Each double takes the stream's next 64-bit
+    output, so the stream of a smaller size is a prefix of a larger one's."""
+    return np.random.Generator(np.random.Philox(seed)).random(size)
+
+
+def estimate_win_prob(cfg: SimConfig, draws: np.ndarray | None = None) -> SimResult:
     """Estimate the first player's win probability by replicated play.
 
-    Randomness comes from a counter-based Philox stream keyed by the
-    seed; replication r consumes row r of the (R x n) uniform draw
-    matrix, so results are reproducible and independent of evaluation
-    order.  A game over n objects ends within n moves.
+    Randomness comes from ``draw_stream(seed, ...)``: row r of the (R x n)
+    uniform draw matrix, the draws of replication r, is
+    ``stream[r*n:(r+1)*n]``, so results are reproducible and independent
+    of evaluation order, and the matrix of a smaller n reads a prefix of
+    the same stream.  ``draws``, when given, is that stream of cfg.seed,
+    one-dimensional and at least R*n long (else ValueError); a run over
+    several n draws it once for the largest, and each n's matrix is a
+    view of its first R*n doubles, with no copy.  Without it the function
+    draws R*n doubles itself.  A game over n objects ends within n moves.
 
     The policy is held as m - 1 threshold rows indexed by pile size:
     ``thr[j, k]`` is entry j of the cumulative move probabilities of the
@@ -78,11 +92,16 @@ def estimate_win_prob(cfg: SimConfig) -> SimResult:
     Besides the draws the loop holds four length-R buffers.
     """
     vt, n, R = cfg.table, int(cfg.n), int(cfg.replications)
+    if draws is None:
+        draws = draw_stream(cfg.seed, R * n)
+    elif draws.ndim != 1 or draws.size < R * n:
+        raise ValueError(
+            f"draws must be a flat array of at least {R * n} doubles, got shape {draws.shape}"
+        )
+    draws = draws[: R * n].reshape(R, n)
     cum = np.cumsum([c.probs for c in vt.candidates], axis=1)
     thr = np.full((vt.m - 1, n + 1), 2.0)
     thr[:, 1:] = cum[vt.argmax(np.arange(1, n + 1)), :-1].T
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    draws = rng.random((R, n))
 
     pile = np.full(R, n, dtype=np.intp)
     take = np.empty(R, dtype=np.intp)
@@ -127,7 +146,7 @@ def one_shot_deviation_gap(vt: ValueTable) -> float:
     most |K| per column however many picks are stored.  Rounding is
     monotone, so the best payoff of a column less the pick's payoff is,
     bit for bit, the largest of every payoff less the pick's."""
-    vals = np.array(payoffs(vt.candidates, vt.p_prefix))
+    vals = vt.payoff_rows()
     c, period, picks = vt.computed, vt.period, vt.picks
     seen = np.zeros(vals.shape, dtype=bool)
     seen[picks[:c], np.arange(c)] = True

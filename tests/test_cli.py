@@ -183,6 +183,28 @@ class TestSimulate:
         assert run("simulate", cfg, output=tmp_path / "out", seed=seed) == 0
         assert sha256(tmp_path / "out" / "simulation.csv") == digest
 
+    def test_unsorted_repeated_n_values_bytes(self, tmp_path):
+        # every n reads a prefix of the run's one stream, whatever the order
+        payload = {
+            "game": {"n": 400, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}},
+            "sim": {"replications": 2000, "seed": 0, "n_values": [400, 25, 400, 1]},
+        }
+        assert run("simulate", write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        assert sha256(tmp_path / "out" / "simulation.csv") == (
+            "8ce3de6150ff58466b74252f9de4ef362d317f0ecab9a79d0908b678d301b2a5"
+        )
+
+    def test_one_philox_per_run(self, tmp_path, monkeypatch):
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda seed: built.append(seed) or philox(seed))
+        payload = {
+            "game": {**TRUNC_GAME, "n": 60},
+            "sim": {"replications": 50, "seed": 3, "n_values": [10, 60, 30, 60]},
+        }
+        assert run("simulate", write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        assert built == [3]
+
     def test_bad_seed_override_names_the_option(self, tmp_path):
         # the config's own seed is valid: the error is the option's
         payload = {"game": {**HALF_GAME, "n": 4}, "sim": {"replications": 10, "seed": 1}}

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bachet_lottery import (
     GameSpec,
     LotterySet,
+    SimConfig,
     TIE_HIGHEST,
     TIE_LOWEST,
     TIE_RANDOM,
@@ -204,6 +205,17 @@ class TestSolve:
         assert vt.tie_sets[0] == (0,)
         assert [vt.p(k) for k in range(-1, 6)] == vt.p_ext.tolist()
         assert vt.p(-1) == 1.0 and vt.p(1) == 0.0 and vt.p_ext.size == 7
+
+    def test_tables_compare_and_hash_by_identity(self):
+        # the generated == would compare the prefix arrays and raise
+        spec = GameSpec(100, 3, truncated_simplex([0.05] * 3))
+        a, b = solve(spec), solve(spec)
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        cfg = {"n": 50, "replications": 10, "seed": 0}
+        assert SimConfig(table=a, **cfg) != SimConfig(table=b, **cfg)
+        assert SimConfig(table=a, **cfg) == SimConfig(table=a, **cfg)
+        assert hash(SimConfig(table=a, **cfg)) == hash(SimConfig(table=a, **cfg))
 
 
 def _reference_solve(spec, tie_rule, seed):

@@ -22,9 +22,11 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
+from bachet_lottery import engine
 from bachet_lottery.engine import TIE_LOWEST, TIE_RANDOM, TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
 from bachet_lottery.lotteries import SUM_TOL
+from bachet_lottery.oracles import draw_stream
 
 HALF = finite_set([[0.5, 0.5]])
 
@@ -171,6 +173,27 @@ class TestEstimateWinProb:
         got = estimate_win_prob(cfg)
         assert type(got.wins_first_player) is int
         assert got == _reference_result(cfg)
+        # the stream of a longer game of the same seed: n's draws are its prefix
+        longest = data.draw(st.integers(cfg.n, vt.n))
+        stream = draw_stream(cfg.seed, cfg.replications * longest)
+        assert estimate_win_prob(cfg, stream) == got
+
+    def test_rejects_short_or_shaped_draws(self):
+        vt = solve(GameSpec(30, 3, truncated_simplex([0.05] * 3)))
+        cfg = SimConfig(table=vt, n=30, replications=40, seed=2)
+        stream = draw_stream(2, 40 * 30)
+        assert estimate_win_prob(cfg, stream) == estimate_win_prob(cfg)
+        for bad in (stream[:-1], stream.reshape(40, 30)):
+            with pytest.raises(ValueError, match="^draws must be a flat array of at least 1200 "):
+                estimate_win_prob(cfg, bad)
+
+    def test_stream_is_the_row_major_matrix(self):
+        # row r of the (R x n) matrix is stream[r*n:(r+1)*n], for any n of
+        # the stream's seed
+        stream = draw_stream(2**64, 7 * 401)
+        for n in (1, 2, 5, 400, 401):
+            want = np.random.Generator(np.random.Philox(2**64)).random((7, n))
+            assert stream[: 7 * n].reshape(7, n).tobytes() == want.tobytes()
 
     def test_memory_is_the_draws_and_length_r_buffers(self):
         # the benchmark's largest game; a second R x n array (a transposed
@@ -285,6 +308,26 @@ class TestOneShotDeviation:
                 tracemalloc.stop()
             assert struct.pack("<d", got) == struct.pack("<d", gap), rule
             assert peak < 1 << 20, rule
+
+    def test_payoffs_evaluated_once(self, monkeypatch):
+        # the gap's payoffs also give the tie pass behind the picks; a
+        # table whose picks were read already evaluates them once too
+        spec = GameSpec(100, 3, truncated_simplex([0.05] * 3))
+        widths = []
+        payoffs = engine.payoffs
+        monkeypatch.setattr(
+            engine, "payoffs", lambda c, ext: widths.append(ext.size - 3) or payoffs(c, ext)
+        )
+        for rule in TIE_RULES:
+            fresh, read = solve(spec, rule, seed=4), solve(spec, rule, seed=4)
+            want = read.picks
+            del widths[:]
+            gap = one_shot_deviation_gap(fresh)
+            assert widths == [fresh.computed]
+            assert fresh.picks.tobytes() == want.tobytes()
+            assert fresh.tie_mask.tobytes() == read.tie_mask.tobytes()
+            assert widths == [fresh.computed]
+            assert one_shot_deviation_gap(read) == gap and widths == [fresh.computed] * 2
 
     def test_gain_past_computed_counts(self):
         # solve stops at pile size 10 in Bachet's game: the engine's moves,
