@@ -198,12 +198,20 @@ def _envelopes(delta: float | None, m: int) -> Iterator[str]:
     """The envelope field of each 3m-block in order, empty without a delta.
     A bound is 0.0 only for delta < 1, and then every later power is
     smaller: from the first 0.0 on, the field is "0," and no power is
-    taken."""
+    taken.  The bounds of one ``_values_csv`` chunk are formatted in one
+    batch, one ``%`` on a template of "%.17g,\n" per bound whose result is
+    split at the newlines, as in ``_cells``."""
     if delta is None:
         return itertools.repeat(",")
     bounds = (analysis.envelope_bound(k, delta, m) for k in itertools.count(1, 3 * m))
-    powers = ("%.17g," % bound for bound in itertools.takewhile(bool, bounds))
-    return itertools.chain(powers, itertools.repeat("0,"))
+    nonzero = itertools.takewhile(bool, bounds)
+    batch = max(1, CHUNK_ROWS // (3 * m))
+
+    def powers() -> Iterator[str]:
+        while chunk := tuple(itertools.islice(nonzero, batch)):
+            yield from ("%.17g,\n" * len(chunk) % chunk).split("\n")[:-1]
+
+    return itertools.chain(powers(), itertools.repeat("0,"))
 
 
 def _repeat_start(picks: np.ndarray, series: list[np.ndarray], computed: int, period: int) -> int:

@@ -6,22 +6,27 @@ for a chosen lottery pi, with the boundary convention p_s = 1 for s <= 0
 over the candidate lotteries; the recursion runs k = 1..n.
 
 The recursion is one generated Python function per shape of the
-candidate set (m and each lottery's nonzero positions), compiled once
-and called with the lottery weights bound: the last m values live in
-locals, each pile size keeps the least of the candidates' sums
-sum_i pi_i p_{k-i} and takes p_k = 1.0 less it, and the loop stops at the
-first repeated state it sees.  Everything about ties is worked out on the
-first read of a table's ties or moves, in numpy, from the evaluated
-prefix: the payoff kernel is written from the same sum text and is
-elementwise, so on arrays it gives the same doubles as the loop.  A
-caller that reads only values never pays for ties.  The table keeps
-that prefix only, so its size does not grow with n once a state repeats;
-a later pile size is read by going back whole periods (``fold``).
+candidate set (m, each lottery's nonzero positions, and which of its
+weights are equal), compiled once and called with one value per class of
+equal weights bound: the last m values live in locals, each pile size
+keeps the least of the candidates' sums sum_i pi_i p_{k-i} and takes
+p_k = 1.0 less it, and the loop stops at the first repeated state it sees.
+Each product w * p_{k-i} is formed once: a weight at several positions
+keeps a window of its products and forms one new product per pile size,
+so the symmetric simplex forms two, not m * m.  Everything about ties is
+worked out on the first read of a table's ties or moves, in numpy, from
+the evaluated prefix: the payoff kernel is written from the same sum
+text and is elementwise, so on arrays it gives the same doubles as the
+loop.  A caller that reads only values never pays for ties.  The table
+keeps that prefix only, so its size does not grow with n once a state
+repeats; a later pile size is read by going back whole periods
+(``fold``).
 """
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Iterator, Sequence
@@ -174,28 +179,38 @@ class ValueTable:
 
 
 def _shape(candidates: Sequence[Lottery]) -> tuple[tuple, tuple[float, ...]]:
-    """(shape, weights) of a candidate list.  The shape is m and, for each
-    candidate in order, the positions i whose weight pi_i is nonzero; the
-    weights are those nonzero pi_i in the same order.  Sets of one shape
-    share their generated code, and only the weights bound to it differ."""
+    """(shape, weights) of a candidate list.  The nonzero weights fall into
+    classes of equal value, numbered in order of first appearance; the
+    weights are one value per class, in that order.  The shape is m and,
+    for each candidate in order, its terms (i, c): each position i whose
+    weight pi_i is nonzero, left to right, with the class c of that
+    weight.  Sets of one shape share their generated code, and only the
+    weights bound to it differ; two sets whose nonzero positions agree
+    but whose weights coincide differently have two shapes."""
     m = candidates[0].m
-    positions = tuple(
-        tuple(i for i in range(1, m + 1) if lot.probs[i - 1] != 0.0) for lot in candidates
+    classes: dict[float, int] = {}
+    terms = tuple(
+        tuple((i, classes.setdefault(w, len(classes))) for i, w in enumerate(lot.probs, 1) if w != 0.0)
+        for lot in candidates
     )
-    weights = tuple(w for lot in candidates for w in lot.probs if w != 0.0)
-    return (m, positions), weights
+    return (m, terms), tuple(classes)
 
 
-def _sum_exprs(shape: tuple) -> list[str]:
-    """Each candidate's sum_i pi_i * p_{k-i} as expression text in the
-    weights w0, w1, ... (numbered across the candidates, in ``_shape``'s
-    order) and t0..t{m-1}, where t_j = p_{k-m+j}: summed left to right
-    over i = 1..m, zero weights left out.  The payoff is 1.0 less this
-    sum: the one definition of the payoff."""
-    m, positions = shape
-    weight = itertools.count()
+def _sum_exprs(shape: tuple, named=frozenset()) -> list[str]:
+    """Each candidate's sum_i pi_i * p_{k-i} as expression text, summed
+    left to right over its terms (i, c) of ``_shape``, zero weights left
+    out.  The product of a term in ``named`` is the local q{c}_{i}, every
+    other one is w{c}*t{m-i}, where w{c} is class c's weight and t_j =
+    p_{k-m+j}.  w*t is one IEEE operation, so a q{c}_{i} formed at an
+    earlier pile size holds the same double, and the sums are the same
+    bit for bit whatever is named.  The payoff is 1.0 less this sum: the
+    one definition of the payoff."""
+    m, terms = shape
     # p_{k-i} is t_{m-i}
-    return [" + ".join(f"w{next(weight)}*t{m - i}" for i in pos) or "0.0" for pos in positions]
+    return [
+        " + ".join(f"q{c}_{i}" if (i, c) in named else f"w{c}*t{m - i}" for i, c in cand) or "0.0"
+        for cand in terms
+    ]
 
 
 def _compiled(src: str, name: str):
@@ -209,26 +224,40 @@ def _compiled(src: str, name: str):
 def _generated(name: str, shape: tuple):
     """The generated function ``name`` for one shape: ``_kernel`` (see
     ``payoff_kernel``) or ``_run`` (see ``_recursion``), each taking the
-    weights w0, w1, ... as its leading parameters.  Both are written from
-    ``_sum_exprs``; the cache keeps the code of the last 64 (name, shape)
-    pairs, so a process compiles each shape's code once and holds a
-    bounded amount of it whatever sets it meets."""
-    m, positions = shape
-    sums = _sum_exprs(shape)
-    weights = [f"w{j}" for j in range(sum(map(len, positions)))]
+    class weights w0, w1, ... as its leading parameters.  Both are
+    written from ``_sum_exprs`` over the shape's one term list; the cache
+    keeps the code of the last 64 (name, shape) pairs, so a process
+    compiles each shape's code once and holds a bounded amount of it
+    whatever sets it meets."""
+    m, terms = shape
+    weights = [f"w{c}" for c in range(len({c for cand in terms for _, c in cand}))]
     state = [f"t{j}" for j in range(m)]
     if name == "_kernel":
-        body = ", ".join(f"1.0 - ({s})" for s in sums)
+        body = ", ".join(f"1.0 - ({s})" for s in _sum_exprs(shape))
         return _compiled(f"def _kernel({', '.join(weights + state)}):\n    return ({body},)", name)
+    # the candidates using each term (i, c), and the positions of each class
+    used = Counter(term for cand in terms for term in cand)
+    positions: dict[int, list[int]] = {}
+    for i, c in used:
+        positions.setdefault(c, []).append(i)
+    # a class at two or more positions keeps the window q{c}_1..q{c}_{last},
+    # shifted from the top down
+    reach = {c: max(pos) for c, pos in positions.items() if len(pos) > 1}
+    window = [(i, c) for c, last in reach.items() for i in range(last, 0, -1)]
+    # any other product that several candidates use is formed once per pile size
+    shared = [(i, c) for (i, c), count in used.items() if count > 1 and c not in reach]
+    sums = _sum_exprs(shape, {*window, *shared})
     saved = [f"s{j}" for j in range(m)]
-    least = [f"x = {sums[0]}"]
+    least = [*(f"q{c}_{i} = w{c}*t{m - i}" for i, c in shared), f"x = {sums[0]}"]
     for s in sums[1:]:
         least += [f"y = {s}", "if y < x: x = y"]
     shift = [f"t{j} = t{j + 1}" for j in range(m - 1)] + [f"t{m - 1} = best"]
+    shift += [f"q{c}_{i} = q{c}_{i - 1}" if i > 1 else f"q{c}_1 = w{c}*best" for i, c in window]
     same = " and ".join(f"{t} == {s}" for t, s in zip(state, saved))
     lines = [
         f"def _run({', '.join(weights + ['put', 'n'] + state)}):",
         f"    {', '.join(saved)} = {', '.join(state)}",
+        *(f"    q{c}_{i} = w{c}*t{m - i}" for i, c in window),
         "    power = 1",
         "    while n:",
         "        gap = min(power, n)",
@@ -276,19 +305,26 @@ def payoffs(candidates: Sequence[Lottery], ext: np.ndarray) -> tuple[np.ndarray,
 def _recursion(candidates: Sequence[Lottery]):
     """Build run(put, n, t0, ..., t{m-1}) -> period.
 
-    From the state (t0, ..., t{m-1}) = (p_{1-m}, ..., p_0) it evaluates
-    p_k for k = 1, 2, ..., passes each to ``put``, and shifts it into the
-    locals.  p_k is 1.0 less the least of the candidates' sums, kept by
-    one ``if y < x`` per candidate after the first: rounding to nearest
-    is monotone, so fl(1 - s) does not increase in s, and the maximum of
-    the payoffs fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is
-    never -0.0, so equal payoffs have equal bits).  Brent's saved state
-    lives in the locals s0..s{m-1}.  The pile sizes run one gap at a
-    time, the last gap cut short at n: an inner ``for`` over the gap
-    counts the distance from the saved state, and the state is saved
-    after each gap, so no pile size updates or tests a counter of its
-    own.  It returns the repeat length at the first state equal to the
-    saved one, or 0 after n pile sizes without one.
+    From the state (t0, ..., t{m-1}) = (p_{1-m}, ..., p_0) it evaluates p_k
+    for k = 1, 2, ..., passes each to ``put``, and shifts it into the
+    locals.  A class of equal weights at two or more positions keeps a
+    window of locals q{c}_{i} = w_c * p_{k-i}, i = 1..its last position:
+    after each pile size it forms the one new product w_c * p_k and shifts
+    the window, so a product is formed once and read at each later pile size
+    that needs it (exact, see ``_sum_exprs``).  Any other product that
+    several candidates use is formed once per pile size, and a product used
+    once stays inline, so a set whose weights are all distinct gets the
+    plain sums.  p_k is 1.0 less the least of the candidates' sums, kept by
+    one ``if y < x`` per candidate after the first: rounding to nearest is
+    monotone, so fl(1 - s) does not increase in s, and the maximum of the
+    payoffs fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is never
+    -0.0, so equal payoffs have equal bits).  Brent's saved state lives in
+    the locals s0..s{m-1}.  The pile sizes run one gap at a time, the last
+    gap cut short at n: an inner ``for`` over the gap counts the distance
+    from the saved state, and the state is saved after each gap, so no pile
+    size updates or tests a counter of its own.  It returns the repeat
+    length at the first state equal to the saved one, or 0 after n pile
+    sizes without one.
     """
     return _bound("_run", candidates)
 
@@ -345,7 +381,7 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
         m=m,
         n=n,
         candidates=candidates,
-        p_prefix=np.array(p),
+        p_prefix=np.fromiter(p, np.float64, len(p)),
         computed=len(p) - m,
         period=period,
         tie_rule=tie_rule,

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -352,6 +353,8 @@ SHAPES = [
     ("m=2", truncated_simplex([0.2] * 2), 223),
     ("m=6", truncated_simplex([0.02] * 6), 1153),
     ("duplicate lotteries", finite_set([[0.1, 0.2, 0.7], [0.1, 0.2, 0.7], [0.6, 0.2, 0.2]]), 175),
+    ("asymmetric simplex", truncated_simplex([0.02, 0.05, 0.1]), 410),
+    ("one weight at two positions", finite_set([[0.3, 0.4, 0.3], [0.3, 0.2, 0.5], [0.2, 0.5, 0.3]]), 155),
 ]
 SHAPE_IDS = [label for label, _, _ in SHAPES]
 
@@ -370,7 +373,7 @@ class TestGeneratedLoop:
             assert vt.tie_mask.shape == (vt.computed, len(K.lotteries))
 
     def test_cases_have_their_shape(self):
-        single, zero_first, many, two, six, twins = (K for _, K, _ in SHAPES)
+        single, zero_first, many, two, six, twins, tilted, spread = (K for _, K, _ in SHAPES)
         assert len(single.lotteries) == 1
         assert zero_first.lotteries[0].probs[0] == 0.0
         assert len(many.lotteries) == 30
@@ -381,8 +384,45 @@ class TestGeneratedLoop:
         assert twins.lotteries[0] == twins.lotteries[1]
         vt = solve(GameSpec(100, 3, twins))
         assert vt.tie_mask[:, 0].tolist() == vt.tie_mask[:, 1].tolist() and vt.tie_mask[:, 0].any()
+        # each weight of the tilted simplex sits at one position, and each eps
+        # is shared by two vertices: products shared within one pile size only
+        (_, terms), _ = engine._shape(tilted.lotteries)
+        assert all(len({i for cand in terms for i, c in cand if c == d}) == 1 for _, d in terms[0])
+        assert sum(len(cand) for cand in terms) > len({t for cand in terms for t in cand})
+        # 0.3 sits at positions 1 and 3 of several candidates: a window with a gap
+        (_, terms), weights = engine._shape(spread.lotteries)
+        at = {(i, cand_no) for cand_no, cand in enumerate(terms) for i, c in cand if weights[c] == 0.3}
+        assert {i for i, _ in at} == {1, 3} and len({k for _, k in at}) == 3
         for label, K, detect in SHAPES:
             assert solve(GameSpec(3 * detect, K.m, K)).computed == detect, label
+
+
+@st.composite
+def pooled_sets(draw):
+    """Lottery sets whose weights come from a small pool, so that equal
+    weights recur across positions and candidates, duplicates included."""
+    m = draw(st.integers(2, 5))
+    parts = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
+    raw = draw(st.lists(parts, min_size=1, max_size=5))
+    raw += draw(st.lists(st.sampled_from(raw), max_size=3))
+    raw = draw(st.permutations(raw))
+    return finite_set([[a / sum(v) for a in v] for v in raw])
+
+
+class TestSharedProducts:
+    """The loop forms each product of a recurring weight once, and the
+    tables stay those of the full recursion."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pooled_sets(), st.integers(1, 1500), st.integers(0, 3))
+    def test_pooled_weights_match_reference(self, K, n, seed):
+        spec = GameSpec(n, K.m, K)
+        for rule in TIE_RULES:
+            vt = solve(spec, rule, seed=seed)
+            p_ext, argmax, _ = _reference_solve(spec, rule, seed)
+            assert vt.p_ext.tobytes() == p_ext.tobytes()
+            assert (vt.computed, vt.period) == _reference_cycle(p_ext, K.m, n)
+            assert vt.argmax(np.arange(1, n + 1)).tobytes() == argmax.tobytes()
 
 
 class TestLeastSum:
@@ -422,7 +462,7 @@ class TestCompiledOncePerShape:
         yield names
         engine._generated.cache_clear()
 
-    def test_sweep_compiles_one_loop_and_picks_one_kernel(self, compiled, tmp_path, monkeypatch):
+    def test_sweep_compiles_one_loop_per_weight_pattern(self, compiled, tmp_path, monkeypatch):
         eps = [0.001, 0.003, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3]
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"game": {"n": 200, "m": 3}, "sweep": {"epsilon_values": eps}}))
@@ -430,16 +470,41 @@ class TestCompiledOncePerShape:
         monkeypatch.setattr(cli, "solve", lambda *a: tables.append(solve(*a)) or tables[-1])
         assert cli.run("sweep", cfg, output=tmp_path / "out") == 0
         assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 1 + len(eps)
-        # sweep reads values only; the kernel is built on the first read of picks
-        assert compiled == ["_run"] and len(tables) == len(eps)
+        # up to eps=0.05 every vertex holds eps and one value 1 - 2*eps; from
+        # 0.1 on the last vertex's large weight rounds to a third value
+        patterns = {len(engine._shape(vt.candidates)[1]) for vt in tables}
+        assert patterns == {2, 3}
+        # sweep reads values only; the kernels are built on the first read of picks
+        assert compiled == ["_run", "_run"] and len(tables) == len(eps)
         for vt in tables:
             vt.picks
-        assert sorted(compiled) == ["_kernel", "_run"]
+        assert sorted(compiled) == ["_kernel", "_kernel", "_run", "_run"]
+        compiled.clear()
         # another shape: first weight zero
         solve(GameSpec(50, 3, finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]]))).picks
-        assert sorted(compiled) == ["_kernel", "_kernel", "_run", "_run"]
-        solve(GameSpec(50, 3, finite_set([[0.0, 0.5, 0.5], [0.2, 0.4, 0.4]]))).picks
-        assert len(compiled) == 4
+        assert sorted(compiled) == ["_kernel", "_run"]
+        # the same shape: other weights that coincide in the same places
+        solve(GameSpec(50, 3, finite_set([[0.0, 0.8, 0.2], [0.4, 0.4, 0.2]]))).picks
+        assert len(compiled) == 2
+        # the same nonzero positions, but two weights coincide: two loops
+        solve(GameSpec(50, 3, finite_set([[0.2, 0.3, 0.5]])))
+        solve(GameSpec(50, 3, finite_set([[0.25, 0.25, 0.5]])))
+        assert compiled[2:] == ["_run", "_run"]
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_symmetric_simplex_forms_two_products_per_pile(self, compiled, monkeypatch, m):
+        # two weights, eps and 1 - (m-1)*eps, at every vertex; at some eps
+        # (0.05 at m=5) one vertex's large weight rounds to a third value
+        K = truncated_simplex([0.01] * m)
+        assert len(engine._shape(K.lotteries)[1]) == 2
+        sources = {}
+        counting = engine._compiled
+        monkeypatch.setattr(engine, "_compiled", lambda src, name: counting(sources.setdefault(name, src), name))
+        solve(GameSpec(10, m, K))
+        assert compiled == ["_run"]
+        loop = sources["_run"][sources["_run"].index("for period in") :]
+        # w0*best and w1*best: one new product per weight, not m*m
+        assert len(re.findall(r"\bw\d+\*", loop)) == 2
 
     def test_cache_is_bounded(self, compiled):
         size = engine._generated.cache_info().maxsize
