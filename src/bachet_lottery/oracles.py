@@ -22,6 +22,8 @@ from .lotteries import GameSpec
 
 # a profile stays one-shot optimal while no deviation gains more than this
 OPTIMALITY_TOL = 1e-12
+# draw columns that estimate_win_prob copies into its contiguous tile at once
+_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -73,51 +75,65 @@ def estimate_win_prob(cfg: SimConfig, draws: np.ndarray | None = None) -> SimRes
     uniform draw matrix, the draws of replication r, is
     ``stream[r*n:(r+1)*n]``, so results are reproducible and independent
     of evaluation order, and the matrix of a smaller n reads a prefix of
-    the same stream.  ``draws``, when given, is that stream of cfg.seed,
-    one-dimensional and at least R*n long (else ValueError); a run over
-    several n draws it once for the largest, and each n's matrix is a
-    view of its first R*n doubles, with no copy.  Without it the function
-    draws R*n doubles itself.  A game over n objects ends within n moves.
+    the same stream.  ``draws``, when given, is that stream of cfg.seed:
+    a one-dimensional float64 ndarray at least R*n long (else
+    ValueError).  A run over several n draws it once for the largest, and
+    each n's matrix is a view of its first R*n doubles.  Without it the
+    function draws R*n doubles itself.  A game over n objects ends within
+    n moves.
 
     The policy is held as m - 1 threshold rows indexed by pile size:
     ``thr[j, k]`` is entry j of the cumulative move probabilities of the
     lottery picked at pile size k, and column 0, a finished game, holds
-    2.0, which no draw reaches.  Move t reads column t of the draws for
-    all R games at once, takes ``1 + #{j < m-1: u >= thr[j, pile]}``
-    objects from one length-R pile array, and clamps it at 0, where a
-    finished game stays; the games that reach 0 at an odd t are the first
-    player's wins.  The cumulative sums do not decrease, so u >= cum[m-1]
-    implies u >= every earlier entry, and the count without the last
-    entry equals ``min(1 + #{j <= m-1: u >= cum[j]}, m)`` bit for bit.
-    Besides the draws the loop holds four length-R buffers.
+    2.0, which no draw reaches.  Move t plays all R games at once on
+    column t of the draws, read from a contiguous tile that holds the
+    next ``_TILE`` columns as rows.  It takes
+    ``1 + #{j < m-1: u >= thr[j, pile]}`` objects from one length-R pile
+    array, counting the hits in the smallest unsigned dtype that holds m,
+    and clamps the pile at 0, where a finished game stays; the games that
+    reach 0 at an odd t are the first player's wins.  A move takes at
+    most m objects, so no game can end before move ceil(n/m) - 1, and the
+    moves before it skip the clamp and the count.  The cumulative sums do
+    not decrease, so u >= cum[m-1] implies u >= every earlier entry, and
+    the count without the last entry equals
+    ``min(1 + #{j <= m-1: u >= cum[j]}, m)`` bit for bit.  Besides the
+    draws the loop holds the tile and four length-R buffers.
     """
     vt, n, R = cfg.table, int(cfg.n), int(cfg.replications)
     if draws is None:
         draws = draw_stream(cfg.seed, R * n)
-    elif draws.ndim != 1 or draws.size < R * n:
-        raise ValueError(
-            f"draws must be a flat array of at least {R * n} doubles, got shape {draws.shape}"
-        )
+    elif not (isinstance(draws, np.ndarray) and draws.dtype == np.float64
+              and draws.ndim == 1 and draws.size >= R * n):
+        got = (f"{draws.dtype} of shape {draws.shape}" if isinstance(draws, np.ndarray)
+               else type(draws).__name__)
+        raise ValueError(f"draws must be a flat array of at least {R * n} doubles, got {got}")
     draws = draws[: R * n].reshape(R, n)
     cum = np.cumsum([c.probs for c in vt.candidates], axis=1)
     thr = np.full((vt.m - 1, n + 1), 2.0)
     thr[:, 1:] = cum[vt.argmax(np.arange(1, n + 1)), :-1].T
 
     pile = np.full(R, n, dtype=np.intp)
-    take = np.empty(R, dtype=np.intp)
+    take = np.empty(R, dtype=np.min_scalar_type(vt.m))
     bound = np.empty(R)
     hit = np.empty(R, dtype=bool)
+    tile = np.empty((min(_TILE, n), R))
+    first_end = -(-n // vt.m) - 1
     alive, wins = R, 0
     for t in range(n):
-        u = draws[:, t]
+        if not t % _TILE:
+            cols = draws[:, t : t + _TILE]
+            tile[: cols.shape[1]] = cols.T
+        u = tile[t % _TILE]
         take.fill(1)
         for row in thr:
             # pile stays in 0..n: clip never clips, and spares the copy that
             # take's default bounds check makes of ``out``
             np.take(row, pile, out=bound, mode="clip")
             np.greater_equal(u, bound, out=hit)
-            take += hit
+            take += hit.view(np.uint8)
         pile -= take
+        if t < first_end:
+            continue
         np.maximum(pile, 0, out=pile)
         left = int(np.count_nonzero(pile))
         if t % 2:

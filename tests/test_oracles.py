@@ -22,7 +22,7 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
-from bachet_lottery import engine
+from bachet_lottery import engine, oracles
 from bachet_lottery.engine import TIE_LOWEST, TIE_RANDOM, TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
 from bachet_lottery.lotteries import SUM_TOL
@@ -183,7 +183,10 @@ class TestEstimateWinProb:
         cfg = SimConfig(table=vt, n=30, replications=40, seed=2)
         stream = draw_stream(2, 40 * 30)
         assert estimate_win_prob(cfg, stream) == estimate_win_prob(cfg)
-        for bad in (stream[:-1], stream.reshape(40, 30)):
+        # a stream of integers or of float32 would play a different game
+        ints = (stream * 2**53).astype(np.int64)
+        for bad in (stream[:-1], stream.reshape(40, 30), ints, stream.astype(np.float32),
+                    stream.tolist()):
             with pytest.raises(ValueError, match="^draws must be a flat array of at least 1200 "):
                 estimate_win_prob(cfg, bad)
 
@@ -195,9 +198,45 @@ class TestEstimateWinProb:
             want = np.random.Generator(np.random.Philox(2**64)).random((7, n))
             assert stream[: 7 * n].reshape(7, n).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_first_move_that_can_end_a_game(self, R):
+        # take m every move: each game ends on move ceil(n/m) - 1, the first
+        # move that the loop does not skip
+        for m in range(2, 6):
+            vt = solve(GameSpec(3 * m + 1, m, finite_set([[0.0] * (m - 1) + [1.0]])))
+            for n in range(1, 3 * m + 2):
+                cfg = SimConfig(table=vt, n=n, replications=R, seed=n)
+                got = estimate_win_prob(cfg)
+                assert got == _reference_result(cfg)
+                assert got.wins_first_player == R * ((-(-n // m) - 1) % 2)
+
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_games_across_tile_boundaries(self, R):
+        # games that last about n moves, n around one and two tiles of draw
+        # columns: always take 1, and take 1 with probability 7/8.  A game
+        # that reaches move n - 1 has one object left, so the last column's
+        # draw never matters; at n = tile + 2 column ``tile`` does
+        tile = oracles._TILE
+        for probs in ([1.0, 0.0], [0.875, 0.125]):
+            vt = solve(GameSpec(2 * tile + 1, 2, finite_set([probs])))
+            for n in (tile - 1, tile, tile + 1, tile + 2, 2 * tile + 1):
+                for seed in range(10):
+                    cfg = SimConfig(table=vt, n=n, replications=R, seed=seed)
+                    assert estimate_win_prob(cfg) == _reference_result(cfg)
+
+    def test_take_count_wider_than_a_byte(self):
+        # every move takes 300 objects, a count that wraps to 44 in uint8
+        vt = solve(GameSpec(1000, 300, finite_set([[0.0] * 299 + [1.0]])))
+        for n in (299, 300, 301, 999, 1000):
+            cfg = SimConfig(table=vt, n=n, replications=3, seed=n)
+            assert estimate_win_prob(cfg) == _reference_result(cfg)
+        # at n=1000 move 3 takes the last 100 objects: the first player wins
+        assert estimate_win_prob(cfg).p_hat == 1.0
+
     def test_memory_is_the_draws_and_length_r_buffers(self):
         # the benchmark's largest game; a second R x n array (a transposed
-        # copy of the draws, say) would break the bound
+        # copy of the draws, say) would break the bound, while the draw
+        # tile, 8 x R doubles, stays inside it
         vt = solve(GameSpec(400, 3, truncated_simplex([0.05] * 3)))
         R, n = 2000, 400
         cfg = SimConfig(table=vt, n=n, replications=R, seed=0)
