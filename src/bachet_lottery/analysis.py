@@ -276,7 +276,8 @@ def check_km_bound(
 ) -> list[BoundReport]:
     """When the whole window sits above 1/2 + (1-kappa)*Delta_{k+1}, the
     deviation m steps back dominates: Delta_{k+1} <= eta/((2-eta)(1-kappa))
-    * Delta_{k-m}.  One report per kappa.
+    * Delta_{k-m}.  One report per kappa, with id ``km_bound[kappa=...]``
+    holding repr(kappa), so that distinct kappas get distinct ids.
     """
     k, weight = _folded(ds, ds.m + 1, ds.n - 1, ds.m)
     window_min = ds.p_min[k - 1]
@@ -288,9 +289,10 @@ def check_km_bound(
             raise ValueError(f"kappa must be in (0, 1), got {kappa}")
         factor = eta / ((2.0 - eta) * (1.0 - kappa))
         hit = window_min >= 0.5 + (1.0 - kappa) * d_next
-        reports.append(BoundReport.scan(
-            f"km_bound[kappa={kappa:g}]", k[hit], d_next[hit], factor * d_back[hit], weight[hit]
-        ))
+        lemma = f"km_bound[kappa={float(kappa)!r}]"
+        reports.append(
+            BoundReport.scan(lemma, k[hit], d_next[hit], factor * d_back[hit], weight[hit])
+        )
     return reports
 
 

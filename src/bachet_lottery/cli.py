@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -56,7 +55,7 @@ SWEEP_ROW = "%d,%d,%.17g,%.17g,%s,%.17g,%.17g\n"
 
 # numpy refuses an array over sys.maxsize bytes with a ValueError.  With
 # the n + m doubles of a value table whose state never repeats, and the
-# replications x max(n_values) doubles of a Monte-Carlo draw stream,
+# replications x max(n_values) 64-bit words of a Monte-Carlo draw stream,
 # bounded by half that, an array too large for memory fails to allocate
 # instead: a MemoryError, which `_fits_in_memory` reports against the
 # config field that asked for it.  Pile sizes then also fit the int64
@@ -64,23 +63,17 @@ SWEEP_ROW = "%d,%d,%.17g,%.17g,%s,%.17g,%.17g\n"
 MAX_TABLE = sys.maxsize // 16
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
     """Write the concatenated ``chunks`` to ``path`` as they are, via a temp
-    file and a rename."""
+    file and a rename.  The temp file is created with mode 0666, so that
+    the process umask applies to it as it would to open()."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.writelines(chunks)
-            # mkstemp creates the file 0600; give it the mode open() would have
-            os.chmod(tmp, 0o666 & ~_umask())
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -162,6 +155,8 @@ def _parse_kappa_grid(cfg: dict) -> list[float]:
         "kappa_grid",
         "must be a non-empty list of reals in (0, 1)",
     )
+    # each value names its km_bound report
+    _require(len(set(grid)) == len(grid), "kappa_grid", "must not repeat a value")
     return grid
 
 
@@ -322,7 +317,12 @@ def _game_sized(spec: GameSpec, n_field: str = "game.n"):
     return _fits_in_memory(n_field, f"{spec.n} pile sizes")
 
 
-def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
+def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None,
+                  k_field: str = "game.K"):
+    """The table and, under the hypotheses, the drop constants.  A tau
+    outside its interval is an error on ``tau``; a delta that rounds to 1
+    is one on ``tau`` when the config sets it, else on the lottery set's
+    config field ``k_field``."""
     vt = solve(spec)
     dc = None
     if cond.eta_ok and cond.nu_ok:
@@ -330,6 +330,8 @@ def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
             dc = analysis.drop_constants(cond.eta, cond.nu, tau)
         except TauOutOfRangeError as exc:
             raise ConfigError(f"tau: {exc}") from exc
+        except InvalidEtaNuError as exc:
+            raise ConfigError(f"{k_field if tau is None else 'tau'}: {exc}") from exc
     return vt, dc
 
 
@@ -409,7 +411,7 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
         "sim.n_values",
         f"must be a non-empty list of integers in 1..{spec.n}",
     )
-    # the draws of the longest game: reps rows of max(n_values) doubles
+    # the draws of the longest game: reps rows of max(n_values) words
     longest = max(n_values)
     most = MAX_TABLE // longest
     _require(reps <= most, "sim.replications", f"must be at most {most} for these n_values")
@@ -433,7 +435,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     _require(isinstance(game, dict), "game", "must be an object")
     sweep = cfg.get("sweep")
     _require(isinstance(sweep, dict), "sweep", "required for sweep")
-    points: list[tuple[GameSpec, str]] = []
+    # each point's game, and the config fields of its n and its K
+    points: list[tuple[GameSpec, str, str]] = []
     if "n_values" in sweep:
         n_values = sweep["n_values"]
         _require(isinstance(n_values, list) and n_values, "sweep.n_values",
@@ -441,7 +444,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         for i, n in enumerate(n_values):
             where = f"sweep.n_values[{i}]"
             _require(_is_int(n) and n >= 1, where, "integer >= 1")
-            points.append((_parse_game({**game, "n": n}, where), where))
+            points.append((_parse_game({**game, "n": n}, where), where, "game.K"))
     elif "epsilon_values" in sweep:
         m = game.get("m")
         _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
@@ -449,23 +452,24 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         _require(isinstance(eps_values, list) and eps_values, "sweep.epsilon_values",
                  "must be a non-empty list")
         for i, eps in enumerate(eps_values):
+            where = f"sweep.epsilon_values[{i}]"
             _require(
                 _is_real(eps) and 0.0 < eps < 1 / m,  # int / int: no overflow
-                f"sweep.epsilon_values[{i}]",
+                where,
                 f"must be a real in (0, 1/{m})",
             )
             node = {**game, "K": {"type": "truncated_simplex", "epsilon": [eps] * m}}
-            points.append((_parse_game(node), "game.n"))
+            points.append((_parse_game(node), "game.n", where))
     else:
         raise ConfigError("sweep: needs n_values or epsilon_values")
 
     tau = _parse_tau(cfg)
     lines = [SWEEP_HEADER]
-    for spec, n_field in points:
+    for spec, n_field, k_field in points:
         cond = compute_conditions(spec.K)
         _reject_nu_zero(cond, "sweep")
         with _game_sized(spec, n_field):
-            vt, dc = _solve_bundle(spec, cond, tau)
+            vt, dc = _solve_bundle(spec, cond, tau, k_field)
         p_n = vt.p(vt.n)
         delta = "" if dc is None else "%.17g" % dc.delta
         lines.append(SWEEP_ROW % (spec.n, spec.m, cond.eta, cond.nu, delta, p_n, abs(p_n - 0.5)))

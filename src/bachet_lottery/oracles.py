@@ -61,34 +61,40 @@ class SimResult:
 
 
 def draw_stream(seed: int, size: int) -> np.ndarray:
-    """The first ``size`` uniforms in [0, 1) of the counter-based Philox
-    stream keyed by ``seed`` (Salmon et al., "Parallel random numbers: as
-    easy as 1, 2, 3", SC'11).  Each double takes the stream's next 64-bit
-    output, so the stream of a smaller size is a prefix of a larger one's."""
-    return np.random.Generator(np.random.Philox(seed)).random(size)
+    """The first ``size`` 64-bit words (uint64) of the counter-based
+    Philox stream keyed by ``seed`` (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC'11).  The stream of a smaller size is
+    a prefix of a larger one's.  Word w is the draw: numpy's uniform
+    double of it, ``Generator(Philox(seed)).random()``, is exactly
+    ``(w >> 11) * 2**-53``."""
+    return np.random.Philox(seed).random_raw(size)
 
 
 def estimate_win_prob(cfg: SimConfig, draws: np.ndarray | None = None) -> SimResult:
     """Estimate the first player's win probability by replicated play.
 
     Randomness comes from ``draw_stream(seed, ...)``: row r of the (R x n)
-    uniform draw matrix, the draws of replication r, is
-    ``stream[r*n:(r+1)*n]``, so results are reproducible and independent
-    of evaluation order, and the matrix of a smaller n reads a prefix of
-    the same stream.  ``draws``, when given, is that stream of cfg.seed:
-    a one-dimensional float64 ndarray at least R*n long (else
-    ValueError).  A run over several n draws it once for the largest, and
-    each n's matrix is a view of its first R*n doubles.  Without it the
-    function draws R*n doubles itself.  A game over n objects ends within
-    n moves.
+    draw matrix, the draws of replication r, is ``stream[r*n:(r+1)*n]``,
+    so results are reproducible and independent of evaluation order, and
+    the matrix of a smaller n reads a prefix of the same stream.
+    ``draws``, when given, is that stream of cfg.seed: a one-dimensional
+    uint64 ndarray at least R*n words long (else ValueError).  A run over
+    several n draws it once for the largest, and each n's matrix is a view
+    of its first R*n words.  Without it the function draws R*n words
+    itself.  A game over n objects ends within n moves.
 
-    The policy is held as m - 1 threshold rows indexed by pile size:
-    ``thr[j, k]`` is entry j of the cumulative move probabilities of the
-    lottery picked at pile size k, and column 0, a finished game, holds
-    2.0, which no draw reaches.  Move t plays all R games at once on
-    column t of the draws, read from a contiguous tile that holds the
-    next ``_TILE`` columns as rows.  It takes
-    ``1 + #{j < m-1: u >= thr[j, pile]}`` objects from one length-R pile
+    A game plays word w as the uniform u = i * 2**-53 with i = w >> 11,
+    numpy's double of it, but never forms u: for c in [0, 1], c * 2**53 is
+    exact (a power-of-two scaling) and i is an integer below 2**53, so
+    ``u >= c`` iff ``i >= ceil(c * 2**53)``.  The policy is held as m - 1
+    threshold rows of such ceilings indexed by pile size: ``thr[j, k]``
+    is that of entry j of the cumulative move probabilities of the
+    lottery picked at pile size k.  A zero cumulative weight gives 0,
+    which every draw reaches; 1.0 gives 2**53, which none does, and so
+    does column 0, a finished game.  Move t plays all R games at once on
+    column t of the draws, shifted into a contiguous tile that holds the
+    next ``_TILE`` columns of i as rows.  It takes
+    ``1 + #{j < m-1: i >= thr[j, pile]}`` objects from one length-R pile
     array, counting the hits in the smallest unsigned dtype that holds m,
     and clamps the pile at 0, where a finished game stays; the games that
     reach 0 at an odd t are the first player's wins.  A move takes at
@@ -102,34 +108,35 @@ def estimate_win_prob(cfg: SimConfig, draws: np.ndarray | None = None) -> SimRes
     vt, n, R = cfg.table, int(cfg.n), int(cfg.replications)
     if draws is None:
         draws = draw_stream(cfg.seed, R * n)
-    elif not (isinstance(draws, np.ndarray) and draws.dtype == np.float64
+    elif not (isinstance(draws, np.ndarray) and draws.dtype == np.uint64
               and draws.ndim == 1 and draws.size >= R * n):
         got = (f"{draws.dtype} of shape {draws.shape}" if isinstance(draws, np.ndarray)
                else type(draws).__name__)
-        raise ValueError(f"draws must be a flat array of at least {R * n} doubles, got {got}")
+        raise ValueError(f"draws must be a flat array of at least {R * n} words, got {got}")
     draws = draws[: R * n].reshape(R, n)
     cum = np.cumsum([c.probs for c in vt.candidates], axis=1)
-    thr = np.full((vt.m - 1, n + 1), 2.0)
-    thr[:, 1:] = cum[vt.argmax(np.arange(1, n + 1)), :-1].T
+    ceils = np.ceil(cum[:, :-1] * 2.0**53).astype(np.uint64)
+    thr = np.full((vt.m - 1, n + 1), 2**53, dtype=np.uint64)
+    thr[:, 1:] = ceils[vt.argmax(np.arange(1, n + 1))].T
 
     pile = np.full(R, n, dtype=np.intp)
     take = np.empty(R, dtype=np.min_scalar_type(vt.m))
-    bound = np.empty(R)
+    bound = np.empty(R, dtype=np.uint64)
     hit = np.empty(R, dtype=bool)
-    tile = np.empty((min(_TILE, n), R))
+    tile = np.empty((min(_TILE, n), R), dtype=np.uint64)
     first_end = -(-n // vt.m) - 1
     alive, wins = R, 0
     for t in range(n):
         if not t % _TILE:
             cols = draws[:, t : t + _TILE]
-            tile[: cols.shape[1]] = cols.T
-        u = tile[t % _TILE]
+            np.right_shift(cols.T, 11, out=tile[: cols.shape[1]])
+        i = tile[t % _TILE]
         take.fill(1)
         for row in thr:
             # pile stays in 0..n: clip never clips, and spares the copy that
             # take's default bounds check makes of ``out``
-            np.take(row, pile, out=bound, mode="clip")
-            np.greater_equal(u, bound, out=hit)
+            row.take(pile, out=bound, mode="clip")
+            np.greater_equal(i, bound, out=hit)
             take += hit.view(np.uint8)
         pile -= take
         if t < first_end:

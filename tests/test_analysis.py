@@ -428,7 +428,7 @@ def _reference_checks(vt, ds, nu, dc, kappa_grid):
     reports = [mono, runs]
     eta = max(max(c.probs) for c in vt.candidates)
     for kappa in kappa_grid:
-        km = _RefReport(f"km_bound[kappa={kappa:g}]")
+        km = _RefReport(f"km_bound[kappa={kappa!r}]")
         factor = eta / ((2.0 - eta) * (1.0 - kappa))
         for k in range(m + 1, n):
             bar = 0.5 + (1.0 - kappa) * ds.delta_at(k + 1)
@@ -572,7 +572,7 @@ def _dense_checks(vt, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
     for kappa in kappa_grid:
         factor = cond.eta / ((2.0 - cond.eta) * (1.0 - kappa))
         hit = ds.p_min[k - 1] >= 0.5 + (1.0 - kappa) * ds.delta[k]
-        out.append(_dense_scan(f"km_bound[kappa={kappa:g}]", k[hit], ds.delta[k][hit],
+        out.append(_dense_scan(f"km_bound[kappa={kappa!r}]", k[hit], ds.delta[k][hit],
                                factor * ds.delta[k - m - 1][hit]))
     k = np.arange(1, n)
     k = k[ds.p[k] < 0.5]

@@ -41,6 +41,8 @@ SERIES_CAP = 300 << 20
 HUGE_GAME = {**SERIES_GAME, "n": 10**15}
 # the largest file a capped run may write
 FILE_CAP = 64 << 20
+# a game whose eta and nu pass, and whose contraction constant delta is 1.0
+DEGENERATE_GAME = {"n": 50, "m": 3, "K": {"type": "finite", "lotteries": [[1e-320, 0.5, 0.5]]}}
 # a config nested past the interpreter's recursion limit
 DEEP_CONFIG = b"[" * 100000 + b"]" * 100000
 
@@ -141,6 +143,14 @@ class TestVerify:
         assert run("verify", cfg, output=tmp_path / "out") == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["tau"] == 0.05 and 0 < report["delta"] < 1
+
+    def test_close_kappas_get_distinct_ids(self, tmp_path):
+        # 0.1 and 0.1000001 agree to 6 significant digits
+        cfg = write_config(tmp_path, {"game": TRUNC_GAME, "kappa_grid": [0.1, 0.1000001]})
+        assert run("verify", cfg, output=tmp_path / "out") == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        ids = [c["lemma_id"] for c in report["checks"] if c["lemma_id"].startswith("km_bound")]
+        assert ids == ["km_bound[kappa=0.1]", "km_bound[kappa=0.1000001]"]
 
 
 class TestSimulate:
@@ -366,6 +376,9 @@ class TestConfigErrors:
             {"kappa_grid": "ab"},
             {"kappa_grid": []},
             {"kappa_grid": [0.5, True]},
+            {"kappa_grid": [0.3, 0.6, 0.3]},
+            # the same double as 0.5
+            {"kappa_grid": [0.5, 0.50000000000000000001]},
             {"tau": 5.0},
             {"tau": "small"},
             {"tau": float("nan")},
@@ -403,6 +416,23 @@ class TestConfigErrors:
         payload = {"game": {"n": 5, "m": 2, "K": K}, "sim": {"replications": 10, "seed": 1}}
         assert run(command, write_config(tmp_path, payload), output=tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "command,payload,field",
+        [
+            # nu = 1e-320 leaves tau an interval below 7e-321: delta rounds to 1
+            ("verify", {"game": DEGENERATE_GAME}, "game.K"),
+            ("solve", {"game": DEGENERATE_GAME}, "game.K"),
+            ("verify", {"game": DEGENERATE_GAME, "tau": 1e-321}, "tau"),
+            # eta = 1 - 1e-16 at m = 2: delta rounds to 1
+            ("sweep", {"game": {"n": 50, "m": 2}, "sweep": {"epsilon_values": [0.05, 1e-16]}},
+             "sweep.epsilon_values[1]"),
+        ],
+    )
+    def test_degenerate_delta_names_field(self, tmp_path, capsys, command, payload, field):
+        assert run(command, write_config(tmp_path, payload), output=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: derived delta=1.0 ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, tmp_path):
         assert run("solve", tmp_path / "nope.json", output=tmp_path / "out") == 2
@@ -696,6 +726,22 @@ def test_artifacts_honour_umask(tmp_path, umask):
         os.umask(old)
     for name in ("values.csv", "summary.json"):
         assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_artifacts_leave_the_umask_alone(tmp_path, monkeypatch):
+    # another thread's file made while the umask were 0 would get mode 0666
+    calls = []
+    monkeypatch.setattr(os, "umask", lambda *args: calls.append(args))
+    payloads = {
+        "solve": {"game": HALF_GAME},
+        "verify": {"game": {**TRUNC_GAME, "n": 50}},
+        "simulate": {"game": HALF_GAME, "sim": {"replications": 10, "seed": 1}},
+        "sweep": {"game": HALF_GAME, "sweep": {"n_values": [2, 3]}},
+    }
+    for command, payload in payloads.items():
+        cfg = write_config(tmp_path, payload, f"{command}.json")
+        assert run(command, cfg, output=tmp_path / command) == 0
+    assert calls == []
 
 
 def _reference_values_csv(vt, delta):

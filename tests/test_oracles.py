@@ -183,20 +183,64 @@ class TestEstimateWinProb:
         cfg = SimConfig(table=vt, n=30, replications=40, seed=2)
         stream = draw_stream(2, 40 * 30)
         assert estimate_win_prob(cfg, stream) == estimate_win_prob(cfg)
-        # a stream of integers or of float32 would play a different game
-        ints = (stream * 2**53).astype(np.int64)
-        for bad in (stream[:-1], stream.reshape(40, 30), ints, stream.astype(np.float32),
+        # the stream's doubles, or its words as signed integers, would play
+        # a different game
+        doubles = (stream >> 11) * 2.0**-53
+        message = "^draws must be a flat array of at least 1200 words, got "
+        for bad in (stream[:-1], stream.reshape(40, 30), doubles, stream.view(np.int64),
                     stream.tolist()):
-            with pytest.raises(ValueError, match="^draws must be a flat array of at least 1200 "):
+            with pytest.raises(ValueError, match=message):
                 estimate_win_prob(cfg, bad)
 
     def test_stream_is_the_row_major_matrix(self):
         # row r of the (R x n) matrix is stream[r*n:(r+1)*n], for any n of
-        # the stream's seed
+        # the stream's seed, and a word's double is numpy's uniform of it
         stream = draw_stream(2**64, 7 * 401)
+        assert stream.dtype == np.uint64
         for n in (1, 2, 5, 400, 401):
             want = np.random.Generator(np.random.Philox(2**64)).random((7, n))
-            assert stream[: 7 * n].reshape(7, n).tobytes() == want.tobytes()
+            got = (stream[: 7 * n].reshape(7, n) >> 11) * 2.0**-53
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_threshold_identity(self, data):
+        # (w >> 11) >= ceil(c * 2**53) is (w >> 11) * 2**-53 >= c, for the
+        # cumulative weights c that estimate_win_prob compares against and
+        # words w on either side of each threshold.  At pile 2 of a game
+        # with the one lottery (c, 1 - c), the first player wins exactly
+        # when the first move's u < c, so estimate_win_prob on those words
+        # counts the draws below the threshold it built
+        j = data.draw(st.integers(0, 2**53))
+        cs = [0.0, 1.0, 5e-324, j * 2.0**-53]
+        cs += [np.nextafter(cs[-1], -1.0), np.nextafter(cs[-1], 2.0)]
+        m = data.draw(st.integers(2, 6))
+        weights = st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=m, max_size=m
+        ).filter(lambda v: sum(v) > 0.0)
+        probs = validate_lottery([w / sum(v) for v in [data.draw(weights)] for w in v]).probs
+        cs += np.cumsum(probs).tolist()
+        for c in cs:
+            if c < 0.0:
+                continue
+            ceil = int(math.ceil(c * 2.0**53))
+            words = [2**64 - 1] + [
+                w for d in (0, 1, 2**11) for w in (ceil * 2**11 - d, ceil * 2**11 + d)
+                if 0 <= w < 2**64
+            ]
+            i = np.array(words, dtype=np.uint64) >> 11
+            u = i * 2.0**-53
+            assert (i >= ceil).tolist() == (u >= c).tolist(), c
+            if c > 1.0:
+                continue
+            # snapping the sum may move a weight above 1/2 by an ulp
+            c = validate_lottery([c, 1.0 - c]).probs[0]
+            vt = solve(GameSpec(2, 2, finite_set([[c, 1.0 - c]])))
+            draws = np.zeros(2 * len(words), dtype=np.uint64)
+            draws[::2] = words
+            cfg = SimConfig(table=vt, n=2, replications=len(words), seed=0)
+            got = estimate_win_prob(cfg, draws).wins_first_player
+            assert got == int(np.count_nonzero(u < c)), c
 
     @pytest.mark.parametrize("R", [1, 3])
     def test_first_move_that_can_end_a_game(self, R):
