@@ -32,15 +32,17 @@ DEFAULT_KAPPA_GRID = tuple(round(0.1 * i, 10) for i in range(1, 10))
 class DeviationSeries:
     """p_k, its deviation from 1/2 and derived window extrema.
 
-    The arrays are indexed by k - 1 and cover k = 1..min(n, computed +
-    period + 3m); windows of k < m reach into the boundary values.  Past
-    computed - 1 every series repeats with the table's period, because
-    each window W_k with k >= computed holds only values that repeat.  A
-    check reads at most 3m pile sizes back, so its inputs repeat from
-    k = computed + 3m on, and the arrays reach one period past that (see
-    ``_folded``).  The accessors read any k in 1..n by going back whole
-    periods (see ``engine.fold``), and extend below k = 1 with the
-    boundary values.
+    ``computed`` and ``period`` are the table's (on a solved table, the
+    state after pile size computed - period is the first that comes back,
+    period pile sizes later).  The arrays are indexed by k - 1 and cover
+    k = 1..min(n, computed + period + 3m); windows of k < m reach into the
+    boundary values.  Past computed - 1 every series repeats with the
+    table's period, because each window W_k with k >= computed holds only
+    values that repeat.  A check reads at most 3m pile sizes back, so its
+    inputs repeat from k = computed + 3m on, and the arrays reach one
+    period past that (see ``_folded``).  The accessors read any k in 1..n
+    by going back whole periods (see ``engine.fold``), and extend below
+    k = 1 with the boundary values.
 
     Round-to-nearest is monotone and odd, so the window maxima of Delta
     and DeltaMinus are, bit for bit, max(fl(p_max - 1/2), fl(1/2 - p_min))
@@ -277,23 +279,26 @@ def check_km_bound(
     """When the whole window sits above 1/2 + (1-kappa)*Delta_{k+1}, the
     deviation m steps back dominates: Delta_{k+1} <= eta/((2-eta)(1-kappa))
     * Delta_{k-m}.  One report per kappa, with id ``km_bound[kappa=...]``
-    holding repr(kappa), so that distinct kappas get distinct ids.
+    holding repr(kappa), so that distinct kappas get distinct ids; a
+    kappa outside (0, 1) or given twice raises ValueError.
     """
     k, weight = _folded(ds, ds.m + 1, ds.n - 1, ds.m)
     window_min = ds.p_min[k - 1]
     d_next = ds.delta[k]             # Delta_{k+1}
     d_back = ds.delta[k - ds.m - 1]  # Delta_{k-m}
-    reports = []
+    reports = {}
     for kappa in kappa_grid:
         if not (0.0 < kappa < 1.0):
             raise ValueError(f"kappa must be in (0, 1), got {kappa}")
+        lemma = f"km_bound[kappa={float(kappa)!r}]"
+        if lemma in reports:
+            raise ValueError(f"kappa {kappa} given twice: each names one report")
         factor = eta / ((2.0 - eta) * (1.0 - kappa))
         hit = window_min >= 0.5 + (1.0 - kappa) * d_next
-        lemma = f"km_bound[kappa={float(kappa)!r}]"
-        reports.append(
-            BoundReport.scan(lemma, k[hit], d_next[hit], factor * d_back[hit], weight[hit])
+        reports[lemma] = BoundReport.scan(
+            lemma, k[hit], d_next[hit], factor * d_back[hit], weight[hit]
         )
-    return reports
+    return list(reports.values())
 
 
 def check_corridor(ds: DeviationSeries, nu: float) -> BoundReport:

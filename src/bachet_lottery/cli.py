@@ -209,20 +209,6 @@ def _envelopes(delta: float | None, m: int) -> Iterator[str]:
     return itertools.chain(powers(), itertools.repeat("0,"))
 
 
-def _repeat_start(picks: np.ndarray, series: list[np.ndarray], computed: int, period: int) -> int:
-    """The first row S from which the rows repeat: for every k >= S + period,
-    row k's six series fields and pick equal those of row k - period.  One
-    pass over the rows 1..computed, the doubles compared as int64 views so
-    that -0.0 != 0.0; past computed the rows repeat by ``engine.fold``."""
-    differs = picks[period:computed] != picks[: computed - period]
-    for s in series:
-        bits = s[:computed].view(np.int64)
-        differs |= bits[period:] != bits[: computed - period]
-    # entry i compares row i + 1 + period with row i + 1
-    last = np.flatnonzero(differs)
-    return int(last[-1]) + 2 if last.size else 1
-
-
 def _segments(body: list[str], moves: list[str], phase: int, block: int, digits: int) -> list[str]:
     """The block + 1 strings whose join by an envelope field is the text of
     a 3m-block whose first row repeats row ``phase`` of the cycle
@@ -239,9 +225,11 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
 
     A row is k, the six series fields, the envelope and the move.  The
     envelope is one string per block (``_envelopes``), and the move is the
-    label of vt.argmax(k).  When the picks repeat (not under
-    seeded_random), every row from S = ``_repeat_start`` on is k plus one
-    of the ``period`` rows S..S + period - 1, whose text is made once.  A
+    label of vt.argmax(k).  The fields and the move of a pile size past
+    computed are those of the one it repeats in the last period
+    S..computed, S = computed - period + 1 (``engine.fold``).  So when the
+    picks repeat (not under seeded_random), every row from S on is k plus
+    one of the ``period`` rows S..computed, whose text is made once.  A
     chunk that starts at or after S, holds whole blocks and whose k all
     have the same number of digits is joined from that cycle: each block is
     ``env.join`` of the phase's ``_segments``, and k's digits are then
@@ -260,10 +248,10 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     size = block * max(1, CHUNK_ROWS // block)
     start = n + 1
     if period and vt.picks.size == c:
-        start = _repeat_start(vt.picks, series, c, period)
-        cycle = _cells(np.stack([s[start - 1 : start - 1 + period] for s in series], axis=1))
+        start = c - period + 1
+        cycle = _cells(np.stack([s[start - 1 : c] for s in series], axis=1))
         body = ["".join(row) for row in cycle.tolist()]
-        moves = labels[vt.picks[start - 1 : start - 1 + period]].tolist()
+        moves = labels[vt.picks[start - 1 :]].tolist()
         width = np.array([len(b) + len(v) for b, v in zip(body, moves)])
     segs: dict[tuple[int, int], list[str]] = {}  # (digits, phase): about a chunk's blocks
     yield VALUES_HEADER.encode()

@@ -15,12 +15,12 @@ Each product w * p_{k-i} is formed once: a weight at several positions
 keeps a window of its products and forms one new product per pile size,
 so the symmetric simplex forms two, not m * m.  Everything about ties is
 worked out on the first read of a table's ties or moves, in numpy, from
-the evaluated prefix: the payoff kernel is written from the same sum
-text and is elementwise, so on arrays it gives the same doubles as the
-loop.  A caller that reads only values never pays for ties.  The table
-keeps that prefix only, so its size does not grow with n once a state
-repeats; a later pile size is read by going back whole periods
-(``fold``).
+the stored prefix: the payoff kernel is written from the same sum text
+and is elementwise, so on arrays it gives the same doubles as the loop.
+A caller that reads only values never pays for ties.  The table keeps
+the values up to the end of the first period only, so its size does not
+grow with n once a state repeats; a later pile size is read by going
+back whole periods (``fold``).
 """
 from __future__ import annotations
 
@@ -58,12 +58,12 @@ def fold(k, computed: int, period: int):
 class ValueTable:
     """Solved equilibrium values and move choices for one game spec.
 
-    Only the evaluated prefix is stored.  ``computed`` is the number of
-    pile sizes the recursion evaluated before it stopped at a repeated
-    state, and ``period`` the length of that repeat, or 0 when no state
-    repeated before n (then computed == n).  Beyond the evaluated part
-    everything repeats: p_k == p_{k-period} for k > computed - m, and so
-    do the tie sets and the moves for k > computed.
+    Only a prefix is stored.  ``period`` is the length of the repeat the
+    recursion saw before n, or 0 when it saw none.  ``computed`` is then
+    mu + period, where the state after pile size mu is the first that comes
+    back, or n when period is 0.  Beyond the stored part everything
+    repeats: p_k == p_{k-period} for k > computed - m, and so do the tie
+    sets and the moves for k > computed.
 
     ``p_prefix`` holds p_k for k = -(m-1)..computed (index k + m - 1); the
     first m entries are the boundary ones.  ``tie_rule`` and ``seed`` are
@@ -98,23 +98,8 @@ class ValueTable:
         ties when its payoff (``payoffs`` of the prefix, the loop's doubles)
         is >= p_k - TIE_TOL, the same IEEE operations as a test inside the
         loop would do."""
-        return self._ties(payoffs(self.candidates, self.p_prefix))
-
-    def _ties(self, vals) -> np.ndarray:
-        """``tie_mask`` from the payoff rows ``vals`` of the prefix."""
         thr = self.p_prefix[self.m :] - TIE_TOL
-        return np.stack([v >= thr for v in vals], axis=1)
-
-    def payoff_rows(self) -> np.ndarray:
-        """The (|K|, computed) array of ``payoffs`` of the prefix: row i is
-        candidate i's payoff at pile sizes 1..computed.  A table whose ties
-        were not read yet keeps its ``tie_mask`` from these rows, so a
-        caller that reads the payoffs and then the moves evaluates the
-        payoffs once."""
-        vals = np.array(payoffs(self.candidates, self.p_prefix))
-        if "tie_mask" not in self.__dict__:
-            self.__dict__["tie_mask"] = self._ties(vals)
-        return vals
+        return np.stack([v >= thr for v in payoffs(self.candidates, self.p_prefix)], axis=1)
 
     @cached_property
     def picks(self) -> np.ndarray:
@@ -348,8 +333,7 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     functions of the state (p_{k-m+1}, ..., p_k) alone, so once a state
     repeats bit for bit the rest of the table repeats with the same
     period.  Brent's cycle detection compares each state with one saved
-    state; at the first match the loop stops, and the table keeps the
-    evaluated prefix (see ``ValueTable``).  The saved state moves to the
+    state; at the first match the loop stops.  The saved state moves to the
     current one when the count of pile sizes since it last moved reaches
     a gap, and the gap then grows by a sixteenth of itself plus one (1, 2,
     ..., 16, 18, 20, ...).  Any gaps that grow without bound give the
@@ -365,7 +349,17 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     leaves a non-zero sum unchanged, a zero sum compares equal to a zero
     of either sign, and 1.0 - (+-0.0) is 1.0).
 
-    solve runs only the loop: the ties and the moves under ``tie_rule``
+    The loop stops up to about a sixteenth past mu + period (see
+    ``ValueTable``).  One numpy pass then compares each evaluated value
+    with the one a period later, bit for bit.  A state equal to the state
+    a period later makes every later state so, so if p_i is the last value
+    that differs from the one a period later, mu = i + m, the first pile
+    size whose state lies wholly past it (mu = 0 when none differs).  The
+    table keeps p_k up to k = mu + period.  No value is -0.0 (1.0 less a
+    sum of nonnegative products), so the bits agree where the loop's
+    ``==`` does.
+
+    solve computes no ties: the ties and the moves under ``tie_rule``
     are worked out from the prefix on the first read of ``tie_mask`` or
     ``picks`` (or of anything built on them), so a caller that reads
     values alone never computes them.
@@ -377,12 +371,21 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
 
     p = [1.0] * m
     period = _recursion(candidates)(p.append, n, *p)
+    prefix = np.fromiter(p, np.float64, len(p))
+    if period:
+        # the indices j whose p_{j+1-m} differs in a bit from the value a
+        # period later: the state after pile size (the last j) + 1 is the
+        # first to come back
+        bits = prefix.view(np.int64)
+        differs = np.flatnonzero(bits[period:] != bits[:-period])
+        mu = int(differs[-1]) + 1 if differs.size else 0
+        prefix = prefix[: mu + period + m]
     return ValueTable(
         m=m,
         n=n,
         candidates=candidates,
-        p_prefix=np.fromiter(p, np.float64, len(p)),
-        computed=len(p) - m,
+        p_prefix=prefix,
+        computed=prefix.size - m,
         period=period,
         tie_rule=tie_rule,
         seed=seed,

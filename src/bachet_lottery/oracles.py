@@ -4,8 +4,7 @@ Two routes that never touch the backward-induction maximization or its
 tie rule: Monte-Carlo play of the actual game under the engine's policy,
 and exhaustive enumeration of stationary pure profiles on small instances
 with a one-shot-deviation optimality filter.  Both share with the engine
-only the one-step payoff: `payoff_kernel`, and `payoffs` of the prefix
-through `ValueTable.payoff_rows`.
+only the one-step payoff: `payoff_kernel`, and `payoffs` of the prefix.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ValueTable, payoff_kernel
+from .engine import ValueTable, payoff_kernel, payoffs
 from .errors import InstanceTooLargeError
 from .lotteries import GameSpec
 
@@ -162,14 +161,14 @@ def one_shot_deviation_gap(vt: ValueTable) -> float:
     engine's policy; non-positive (up to round-off) iff the policy is
     subgame perfect.
 
-    The payoffs come from the evaluated prefix, one column per pile size
+    The payoffs come from the stored prefix, one column per pile size
     1..computed; each stored pick is marked in the column of the pile size
     it repeats.  Later pile sizes repeat the last period's columns and
     picks, so the gains are those of the marked (pick, column) pairs, at
     most |K| per column however many picks are stored.  Rounding is
     monotone, so the best payoff of a column less the pick's payoff is,
     bit for bit, the largest of every payoff less the pick's."""
-    vals = vt.payoff_rows()
+    vals = np.array(payoffs(vt.candidates, vt.p_prefix))
     c, period, picks = vt.computed, vt.period, vt.picks
     seen = np.zeros(vals.shape, dtype=bool)
     seen[picks[:c], np.arange(c)] = True

@@ -141,8 +141,8 @@ class TestDeviationSeries:
         )
 
     def test_peak_memory_at_n_1e6(self):
-        # the table stops at pile size 649 and repeats with period 4: the
-        # series and the checks cover about 660 pile sizes, whatever n is
+        # the table keeps pile sizes 1..632 and repeats with period 4: the
+        # series and the checks cover about 650 pile sizes, whatever n is
         K = truncated_simplex([0.05] * 3)
         vt = solve(GameSpec(10**6, 3, K))
         cond = compute_conditions(K)
@@ -305,6 +305,15 @@ class TestKmBound:
     def test_rejects_bad_kappa(self, half_series):
         with pytest.raises(ValueError):
             check_km_bound(half_series, compute_conditions(HALF).eta, kappa_grid=[1.0])
+
+    @pytest.mark.parametrize("grid", [(0.3, 0.3), [0.1, 0.3, 0.1], (0.5, np.float64(0.5))])
+    def test_rejects_repeated_kappa(self, trunc_series, trunc_constants, grid):
+        # each kappa names its report: a repeat would give two of one name
+        cond = compute_conditions(truncated_simplex([0.05, 0.05]))
+        with pytest.raises(ValueError, match="given twice"):
+            check_km_bound(trunc_series, cond.eta, kappa_grid=grid)
+        with pytest.raises(ValueError, match="given twice"):
+            run_checks(trunc_series, cond, trunc_constants, kappa_grid=grid)
 
 
 class TestCorridor:

@@ -28,7 +28,7 @@ from bachet_lottery import (
 )
 from bachet_lottery import cli, engine
 from bachet_lottery.analysis import DeviationSeries
-from bachet_lottery.cli import VALUES_FIELDS, _envelopes, _repeat_start, _values_csv, run
+from bachet_lottery.cli import VALUES_FIELDS, _envelopes, _values_csv, run
 from bachet_lottery.engine import TIE_RULES, fold
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
@@ -462,7 +462,7 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_huge_n_solve_stops_at_the_file_limit(self, tmp_path):
-        # the table stops at pile size 649, but values.csv has a row for
+        # the table keeps pile sizes 1..632, but values.csv has a row for
         # each of the 1e15 pile sizes: the write fails at FILE_CAP
         proc = run_capped(tmp_path, "solve", {"game": HUGE_GAME}, 4 << 30)
         assert proc.returncode == 2
@@ -791,13 +791,6 @@ FIELD_TABLES = [solve(GameSpec(n, 3, truncated_simplex([eps] * 3)))
                 for n, eps in ((2500, 0.05), (1200, 0.001), (7, 0.05))]
 
 
-def repeat_from(cols, start, period):
-    """Make the hand-built rows (the columns of ``cols``) repeat from row
-    ``start`` on, as a solved table's do from S."""
-    for k in range(start + period, cols.shape[1] + 1):
-        cols[:, k - 1] = cols[:, k - 1 - period]
-
-
 def assert_rows_match_the_fields(vt, cols, env):
     """The writer's text, for ``vt`` with the six series of rows
     1..computed replaced by the rows of ``cols``, against the field template."""
@@ -813,13 +806,6 @@ def assert_rows_match_the_fields(vt, cols, env):
         want = "%d," % k + VALUES_FIELDS % tuple(rows[fold(k, vt.computed, vt.period) - 1])
         assert line == want + bound + "%d\n" % vt.argmax(k), k
     assert len(got) == vt.n + 1
-
-
-def repeat_start(vt):
-    """The writer's first repeating row of a solved table."""
-    ds = deviation_series(vt)
-    series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
-    return _repeat_start(vt.picks, series, vt.computed, vt.period)
 
 
 def spied(monkeypatch, name):
@@ -845,37 +831,20 @@ class TestValuesWriter:
     """The values.csv writer joins the repeating rows from one cycle; its
     text must equal one row template mapped over every row."""
 
-    @pytest.mark.parametrize("eps, m, start", [(0.01, 4, 2715), (0.05, 3, 628), (0.001, 3, 30696)])
+    @pytest.mark.parametrize("eps, m, start", [(0.01, 4, 2716), (0.05, 3, 629), (0.001, 3, 30697)])
     def test_repeat_start_of_solved_tables(self, eps, m, start):
-        assert repeat_start(solve(GameSpec(10**5, m, truncated_simplex([eps] * m)))) == start
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_repeat_start_is_the_first_repeating_row(self, data):
-        period = data.draw(st.integers(1, 5))
-        computed = data.draw(st.integers(period, 40))
-        # a pool this small repeats rows by chance too; its zeros differ in sign
-        cell = st.sampled_from([0.0, -0.0, 0.5, 2.0**-54])
-        rows = data.draw(st.lists(st.tuples(*[cell] * 6, st.integers(0, 1)),
-                                  min_size=computed, max_size=computed))
-        planted = data.draw(st.integers(1, computed - period + 1))
-        for k in range(planted + period, computed + 1):
-            rows[k - 1] = rows[k - 1 - period]
-        cols = np.array([r[:6] for r in rows]).T
-        start = _repeat_start(np.array([r[6] for r in rows]), list(cols), computed, period)
-        bits = [tuple(np.array(r[:6]).view(np.int64).tolist()) + r[6:] for r in rows]
-        assert 1 <= start <= planted
-        assert all(bits[k - 1] == bits[k - 1 - period] for k in range(start + period, computed + 1))
-        if start > 1:
-            assert bits[start - 2 + period] != bits[start - 2]
+        # S, the first row of the last stored period, follows the transient
+        vt = solve(GameSpec(10**5, m, truncated_simplex([eps] * m)))
+        assert vt.computed - vt.period + 1 == start
 
     @DELTAS
     @pytest.mark.parametrize("at", ["S-1", "S", "S+period", "S+3m"])
     @pytest.mark.parametrize("label, K", WRITER_SETS, ids=[label for label, _ in WRITER_SETS])
     def test_matches_reference_around_repeat_start(self, label, K, at, delta):
-        # S: the first repeating row once n is large enough
+        # S: the first row of the last stored period once n is large enough
         probe = solve(GameSpec(100_000, K.m, K))
-        start, period, m = repeat_start(probe), probe.period, K.m
+        period, m = probe.period, K.m
+        start = probe.computed - period + 1
         n = {"S-1": start - 1, "S": start, "S+period": start + period, "S+3m": start + 3 * m}[at]
         assert_writer_matches_reference(GameSpec(max(1, n), K.m, K), delta)
 
@@ -895,7 +864,7 @@ class TestValuesWriter:
     @DELTAS
     @pytest.mark.parametrize("rows, n, digits", [(1, 10_017, {3, 4, 5}), (cli.CHUNK_ROWS, 10_007, {4})])
     def test_power_of_ten_inside_the_row_template(self, rows, n, digits, delta, monkeypatch):
-        # rows repeat from k=628.  With one block per chunk, a chunk starts
+        # the row template starts at k=629.  With one block per chunk, a chunk starts
         # at k=10000; with 504 rows, the chunk that holds it is formatted
         # row by row, and so is the last one, of part of a block
         monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
@@ -952,23 +921,25 @@ class TestValuesWriter:
         cols = np.array(pool)[rng.integers(0, len(pool), (6, vt.computed))]
         cols *= rng.choice([-1.0, 1.0], cols.shape)
         cols[:, 0] = -np.abs(cols[:, 0])  # a sign bit in every column
-        if vt.period:
-            repeat_from(cols, data.draw(st.integers(1, vt.computed - vt.period + 1)), vt.period)
         assert_rows_match_the_fields(vt, cols, data.draw(st.sampled_from([None, 0.5])))
 
-    @pytest.mark.parametrize("planted", [1008, 1009, 1010, 1011])
-    def test_rows_repeat_from_a_start_at_a_chunk_edge(self, planted):
-        # the third chunk of 504 rows starts at row 1009
-        vt = FIELD_TABLES[0]
-        rng = np.random.default_rng(planted)
+    @pytest.mark.parametrize("eps, rows, edge, offset",
+                             [(0.06, 171, 513, -1), (0.3, 117, 117, 0), (0.08, 9, 369, 1)])
+    def test_rows_repeat_from_a_start_at_a_chunk_edge(self, eps, rows, edge, offset, monkeypatch):
+        # computed - period one row before, at and one row after the chunk
+        # edge past row ``edge``: the row template starts at row S =
+        # computed - period + 1, so the chunk after that edge is the first
+        # joined from it in the first two cases, and in the third the next
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        spec = GameSpec(2 * edge + 3 * rows + 5, 3, truncated_simplex([eps] * 3))
+        vt = solve(spec)
+        assert vt.period and vt.computed - vt.period == edge + offset
+        segments = spied(monkeypatch, "_segments")
+        rng = np.random.default_rng(edge)
         cols = rng.choice(FIELD_POOL, (6, vt.computed)) * rng.choice([-1.0, 1.0], (6, vt.computed))
-        repeat_from(cols, planted, vt.period)
         assert_rows_match_the_fields(vt, cols, 0.5)
-
-    def test_repeat_start_tells_signed_zeros_apart(self):
-        # rows 2 and 4 differ only in the sign of a zero
-        p = np.array([0.5, 0.0, 0.5, -0.0, 0.5, -0.0, 0.5, -0.0])
-        assert _repeat_start(np.zeros(8, int), [p] + [np.ones(8)] * 5, 8, 2) == 3
+        assert segments
+        assert_writer_matches_reference(spec, 0.5)
 
     @pytest.mark.parametrize("delta", [0.5, 0.8363636363636363, 0.99])
     def test_envelopes_stop_taking_powers_at_zero(self, delta, monkeypatch):

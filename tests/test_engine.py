@@ -22,6 +22,7 @@ from bachet_lottery import (
 from bachet_lottery import cli, engine
 from bachet_lottery.engine import TIE_RULES, TIE_TOL
 from bachet_lottery.errors import DegenerateSetError
+from test_cli import WRITER_SETS, finite_games
 
 HALF = finite_set([[0.5, 0.5]])
 
@@ -256,10 +257,34 @@ def assert_matches_reference(spec, tie_rule, seed=0):
     return vt
 
 
+def _first_repeat(p_ext, m):
+    """(mu, lam): the state after pile size mu + lam is the first state
+    p_ext[k : k+m] equal to an earlier one, the state after mu."""
+    seen = {}
+    for k in range(p_ext.size - m + 1):
+        state = p_ext[k : k + m].tobytes()
+        if state in seen:
+            return seen[state], k - seen[state]
+        seen[state] = k
+    raise AssertionError("no state repeats")
+
+
+def assert_keeps_the_first_period(vt, p_ext):
+    """``vt`` keeps pile sizes 1..mu + period of the full recursion's values
+    ``p_ext`` when solve saw a repeat, and 1..n when it saw none."""
+    if vt.period:
+        mu, lam = _first_repeat(p_ext[: vt.computed + vt.m], vt.m)
+        assert (vt.computed, vt.period) == (mu + lam, lam)
+    else:
+        assert vt.computed == vt.n
+    assert vt.p_prefix.tobytes() == p_ext[: vt.computed + vt.m].tobytes()
+
+
 # (label, K, pile size at which solve first sees a repeated state).  The
 # periodic parts start at k = 970 (period 3), 629 (4), 2716 (5), 210 (1),
-# 1 (4) and 158 (1); the repeat is seen later because the saved state
-# moves only after a gap that grows by a sixteenth of itself plus one.
+# 1 (4) and 158 (1) (CYCLE_REPEATS); the repeat is seen later because the
+# saved state moves only after a gap that grows by a sixteenth of itself
+# plus one.
 CYCLES = [
     ("simplex m=2 eps=0.05", truncated_simplex([0.05] * 2), 981),
     ("simplex m=3 eps=0.05", truncated_simplex([0.05] * 3), 649),
@@ -318,22 +343,6 @@ class TestCycleDetection:
             solve(GameSpec(5, 2, HALF), "no_such_rule")
 
 
-def _reference_cycle(p_ext, m, n):
-    """(computed, period): Brent's search over the states p_ext[k : k+m] of
-    the full recursion, k = 0..n, stopping at the first repeat; the saved
-    state moves after gaps of 1, 2, ..., 16, 18, 20, ..., each the last
-    plus a sixteenth of it plus one."""
-    saved, period, gap = p_ext[:m].tolist(), 0, 1
-    for k in range(1, n + 1):
-        state = p_ext[k : k + m].tolist()
-        period += 1
-        if state == saved:
-            return k, period
-        if period == gap:
-            saved, period, gap = state, 0, gap + gap // 16 + 1
-    return n, 0
-
-
 def _random_set(rng, count, m):
     """``count`` lotteries over 1..m, about half their weights zero."""
     rows = []
@@ -369,7 +378,7 @@ class TestGeneratedLoop:
         for n in (1, m, detect - 1, detect, 2 * detect + 3):
             vt = assert_matches_reference(GameSpec(n, m, K), rule, seed=n)
             # vt.p_ext is the full recursion's, bit for bit
-            assert (vt.computed, vt.period) == _reference_cycle(vt.p_ext, m, n)
+            assert_keeps_the_first_period(vt, vt.p_ext)
             assert vt.tie_mask.shape == (vt.computed, len(K.lotteries))
 
     def test_cases_have_their_shape(self):
@@ -394,7 +403,8 @@ class TestGeneratedLoop:
         at = {(i, cand_no) for cand_no, cand in enumerate(terms) for i, c in cand if weights[c] == 0.3}
         assert {i for i, _ in at} == {1, 3} and len({k for _, k in at}) == 3
         for label, K, detect in SHAPES:
-            assert solve(GameSpec(3 * detect, K.m, K)).computed == detect, label
+            assert solve(GameSpec(detect - 1, K.m, K)).period == 0, label
+            assert solve(GameSpec(detect, K.m, K)).period > 0, label
 
 
 @st.composite
@@ -421,7 +431,7 @@ class TestSharedProducts:
             vt = solve(spec, rule, seed=seed)
             p_ext, argmax, _ = _reference_solve(spec, rule, seed)
             assert vt.p_ext.tobytes() == p_ext.tobytes()
-            assert (vt.computed, vt.period) == _reference_cycle(p_ext, K.m, n)
+            assert_keeps_the_first_period(vt, p_ext)
             assert vt.argmax(np.arange(1, n + 1)).tobytes() == argmax.tobytes()
 
 
@@ -516,8 +526,9 @@ class TestCompiledOncePerShape:
         assert len(compiled) == 2 * (size + 1)
 
 
-# the repeat lengths of CYCLES, in the same order
-CYCLE_PERIODS = dict(zip(CYCLE_IDS, (3, 4, 5, 1, 4, 1)))
+# (mu, period) of CYCLES, in the same order: the state after pile size
+# mu + period is the first that equals an earlier one, the state after mu
+CYCLE_REPEATS = dict(zip(CYCLE_IDS, ((969, 3), (628, 4), (2715, 5), (209, 1), (0, 4), (157, 1))))
 
 
 def _picker_pass(vt, rule, seed):
@@ -542,32 +553,43 @@ DOUBLING_STOPS = [
 ]
 
 
-def _first_repeat(p_ext, m):
-    """(mu, lam): the state after pile size mu + lam is the first state
-    p_ext[k : k+m] equal to an earlier one, the state after mu."""
-    seen = {}
-    for k in range(p_ext.size - m + 1):
-        state = p_ext[k : k + m].tobytes()
-        if state in seen:
-            return seen[state], k - seen[state]
-        seen[state] = k
-    raise AssertionError("no state repeats")
-
-
 class TestCycleFields:
-    """`computed` and `period` record where solve stopped and what repeats."""
+    """`period` is the repeat length and `computed` where the first repeat
+    ends, mu + period, wherever the loop saw it."""
 
     @pytest.mark.parametrize("m, eps, doubling", DOUBLING_STOPS)
     def test_stops_within_a_tenth_of_the_first_repeat(self, m, eps, doubling):
-        # no detector can stop before mu + lam; the slow-growing gaps stop
-        # at most a tenth past it, and never later than doubling ones did
+        # no detector can stop before mu + lam; the loop's slow-growing gaps
+        # stop at most a tenth past it, and never later than doubling ones
+        # did.  The table keeps 1..mu + lam wherever the loop stopped
         K = truncated_simplex([eps] * m)
-        vt = solve(GameSpec(10**6, m, K))
-        p_ext, _, _ = _reference_solve(GameSpec(vt.computed, m, K), TIE_LOWEST, 0)
+        p = [1.0] * m
+        period = engine._recursion(K.lotteries)(p.append, 10**6, *p)
+        stop = len(p) - m
+        p_ext, _, _ = _reference_solve(GameSpec(stop, m, K), TIE_LOWEST, 0)
+        assert np.array(p).tobytes() == p_ext.tobytes()
         mu, lam = _first_repeat(p_ext, m)
-        assert vt.period == lam
-        assert mu + lam <= vt.computed <= 1.10 * (mu + lam)
-        assert vt.computed <= doubling
+        assert period == lam
+        assert mu + lam <= stop <= 1.10 * (mu + lam)
+        assert stop <= doubling
+        vt = solve(GameSpec(10**6, m, K))
+        assert (vt.computed, vt.period) == (mu + lam, lam)
+
+    @pytest.mark.parametrize("label, K", [*((label, K) for label, K, _ in CYCLES), *WRITER_SETS],
+                             ids=[*CYCLE_IDS, *(f"writer {label}" for label, _ in WRITER_SETS)])
+    def test_keeps_the_first_period(self, label, K):
+        tables = [solve(GameSpec(10**6, K.m, K), rule, seed=1) for rule in TIE_RULES]
+        p_ext, _, _ = _reference_solve(GameSpec(tables[0].computed, K.m, K), TIE_LOWEST, 0)
+        for vt in tables:
+            assert vt.period > 0
+            assert_keeps_the_first_period(vt, p_ext)
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_games(), st.sampled_from(TIE_RULES), st.integers(0, 3))
+    def test_keeps_the_first_period_of_random_games(self, spec, rule, seed):
+        vt = solve(spec, rule, seed=seed)
+        p_ext, _, _ = _reference_solve(spec, rule, seed)
+        assert_keeps_the_first_period(vt, p_ext)
 
     @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
     def test_no_repeat_before_n(self, label, K, detect):
@@ -584,7 +606,8 @@ class TestCycleFields:
         for n in (detect, detect + 1, 2 * detect + 3):
             vt = solve(GameSpec(n, K.m, K))
             c, period = vt.computed, vt.period
-            assert (c, period) == (detect, CYCLE_PERIODS[label])
+            mu, lam = CYCLE_REPEATS[label]
+            assert (c, period) == (mu + lam, lam)
             # p_ext[k+m-1] == p_ext[k+m-1-period] for every k > c - m
             assert vt.p_ext[c:].tobytes() == vt.p_ext[c - period : vt.p_ext.size - period].tobytes()
             assert vt.tie_sets[c:] == vt.tie_sets[c - period : n - period]
@@ -619,17 +642,17 @@ class TestFoldedReads:
     def test_huge_n_stores_the_prefix_only(self):
         n = 10**15
         vt = solve(GameSpec(n, 3, truncated_simplex([0.05] * 3)))
-        assert (vt.computed, vt.period) == (649, 4)
-        assert vt.p_prefix.size == 652 and vt.picks.size == 649
-        # n = 0 (mod 4): it repeats 648, the third pile size of the last
-        # period 646..649, and n - 1 repeats 647
-        assert vt.p(n) == vt.p(648) and vt.p(n - 1) == vt.p(647)
-        assert vt.argmax(np.array([n, n - 1])).tolist() == vt.argmax(np.array([648, 647])).tolist()
+        assert (vt.computed, vt.period) == (632, 4)
+        assert vt.p_prefix.size == 635 and vt.picks.size == 632
+        # n = 0 (mod 4): it repeats 632, the last pile size of the last
+        # period 629..632, and n - 1 repeats 631
+        assert vt.p(n) == vt.p(632) and vt.p(n - 1) == vt.p(631)
+        assert vt.argmax(np.array([n, n - 1])).tolist() == vt.argmax(np.array([632, 631])).tolist()
 
     @pytest.mark.parametrize("rule", TIE_RULES)
     def test_moves_outside_the_game_rejected(self, rule):
         small = solve(GameSpec(10, 2, finite_set([[0.7, 0.3], [0.3, 0.7]])), rule)
-        # the picks run to 2000 under seeded_random, to 649 otherwise
+        # the picks run to 2000 under seeded_random, to 632 otherwise
         long = solve(GameSpec(2000, 3, truncated_simplex([0.05] * 3)), rule)
         for vt in (small, long):
             n = vt.n

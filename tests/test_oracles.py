@@ -22,7 +22,7 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
-from bachet_lottery import engine, oracles
+from bachet_lottery import oracles
 from bachet_lottery.engine import TIE_LOWEST, TIE_RANDOM, TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
 from bachet_lottery.lotteries import SUM_TOL
@@ -376,7 +376,7 @@ class TestOneShotDeviation:
         assert struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_prefix_only_at_large_n(self):
-        # solve stops at pile size 649 at n = 1e6: the gap reads 649
+        # the table keeps pile sizes 1..632 at n = 1e6: the gap reads 632
         # columns, also under seeded_random, which stores 1e6 picks.  The
         # picks are read first, so their tie pass is not counted
         spec = GameSpec(10**6, 3, truncated_simplex([0.05] * 3))
@@ -392,32 +392,24 @@ class TestOneShotDeviation:
             assert struct.pack("<d", got) == struct.pack("<d", gap), rule
             assert peak < 1 << 20, rule
 
-    def test_payoffs_evaluated_once(self, monkeypatch):
-        # the gap's payoffs also give the tie pass behind the picks; a
-        # table whose picks were read already evaluates them once too
+    def test_read_order_does_not_matter(self):
+        # the gap and the moves read the same payoffs of the prefix, whether
+        # the gap or the picks are read first
         spec = GameSpec(100, 3, truncated_simplex([0.05] * 3))
-        widths = []
-        payoffs = engine.payoffs
-        monkeypatch.setattr(
-            engine, "payoffs", lambda c, ext: widths.append(ext.size - 3) or payoffs(c, ext)
-        )
         for rule in TIE_RULES:
             fresh, read = solve(spec, rule, seed=4), solve(spec, rule, seed=4)
             want = read.picks
-            del widths[:]
             gap = one_shot_deviation_gap(fresh)
-            assert widths == [fresh.computed]
             assert fresh.picks.tobytes() == want.tobytes()
             assert fresh.tie_mask.tobytes() == read.tie_mask.tobytes()
-            assert widths == [fresh.computed]
-            assert one_shot_deviation_gap(read) == gap and widths == [fresh.computed] * 2
+            assert one_shot_deviation_gap(read) == gap
 
     def test_gain_past_computed_counts(self):
-        # solve stops at pile size 10 in Bachet's game: the engine's moves,
-        # but at one winning pile size past 10 a move that hands the
-        # opponent a win
+        # Bachet's game repeats from pile size 1, so the table keeps 1..4:
+        # the engine's moves, but at one winning pile size past 4 a move
+        # that hands the opponent a win
         vt = solve(GameSpec(40, 3, finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])))
-        assert (vt.computed, vt.period) == (10, 4)
+        assert (vt.computed, vt.period) == (4, 4)
         picks = vt.argmax(np.arange(1, 41))
         assert one_shot_deviation_gap(_with_picks(vt, picks)) == 0.0
         for k in (38, 39, 40):
