@@ -67,14 +67,23 @@ class DeviationSeries:
         """The array index that holds pile size k (an int or an integer array)."""
         return fold(k, self.computed, self.period) - 1
 
+    def _at(self, series: np.ndarray, k: int, boundary: float) -> float:
+        """``series`` at pile size k in 1..n, ``boundary`` for k <= 0; a
+        larger k raises ValueError."""
+        if k <= 0:
+            return boundary
+        if k > self.n:
+            raise ValueError(f"pile size outside 1..{self.n}")
+        return float(series[self.index(k)])
+
     def delta_at(self, k: int) -> float:
-        return 0.5 if k <= 0 else float(self.delta[self.index(k)])
+        return self._at(self.delta, k, 0.5)
 
     def dbar(self, k: int) -> float:
-        return 0.5 if k <= 0 else float(self.delta_bar[self.index(k)])
+        return self._at(self.delta_bar, k, 0.5)
 
     def dbar_minus(self, k: int) -> float:
-        return 0.0 if k <= 0 else float(self.delta_bar_minus[self.index(k)])
+        return self._at(self.delta_bar_minus, k, 0.0)
 
 
 def deviation_series(vt: ValueTable) -> DeviationSeries:

@@ -48,6 +48,8 @@ VALUES_HEADER = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index
 VALUES_FIELDS = "%.17g," * 6
 # rows of values.csv built at a time: the writer holds one chunk's strings
 CHUNK_ROWS = 512
+# row j: the three digits of j, zero-padded, as bytes: k's last three digits
+LOW_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
 SIM_HEADER = "n,replications,seed,p_hat,std_err,p_engine,z_score\n"
 SIM_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
 SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n\n"
@@ -209,19 +211,19 @@ def _envelopes(delta: float | None, m: int) -> Iterator[str]:
     return itertools.chain(powers(), itertools.repeat("0,"))
 
 
-def _segments(body: list[str], moves: list[str], phase: int, block: int, digits: int) -> list[str]:
-    """The block + 1 strings whose join by an envelope field is the text of
-    a 3m-block whose first row repeats row ``phase`` of the cycle
-    (``body``: the six series fields, ``moves``: the move field), with
-    ``digits`` zeros where each row's k goes."""
-    rows = [(phase + r) % len(body) for r in range(block)]
-    heads = ["0" * digits + "," + body[i] for i in rows]
-    return [heads[0], *(moves[i] + h for i, h in zip(rows, heads[1:])), moves[rows[-1]]]
+def _segments(body: list[str], moves: list[str], phase: int, rows: int, digits: int) -> list[str]:
+    """The rows + 1 strings whose join by an envelope field is the text of
+    ``rows`` consecutive rows of one 3m-block, the first repeating row
+    ``phase`` of the cycle (``body``: the six series fields, ``moves``: the
+    move field), with ``digits`` zeros where each row's k goes."""
+    at = [(phase + r) % len(body) for r in range(rows)]
+    heads = ["0" * digits + "," + body[i] for i in at]
+    return [heads[0], *(moves[i] + h for i, h in zip(at, heads[1:])), moves[at[-1]]]
 
 
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    """The bytes of values.csv: the header, then one ``bytes``-like chunk
-    per run of whole 3m-blocks, about CHUNK_ROWS rows.
+    """The bytes of values.csv: the header, then one or two ``bytes``-like
+    chunks per run of whole 3m-blocks, about CHUNK_ROWS rows.
 
     A row is k, the six series fields, the envelope and the move.  The
     envelope is one string per block (``_envelopes``), and the move is the
@@ -229,16 +231,17 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     computed are those of the one it repeats in the last period
     S..computed, S = computed - period + 1 (``engine.fold``).  So when the
     picks repeat (not under seeded_random), every row from S on is k plus
-    one of the ``period`` rows S..computed, whose text is made once.  A
-    chunk that starts at or after S, holds whole blocks and whose k all
-    have the same number of digits is joined from that cycle: each block is
-    ``env.join`` of the phase's ``_segments``, and k's digits are then
-    written into the chunk by integer arithmetic, at offsets from a cumsum
-    of the row widths.  Every other chunk (the rows before S, every chunk
-    of a seeded_random table, the one holding a power of ten, a last one
-    that ends inside a block) reads its rows through ``ds.index`` and
-    formats each distinct magnitude once (``_cells``).  The writer holds
-    a chunk's text, one cycle's, and the block texts of about a chunk.
+    one of the ``period`` rows S..computed, whose text is made once.  The
+    rows of a chunk from S on are joined from that cycle, one piece per
+    part of a block whose k have one number of digits: ``env.join`` of
+    the ``_segments`` of its phase, row count and digit count.  k's digits
+    are then written into the chunk at offsets from a cumsum of the row
+    widths: the last three from LOW_DIGITS, the ones above them once per
+    run of equal k // 1000.  The rows before S, and every row of a
+    seeded_random table, read their fields as slices up to computed (past
+    it through ``ds.index``), format each distinct magnitude once
+    (``_cells``) and their k with one ``%``.  The writer holds a chunk's
+    text, one cycle's, and the piece texts of about a chunk.
     """
     m, n, c, period = vt.m, vt.n, vt.computed, vt.period
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
@@ -252,37 +255,57 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
         cycle = _cells(np.stack([s[start - 1 : c] for s in series], axis=1))
         body = ["".join(row) for row in cycle.tolist()]
         moves = labels[vt.picks[start - 1 :]].tolist()
-        width = np.array([len(b) + len(v) for b, v in zip(body, moves)])
-    segs: dict[tuple[int, int], list[str]] = {}  # (digits, phase): about a chunk's blocks
+        # the width of each row's fields and move, from each phase on
+        ring = np.tile([len(b) + len(v) for b, v in zip(body, moves)], size // period + 2)
+    # (digits, phase, rows): the _segments of about a chunk's pieces
+    segs: dict[tuple[int, int, int], list[str]] = {}
     yield VALUES_HEADER.encode()
     for lo in range(0, n, size):
         hi = min(n, lo + size)
-        ks = np.arange(lo + 1, hi + 1)
         env = list(itertools.islice(envs, -(-(hi - lo) // block)))
-        digits = len(str(hi))
-        if lo >= start - 1 and len(str(lo + 1)) == digits and (hi - lo) % block == 0:
-            phases = ((ks[::block] - start) % period).tolist()
-            if len(segs) > size // block:
-                segs.clear()
-            for f in set(phases):
-                if (digits, f) not in segs:
-                    segs[digits, f] = _segments(body, moves, f, block, digits)
-            parts = [segs[digits, f] for f in phases]
-            chunk = bytearray("".join(map(str.join, env, parts)), "ascii")
-            widths = width[(ks - start) % period] + (digits + 1)
-            widths += np.repeat([len(e) for e in env], block)
-            at = (np.cumsum(widths) - widths)[:, None] + np.arange(digits)
-            power = 10 ** np.arange(digits - 1, -1, -1)
-            np.frombuffer(chunk, np.uint8)[at] = ks[:, None] // power % 10 + ord("0")
-            yield chunk
+        mid = min(hi, max(lo, start - 1))  # rows lo+1..mid formatted, mid+1..hi joined
+        if mid > lo:
+            row = np.empty((mid - lo, 9), dtype=object)
+            row[:, 0] = ("%d,\n" * (mid - lo) % tuple(range(lo + 1, mid + 1))).split("\n")[:-1]
+            idx = slice(lo, mid) if mid <= c else ds.index(np.arange(lo + 1, mid + 1))
+            row[:, 1:7] = _cells(np.stack([s[idx] for s in series], axis=1))
+            row[:, 7] = np.array(env, dtype=object).repeat(block)[: mid - lo]
+            row[:, 8] = labels[vt.picks[lo:mid]]
+            yield "".join(row.ravel().tolist()).encode()
+        if mid == hi:
             continue
-        row = np.empty((hi - lo, 9), dtype=object)
-        row[:, 0] = ["%d," % k for k in range(lo + 1, hi + 1)]
-        idx = ds.index(ks)
-        row[:, 1:7] = _cells(np.stack([s[idx] for s in series], axis=1))
-        row[:, 7] = np.array(env, dtype=object).repeat(block)[: hi - lo]
-        row[:, 8] = labels[vt.argmax(ks)]
-        yield "".join(row.ravel().tolist()).encode()
+        # the rows mid+1..hi in pieces, each the part of a block whose k
+        # have one number of digits: split at mid+1, each block start and
+        # each power of ten
+        tens = [10**d for d in range(len(str(mid + 1)), len(str(hi)))]
+        first = sorted({mid + 1, *range(mid + 1 + -mid % block, hi + 1, block), *tens})
+        ends = first[1:] + [hi + 1]
+        keys = [(len(str(a)), (a - start) % period, b - a) for a, b in zip(first, ends)]
+        if len(segs) > size // block:
+            segs.clear()
+        for d, f, r in set(keys).difference(segs):
+            segs[d, f, r] = _segments(body, moves, f, r, d)
+        pieces = [env[(a - 1 - lo) // block] for a in first]  # each piece's envelope
+        chunk = bytearray("".join(map(str.join, pieces, map(segs.__getitem__, keys))), "ascii")
+        f = (mid + 1 - start) % period
+        widths = ring[f : f + hi - mid] + (len(str(mid + 1)) + 1)
+        for t in tens:
+            widths[t - mid - 1 :] += 1
+        widths += np.repeat([len(e) for e in env], block)[mid - lo : hi - lo]
+        at = np.cumsum(widths) - widths  # each row's first byte
+        buf = np.frombuffer(chunk, np.uint8)
+        # k's digits, for each run of rows whose k have one number of digits
+        # and one k // 1000
+        thousands = range(1000 * ((mid + 1) // 1000 + 1), hi + 1, 1000)
+        edges = sorted({mid + 1, *tens, *thousands, hi + 1})
+        for a, b in zip(edges, edges[1:]):
+            d, i, j = len(str(a)), a - mid - 1, b - mid - 1
+            text = np.empty((d, j - i), np.uint8)
+            text[-3:] = LOW_DIGITS[a % 1000 : b - a + a % 1000, max(0, 3 - d) :].T
+            if d > 3:
+                text[:-3] = np.frombuffer(b"%d" % (a // 1000), np.uint8)[:, None]
+            buf[at[i:j] + np.arange(d)[:, None]] = text
+        yield chunk
 
 
 def _json_bytes(obj) -> bytes:

@@ -9,6 +9,7 @@ finite candidate list: the list itself, or the m simplex vertices.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,6 +38,11 @@ class Lottery:
 def validate_lottery(probs: Sequence[float]) -> Lottery:
     """Validate a raw vector and wrap it as a Lottery.
 
+    A vector that sums to 1 within SUM_TOL is accepted, with one
+    coordinate moved by about the residual so that the left-to-right
+    float sum is exactly 1.0: the payoff recursion sums in that order,
+    so every set of accepted lotteries has p_1 = 0 exactly.
+
     Degenerate (pure) lotteries are accepted here; they are only flagged
     later via the eta < 1 condition.
     """
@@ -52,19 +58,34 @@ def validate_lottery(probs: Sequence[float]) -> Lottery:
     return Lottery(_snap_sum_to_one(list(vec)))
 
 
+def _running_sum(vec: Sequence[float]) -> float:
+    total = 0.0
+    for x in vec:
+        total += x
+    return total
+
+
 def _snap_sum_to_one(vec: list[float]) -> tuple[float, ...]:
     # Canonicalize within SUM_TOL: nudge the largest coordinate until the
     # left-to-right running sum is exactly 1.0.  The payoff recursion uses
     # the same summation order, so p_1 = 1 - sum(pi) comes out identically 0.
+    raw = tuple(vec)
     for _ in range(5):
-        total = 0.0
-        for x in vec:
-            total += x
-        residual = total - 1.0
+        residual = _running_sum(vec) - 1.0
         if residual == 0.0:
-            break
+            return tuple(vec)
         j = max(range(len(vec)), key=vec.__getitem__)
         vec[j] -= residual
+    # The nudges can keep missing 1.0 by an ulp.  Then put fl(1 - S) in
+    # place of a nonzero coordinate, S the running sum before it, last
+    # one first.
+    heads = [0.0, *itertools.accumulate(raw)]
+    for j in reversed(range(len(raw))):
+        x = 1.0 - heads[j]
+        if raw[j] and 0.0 <= x <= 1.0 and abs(x - raw[j]) <= SUM_TOL:
+            snapped = (*raw[:j], x, *raw[j + 1 :])
+            if _running_sum(snapped) == 1.0:
+                return snapped
     return tuple(vec)
 
 

@@ -64,7 +64,10 @@ def test_criterion_1_hand_recursion_golden():
 
 
 def test_criterion_2_boundary_convention():
-    sets = [HALF, MIRROR, truncated_simplex([0.1, 0.2, 0.3])]
+    # the last two hold coordinates that, before the snap to 1, sum to
+    # 0.9999999999999999 left to right
+    sets = [HALF, MIRROR, truncated_simplex([0.1, 0.2, 0.3]),
+            finite_set([[0.06, 0.83, 0.11]]), truncated_simplex([0.043125] * 4)]
     for K in sets:
         vt = solve(GameSpec(5, K.m, K))
         assert all(vt.p(s) == 1.0 for s in range(-(K.m - 1), 1))

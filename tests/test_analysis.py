@@ -162,6 +162,21 @@ class TestDeviationSeries:
         assert vt.period == 0
         assert np.shares_memory(deviation_series(vt).p, vt.p_prefix)
 
+    def test_reads_past_n_rejected(self):
+        K = truncated_simplex([0.05] * 3)
+        repeats, plain = solve(GameSpec(2000, 3, K)), solve(GameSpec(50, 3, K))
+        assert repeats.period > 0 and plain.period == 0
+        for vt in (repeats, plain):
+            ds, n = deviation_series(vt), vt.n
+            reads = [(ds.delta_at, ds.delta, 0.5), (ds.dbar, ds.delta_bar, 0.5),
+                     (ds.dbar_minus, ds.delta_bar_minus, 0.0)]
+            for read, series, boundary in reads:
+                assert read(n) == series[ds.index(n)]
+                assert read(0) == read(-5) == boundary
+                for bad in (n + 1, 10**6):
+                    with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
+                        read(bad)
+
     def test_delta_values(self, half_series):
         expect = [0.5, 0.0, 0.25, 0.125, 0.0625, 0.09375]
         for k, want in enumerate(expect, start=1):

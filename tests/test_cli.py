@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import bachet_lottery
 from bachet_lottery import (
+    TIE_HIGHEST,
     TIE_LOWEST,
     TIE_RANDOM,
     GameSpec,
@@ -862,11 +864,13 @@ class TestValuesWriter:
         assert segments
 
     @DELTAS
-    @pytest.mark.parametrize("rows, n, digits", [(1, 10_017, {3, 4, 5}), (cli.CHUNK_ROWS, 10_007, {4})])
+    @pytest.mark.parametrize("rows, n, digits", [(1, 10_017, {3, 4, 5}), (cli.CHUNK_ROWS, 10_007, {3, 4, 5})])
     def test_power_of_ten_inside_the_row_template(self, rows, n, digits, delta, monkeypatch):
         # the row template starts at k=629.  With one block per chunk, a chunk starts
-        # at k=10000; with 504 rows, the chunk that holds it is formatted
-        # row by row, and so is the last one, of part of a block
+        # at k=10000; with 504 rows, k=1000 and k=10000 fall inside a chunk
+        # (each starts a block: 9 divides 10^d - 1) and the last chunk ends
+        # inside a block.  Every row from 629 on is joined from the cycle, in
+        # pieces of 3, 4 and 5 digits
         monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
         segments = spied(monkeypatch, "_segments")
         assert_writer_matches_reference(GameSpec(n, 3, truncated_simplex([0.05] * 3)), delta)
@@ -906,9 +910,28 @@ class TestValuesWriter:
         )
 
     @settings(max_examples=60, deadline=None)
-    @given(finite_games(), st.sampled_from(TIE_RULES), st.sampled_from([None, 0.5, 0.999]))
-    def test_matches_reference_on_random_sets(self, spec, rule, delta):
-        assert_writer_matches_reference(spec, delta, rule, seed=3)
+    @given(finite_games(), st.sampled_from(TIE_RULES), st.sampled_from([None, 0.5, 0.999]),
+           st.data())
+    def test_matches_reference_on_random_sets(self, spec, rule, delta, data):
+        # chunks of one row, of one block, of one block and a row, of a few
+        # blocks and of the default size: S, the powers of ten and a last
+        # part of a block fall anywhere in a chunk
+        rows = data.draw(st.sampled_from([1, 3 * spec.m, 3 * spec.m + 1, 100, 504]))
+        with mock.patch.object(cli, "CHUNK_ROWS", rows):
+            assert_writer_matches_reference(spec, delta, rule, seed=3)
+
+    @pytest.mark.parametrize("rule", [TIE_LOWEST, TIE_HIGHEST])
+    def test_rows_from_the_repeat_start_are_formatted_once(self, rule, monkeypatch):
+        # rows 1..S-1 and the cycle S..computed are formatted; every later
+        # row is joined from the cycle's text: those of the chunk that holds
+        # S, of the block that holds k=10000 and of the last chunk, which
+        # ends inside a block
+        spec = GameSpec(20_000, 4, truncated_simplex([0.01] * 4))
+        vt = solve(spec, rule)
+        start = vt.computed - vt.period + 1
+        cells = spied(monkeypatch, "_cells")
+        assert_writer_matches_reference(spec, 0.9, rule)
+        assert sum(len(cols) for cols, in cells) <= start - 1 + vt.period
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

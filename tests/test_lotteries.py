@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bachet_lottery import (
+    GameSpec,
     candidate_set,
     compute_conditions,
     finite_set,
+    solve,
     truncated_simplex,
     validate_lottery,
 )
@@ -50,6 +52,20 @@ class TestValidateLottery:
         lot = validate_lottery([w / total for w in weights])
         assert abs(sum(lot.probs) - 1.0) <= 1e-12
         assert all(0.0 <= x <= 1.0 for x in lot.probs)
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=2, max_size=12)
+           .filter(any))
+    @settings(max_examples=300, deadline=None)
+    def test_running_sum_is_exactly_one(self, weights):
+        # the payoff recursion sums the coordinates left to right, so
+        # p_1 = 1 - sum(pi) is 0 exactly
+        total = sum(weights)
+        K = finite_set([[w / total for w in weights]])
+        running = 0.0
+        for x in K.lotteries[0].probs:
+            running += x
+        assert running == 1.0
+        assert solve(GameSpec(1, K.m, K)).p(1) == 0.0
 
 
 class TestCandidateSet:
