@@ -64,16 +64,16 @@ class DeviationSeries:
     delta_bar_minus: np.ndarray  # max of delta_minus over W_k
 
     def index(self, k):
-        """The array index that holds pile size k (an int or an integer array)."""
-        return fold(k, self.computed, self.period) - 1
+        """The array index that holds pile size k, an int or an integer
+        array of pile sizes in 1..n; any other pile size raises ValueError
+        (``engine.fold``)."""
+        return fold(k, self.n, self.computed, self.period) - 1
 
     def _at(self, series: np.ndarray, k: int, boundary: float) -> float:
         """``series`` at pile size k in 1..n, ``boundary`` for k <= 0; a
         larger k raises ValueError."""
         if k <= 0:
             return boundary
-        if k > self.n:
-            raise ValueError(f"pile size outside 1..{self.n}")
         return float(series[self.index(k)])
 
     def delta_at(self, k: int) -> float:

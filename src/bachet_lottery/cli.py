@@ -26,6 +26,7 @@ from .errors import (
     DegenerateSetError,
     InvalidEtaNuError,
     LotteryError,
+    SumTooLongError,
     TauOutOfRangeError,
 )
 from .lotteries import (
@@ -129,7 +130,10 @@ def _parse_lottery_set(node: dict, where: str) -> LotterySet:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_game(node, n_field: str = "game.n") -> GameSpec:
+def _game(node, command: str, n_field: str) -> tuple[GameSpec, ConditionReport]:
+    """The game of config ``node``, its n from config ``n_field``, and its
+    conditions: the preamble of every command and of every sweep point.
+    nu = 0 is a config error on game.K except under explore-nu-zero."""
     _require(isinstance(node, dict), "game", "must be an object")
     n, m = node.get("n"), node.get("m")
     _require(_is_int(n) and n >= 1, n_field, "must be an integer >= 1")
@@ -137,9 +141,13 @@ def _parse_game(node, n_field: str = "game.n") -> GameSpec:
     _require(n + m <= MAX_TABLE, n_field, f"must be at most {MAX_TABLE - m}")
     K = _parse_lottery_set(node.get("K"), "game.K")
     try:
-        return GameSpec(n=n, m=m, K=K)
+        spec = GameSpec(n=n, m=m, K=K)
     except (ValueError,) as exc:
         raise ConfigError(f"game: {exc}") from exc
+    cond = compute_conditions(spec.K)
+    _require(cond.nu_ok or command == "explore-nu-zero", "game.K",
+             f"nu = 0 is only allowed under explore-nu-zero, not {command!r}")
+    return spec, cond
 
 
 def _parse_tau(cfg: dict) -> float | None:
@@ -322,10 +330,16 @@ def _fits_in_memory(where: str, what: str):
         raise ConfigError(f"{where}: {what} do not fit in memory") from exc
 
 
-def _game_sized(spec: GameSpec, n_field: str = "game.n"):
-    """The block holding arrays of ``spec`` that grow with n until its state
-    repeats, its n from config ``n_field``."""
-    return _fits_in_memory(n_field, f"{spec.n} pile sizes")
+@contextmanager
+def _game_sized(spec: GameSpec, n_field: str, k_field: str):
+    """The block that solves ``spec`` and reads its table, its n from config
+    ``n_field`` and its K from ``k_field``: it holds arrays that grow with n
+    until the state repeats, and compiles code for K's shape."""
+    try:
+        with _fits_in_memory(n_field, f"{spec.n} pile sizes"):
+            yield
+    except SumTooLongError as exc:
+        raise ConfigError(f"{k_field}: {exc}") from exc
 
 
 def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None,
@@ -346,23 +360,13 @@ def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None,
     return vt, dc
 
 
-def _reject_nu_zero(cond: ConditionReport, command: str) -> None:
-    if not cond.nu_ok:
-        raise ConfigError(
-            f"game.K: nu = 0 is only allowed under explore-nu-zero, not {command!r}"
-        )
-
-
-def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
-    spec = _parse_game(cfg.get("game"))
-    cond = compute_conditions(spec.K)
-    if explore:
-        if not cond.nu_ok:
-            print("warning: nu = 0, convergence hypotheses unmet; bound checks skipped",
-                  file=sys.stderr)
-    else:
-        _reject_nu_zero(cond, "solve")
-    with _game_sized(spec):
+def _cmd_solve(cfg: dict, out: Path, command: str) -> int:
+    spec, cond = _game(cfg.get("game"), command, "game.n")
+    explore = command == "explore-nu-zero"
+    if not cond.nu_ok:  # only explore-nu-zero gets past _game with nu = 0
+        print("warning: nu = 0, convergence hypotheses unmet; bound checks skipped",
+              file=sys.stderr)
+    with _game_sized(spec, "game.n", "game.K"):
         vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
         ds = analysis.deviation_series(vt)
         delta = None if (explore or dc is None) else dc.delta
@@ -380,13 +384,11 @@ def _cmd_solve(cfg: dict, out: Path, explore: bool) -> int:
 
 
 def _cmd_verify(cfg: dict, out: Path) -> int:
-    spec = _parse_game(cfg.get("game"))
-    cond = compute_conditions(spec.K)
-    _reject_nu_zero(cond, "verify")
+    spec, cond = _game(cfg.get("game"), "verify", "game.n")
     if not cond.eta_ok:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
     kappa_grid = _parse_kappa_grid(cfg)
-    with _game_sized(spec):
+    with _game_sized(spec, "game.n", "game.K"):
         vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
         reports = analysis.run_checks(analysis.deviation_series(vt), cond, dc, kappa_grid)
     total_violations = sum(r.violation_count for r in reports)
@@ -405,9 +407,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
 
 
 def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
-    spec = _parse_game(cfg.get("game"))
-    cond = compute_conditions(spec.K)
-    _reject_nu_zero(cond, "simulate")
+    spec, _ = _game(cfg.get("game"), "simulate", "game.n")
     sim = cfg.get("sim")
     _require(isinstance(sim, dict), "sim", "required for simulate")
     reps = sim.get("replications")
@@ -426,17 +426,18 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
     longest = max(n_values)
     most = MAX_TABLE // longest
     _require(reps <= most, "sim.replications", f"must be at most {most} for these n_values")
-    with _game_sized(spec):
-        vt = solve(spec)
     lines = [SIM_HEADER]
-    with _fits_in_memory("sim.replications", f"{reps} games of {longest} pile sizes"):
-        # one stream per run: each n plays a prefix of it
-        stream = draw_stream(seed, reps * longest)
-        for n in n_values:
-            res = estimate_win_prob(SimConfig(table=vt, n=n, replications=reps, seed=seed), stream)
-            p_eng = vt.p(n)
-            z = 0.0 if res.std_err == 0.0 else (res.p_hat - p_eng) / res.std_err
-            lines.append(SIM_ROW % (n, reps, seed, res.p_hat, res.std_err, p_eng, z))
+    with _game_sized(spec, "game.n", "game.K"):
+        vt = solve(spec)
+        with _fits_in_memory("sim.replications", f"{reps} games of {longest} pile sizes"):
+            # one stream per run: each n plays a prefix of it
+            stream = draw_stream(seed, reps * longest)
+            for n in n_values:
+                res = estimate_win_prob(SimConfig(table=vt, n=n, replications=reps, seed=seed),
+                                        stream)
+                p_eng = vt.p(n)
+                z = 0.0 if res.std_err == 0.0 else (res.p_hat - p_eng) / res.std_err
+                lines.append(SIM_ROW % (n, reps, seed, res.p_hat, res.std_err, p_eng, z))
     _atomic_write(out / "simulation.csv", ("".join(lines).encode(),))
     return 0
 
@@ -446,8 +447,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     _require(isinstance(game, dict), "game", "must be an object")
     sweep = cfg.get("sweep")
     _require(isinstance(sweep, dict), "sweep", "required for sweep")
-    # each point's game, and the config fields of its n and its K
-    points: list[tuple[GameSpec, str, str]] = []
+    # each point's game and conditions, and the config fields of its n and its K
+    points: list[tuple[GameSpec, ConditionReport, str, str]] = []
     if "n_values" in sweep:
         n_values = sweep["n_values"]
         _require(isinstance(n_values, list) and n_values, "sweep.n_values",
@@ -455,7 +456,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         for i, n in enumerate(n_values):
             where = f"sweep.n_values[{i}]"
             _require(_is_int(n) and n >= 1, where, "integer >= 1")
-            points.append((_parse_game({**game, "n": n}, where), where, "game.K"))
+            points.append((*_game({**game, "n": n}, "sweep", where), where, "game.K"))
     elif "epsilon_values" in sweep:
         m = game.get("m")
         _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
@@ -470,16 +471,14 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
                 f"must be a real in (0, 1/{m})",
             )
             node = {**game, "K": {"type": "truncated_simplex", "epsilon": [eps] * m}}
-            points.append((_parse_game(node), "game.n", where))
+            points.append((*_game(node, "sweep", "game.n"), "game.n", where))
     else:
         raise ConfigError("sweep: needs n_values or epsilon_values")
 
     tau = _parse_tau(cfg)
     lines = [SWEEP_HEADER]
-    for spec, n_field, k_field in points:
-        cond = compute_conditions(spec.K)
-        _reject_nu_zero(cond, "sweep")
-        with _game_sized(spec, n_field):
+    for spec, cond, n_field, k_field in points:
+        with _game_sized(spec, n_field, k_field):
             vt, dc = _solve_bundle(spec, cond, tau, k_field)
         p_n = vt.p(vt.n)
         delta = "" if dc is None else "%.17g" % dc.delta
@@ -496,10 +495,8 @@ def run(command: str, config_path: str | Path, output: str | None = None,
             raise ConfigError(f"command: unknown command {command!r}")
         cfg = load_config(config_path, command)
         out = Path(output or cfg.get("output") or ".")
-        if command == "solve":
-            return _cmd_solve(cfg, out, explore=False)
-        if command == "explore-nu-zero":
-            return _cmd_solve(cfg, out, explore=True)
+        if command in ("solve", "explore-nu-zero"):
+            return _cmd_solve(cfg, out, command)
         if command == "verify":
             return _cmd_verify(cfg, out)
         if command == "simulate":

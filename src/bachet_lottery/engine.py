@@ -11,16 +11,17 @@ weights are equal), compiled once and called with one value per class of
 equal weights bound: the last m values live in locals, each pile size
 keeps the least of the candidates' sums sum_i pi_i p_{k-i} and takes
 p_k = 1.0 less it, and the loop stops at the first repeated state it sees.
-Each product w * p_{k-i} is formed once: a weight at several positions
-keeps a window of its products and forms one new product per pile size,
-so the symmetric simplex forms two, not m * m.  Everything about ties is
-worked out on the first read of a table's ties or moves, in numpy, from
-the stored prefix: the payoff kernel is written from the same sum text
-and is elementwise, so on arrays it gives the same doubles as the loop.
-A caller that reads only values never pays for ties.  The table keeps
-the values up to the end of the first period only, so its size does not
-grow with n once a state repeats; a later pile size is read by going
-back whole periods (``fold``).
+Each product w * p_{k-i} is formed once: a weight that two or more terms
+use keeps a window of its products and forms one new product per pile
+size, so the symmetric simplex forms two, not m * m.  Everything about
+ties is worked out on the first read of a table's ties or moves, in
+numpy, from the stored prefix: the payoff kernel is written from the same
+sum text and is elementwise, so on arrays it gives the same doubles as
+the loop.  A caller that reads only values never pays for ties.  The
+table keeps the values up to the end of the first period only, so its
+size does not grow with n once a state repeats; a later pile size is
+read by going back whole periods (``fold``, the one range check of a
+pile size).
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import SumTooLongError
 from .lotteries import GameSpec, Lottery
 
 TIE_TOL = 1e-12
@@ -44,11 +46,14 @@ TIE_RANDOM = "seeded_random"
 TIE_RULES = (TIE_LOWEST, TIE_HIGHEST, TIE_RANDOM)
 
 
-def fold(k, computed: int, period: int):
+def fold(k, n: int, computed: int, period: int):
     """The pile size whose value, move and tie set pile size ``k`` repeats:
     ``k`` itself up to ``computed``, else ``k`` less the whole number of
     periods that brings it into computed - period + 1..computed.  ``k``
-    may be an int or an integer array."""
+    may be an int or an integer array of pile sizes in 1..n; any other
+    pile size raises ValueError."""
+    if not np.all((k >= 1) & (k <= n)):
+        raise ValueError(f"pile size outside 1..{n}")
     if not period:
         return k
     return k - (k > computed) * (period * ((k - computed - 1) // period + 1))
@@ -70,7 +75,7 @@ class ValueTable:
     the ones ``solve`` was given; only ``picks`` depends on them.
     ``tie_mask`` and ``picks`` are worked out from the prefix on first
     read and kept (see ``solve``).  ``p(k)`` and ``argmax(k)`` read any k
-    in 1..n through ``fold``, and reject a k past n.
+    in 1..n through ``fold``, which rejects a k past n.
 
     Tables compare and hash by identity: the generated ``==`` would
     compare the prefix arrays, whose truth value numpy refuses.
@@ -132,9 +137,7 @@ class ValueTable:
         table's value for k in 1..n; a larger k raises ValueError."""
         if k <= 0:
             return 1.0
-        if k > self.n:
-            raise ValueError(f"pile size outside 1..{self.n}")
-        return float(self.p_prefix[fold(k, self.computed, self.period) + self.m - 1])
+        return float(self.p_prefix[fold(k, self.n, self.computed, self.period) + self.m - 1])
 
     def p_upto(self, last: int) -> np.ndarray:
         """p_k for k = -(m-1)..last, index k + m - 1: a view of
@@ -154,9 +157,7 @@ class ValueTable:
         """The candidate index chosen at pile size k, for an int or an
         integer array of pile sizes in 1..n; any other pile size raises
         ValueError."""
-        if not np.all((k >= 1) & (k <= self.n)):
-            raise ValueError(f"pile size outside 1..{self.n}")
-        return self.picks[fold(k, self.picks.size, self.period) - 1]
+        return self.picks[fold(k, self.n, self.picks.size, self.period) - 1]
 
     def policy(self, k: int) -> Lottery:
         """Lottery the engine plays at pile size k."""
@@ -220,20 +221,14 @@ def _generated(name: str, shape: tuple):
     if name == "_kernel":
         body = ", ".join(f"1.0 - ({s})" for s in _sum_exprs(shape))
         return _compiled(f"def _kernel({', '.join(weights + state)}):\n    return ({body},)", name)
-    # the candidates using each term (i, c), and the positions of each class
-    used = Counter(term for cand in terms for term in cand)
-    positions: dict[int, list[int]] = {}
-    for i, c in used:
-        positions.setdefault(c, []).append(i)
-    # a class at two or more positions keeps the window q{c}_1..q{c}_{last},
+    # a class that two or more terms use keeps the window q{c}_1..q{c}_{last},
     # shifted from the top down
-    reach = {c: max(pos) for c, pos in positions.items() if len(pos) > 1}
-    window = [(i, c) for c, last in reach.items() for i in range(last, 0, -1)]
-    # any other product that several candidates use is formed once per pile size
-    shared = [(i, c) for (i, c), count in used.items() if count > 1 and c not in reach]
-    sums = _sum_exprs(shape, {*window, *shared})
+    uses = Counter(c for cand in terms for _, c in cand)
+    last = {c: i for i, c in sorted(itertools.chain.from_iterable(terms))}
+    window = [(i, c) for c in sorted(last) if uses[c] > 1 for i in range(last[c], 0, -1)]
+    sums = _sum_exprs(shape, set(window))
     saved = [f"s{j}" for j in range(m)]
-    least = [*(f"q{c}_{i} = w{c}*t{m - i}" for i, c in shared), f"x = {sums[0]}"]
+    least = [f"x = {sums[0]}"]
     for s in sums[1:]:
         least += [f"y = {s}", "if y < x: x = y"]
     shift = [f"t{j} = t{j + 1}" for j in range(m - 1)] + [f"t{m - 1} = best"]
@@ -263,9 +258,16 @@ def _generated(name: str, shape: tuple):
 
 def _bound(name: str, candidates: Sequence[Lottery]):
     """The generated function ``name`` for the candidates' shape, with
-    their weights bound."""
+    their weights bound.  A sum is one left-nested ``+`` chain, which the
+    compiler walks recursively: a lottery with more nonzero weights than
+    this interpreter can compile raises SumTooLongError."""
     shape, weights = _shape(candidates)
-    return partial(_generated(name, shape), *weights)
+    try:
+        return partial(_generated(name, shape), *weights)
+    except RecursionError as exc:
+        longest = max(map(len, shape[1]))
+        raise SumTooLongError(f"a lottery of {longest} nonzero weights is too long "
+                              "for this interpreter to compile its payoff sum") from exc
 
 
 def payoff_kernel(candidates: Sequence[Lottery]):
@@ -292,19 +294,19 @@ def _recursion(candidates: Sequence[Lottery]):
 
     From the state (t0, ..., t{m-1}) = (p_{1-m}, ..., p_0) it evaluates p_k
     for k = 1, 2, ..., passes each to ``put``, and shifts it into the
-    locals.  A class of equal weights at two or more positions keeps a
-    window of locals q{c}_{i} = w_c * p_{k-i}, i = 1..its last position:
-    after each pile size it forms the one new product w_c * p_k and shifts
-    the window, so a product is formed once and read at each later pile size
-    that needs it (exact, see ``_sum_exprs``).  Any other product that
-    several candidates use is formed once per pile size, and a product used
-    once stays inline, so a set whose weights are all distinct gets the
-    plain sums.  p_k is 1.0 less the least of the candidates' sums, kept by
-    one ``if y < x`` per candidate after the first: rounding to nearest is
-    monotone, so fl(1 - s) does not increase in s, and the maximum of the
-    payoffs fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is never
-    -0.0, so equal payoffs have equal bits).  Brent's saved state lives in
-    the locals s0..s{m-1}.  The pile sizes run one gap at a time, the last
+    locals.  A class of equal weights that two or more terms use, at one
+    position or at several, keeps a window of locals q{c}_{i} = w_c *
+    p_{k-i}, i = 1..its last position: after each pile size it forms the
+    one new product w_c * p_k and shifts the window, so a product is formed
+    once and read at each later pile size that needs it (exact, see
+    ``_sum_exprs``).  A class that one term uses stays inline, so a set
+    whose weights are all distinct gets the plain sums.  p_k is 1.0 less
+    the least of the candidates' sums, kept by one ``if y < x`` per
+    candidate after the first: rounding to nearest is monotone, so
+    fl(1 - s) does not increase in s, and the maximum of the payoffs
+    fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is never -0.0,
+    so equal payoffs have equal bits).  Brent's saved state lives in the
+    locals s0..s{m-1}.  The pile sizes run one gap at a time, the last
     gap cut short at n: an inner ``for`` over the gap counts the distance
     from the saved state, and the state is saved after each gap, so no pile
     size updates or tests a counter of its own.  It returns the repeat

@@ -52,13 +52,15 @@ def validate_lottery(probs: Sequence[float]) -> Lottery:
     for i, x in enumerate(vec):
         if not 0.0 <= x <= 1.0:  # also rejects NaN
             raise NegativeEntryError(f"coordinate {i} = {x} outside [0, 1]")
-    total = sum(vec)
+    total = _running_sum(vec)
     if abs(total - 1.0) > SUM_TOL:
         raise SumNotOneError(f"coordinates sum to {total!r}, expected 1 within {SUM_TOL}")
     return Lottery(_snap_sum_to_one(list(vec)))
 
 
 def _running_sum(vec: Sequence[float]) -> float:
+    """The left-to-right float sum, the recursion's order: builtin ``sum``
+    compensates its float sums from Python 3.12 on."""
     total = 0.0
     for x in vec:
         total += x
@@ -120,7 +122,7 @@ def truncated_simplex(epsilon: Sequence[float]) -> LotterySet:
         raise DegenerateSetError("truncated simplex needs m >= 2 lower bounds")
     if not all(0.0 < e < math.inf for e in eps):  # also rejects NaN
         raise DegenerateSetError("every epsilon_i must be positive and finite")
-    total = sum(eps)
+    total = _running_sum(eps)
     if total >= 1.0:
         raise DegenerateSetError("sum of epsilon_i must be below 1")
     verts = []

@@ -176,6 +176,10 @@ class TestDeviationSeries:
                 for bad in (n + 1, 10**6):
                     with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
                         read(bad)
+            assert ds.index(1) == 0 and ds.index(np.array([1, n])).tolist() == [0, ds.index(n)]
+            for bad in (0, -1, n + 1, 10**6, np.array([1, n + 1]), np.array([0, n])):
+                with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
+                    ds.index(bad)
 
     def test_delta_values(self, half_series):
         expect = [0.5, 0.0, 0.25, 0.125, 0.0625, 0.09375]

@@ -405,6 +405,30 @@ class TestConfigErrors:
         assert run("verify", cfg, output=tmp_path / "out") == 2
         assert "nu = 0" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [3000, 10_000])
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("solve", {}),
+            ("verify", {}),
+            ("explore-nu-zero", {}),
+            ("simulate", {"sim": {"replications": 10, "seed": 1}}),
+            ("sweep", {"sweep": {"n_values": [5, 10]}}),
+        ],
+    )
+    def test_lottery_too_long_to_compile_names_field(self, tmp_path, capsys, command, extra, m):
+        # one uniform lottery: its payoff sum is one chain of m additions,
+        # which the compiler walks recursively, past its depth on some
+        # interpreters (not a truncated simplex: that holds m * m weights)
+        game = {"n": 10, "m": m, "K": {"type": "finite", "lotteries": [[1 / m] * m]}}
+        code = run(command, write_config(tmp_path, {"game": game, **extra}),
+                   output=tmp_path / "out")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code != 0:
+            assert code == 2
+            assert err.startswith(f"error: game.K: a lottery of {m} nonzero weights ")
+
     @pytest.mark.parametrize("command", ["solve", "verify", "simulate", "explore-nu-zero"])
     @pytest.mark.parametrize(
         "field,K",
@@ -805,7 +829,7 @@ def assert_rows_match_the_fields(vt, cols, env):
     rows = cols.T.tolist()
     for k, line in enumerate(got[1:], 1):
         bound = "," if env is None else "%.17g," % analysis.envelope_bound(k, env, vt.m)
-        want = "%d," % k + VALUES_FIELDS % tuple(rows[fold(k, vt.computed, vt.period) - 1])
+        want = "%d," % k + VALUES_FIELDS % tuple(rows[fold(k, vt.n, vt.computed, vt.period) - 1])
         assert line == want + bound + "%d\n" % vt.argmax(k), k
     assert len(got) == vt.n + 1
 

@@ -420,8 +420,10 @@ def pooled_sets(draw):
 
 
 class TestSharedProducts:
-    """The loop forms each product of a recurring weight once, and the
-    tables stay those of the full recursion."""
+    """Every class of equal weights that two or more terms use, at one
+    position or at several, keeps a window: the loop forms each of its
+    products once, and the tables stay those of the full recursion, bit
+    for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(pooled_sets(), st.integers(1, 1500), st.integers(0, 3))
@@ -515,6 +517,14 @@ class TestCompiledOncePerShape:
         loop = sources["_run"][sources["_run"].index("for period in") :]
         # w0*best and w1*best: one new product per weight, not m*m
         assert len(re.findall(r"\bw\d+\*", loop)) == 2
+        # 0.5 sits at position 1 of both lotteries: a class that two terms
+        # use at one position keeps a window too, so one product per class
+        K = finite_set([[0.5, 0.3, 0.2], [0.5, 0.2, 0.3]])
+        assert len(engine._shape(K.lotteries)[1]) == 3
+        sources.clear()
+        solve(GameSpec(10, 3, K))
+        loop = sources["_run"][sources["_run"].index("for period in") :]
+        assert len(re.findall(r"\bw\d+\*", loop)) == 3
 
     def test_cache_is_bounded(self, compiled):
         size = engine._generated.cache_info().maxsize
@@ -677,11 +687,16 @@ class TestFoldedReads:
 
     @given(st.integers(1, 50), st.integers(0, 50), st.integers(1, 10**6))
     def test_fold_lands_in_the_last_period(self, period, extra, k):
-        computed = period + extra
-        j = engine.fold(k, computed, period)
-        assert j == engine.fold(np.array([k]), computed, period)[0]
+        computed, n = period + extra, 10**6
+        j = engine.fold(k, n, computed, period)
+        assert j == engine.fold(np.array([k]), n, computed, period)[0]
         if k <= computed:
             assert j == k
         else:
             assert computed - period < j <= computed and (k - j) % period == 0
-        assert engine.fold(k, computed, 0) == k
+        assert engine.fold(k, n, computed, 0) == k
+        # one pile size outside 1..n rejects the whole array
+        for bad in (0, -1, n + 1):
+            for repeat in (period, 0):
+                with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
+                    engine.fold(np.array([k, bad]), n, computed, repeat)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
+from bachet_lottery import lotteries
 from bachet_lottery.errors import (
     DegenerateSetError,
     NegativeEntryError,
@@ -101,6 +104,14 @@ class TestCandidateSet:
     def test_non_finite_epsilon(self, bad):
         with pytest.raises(DegenerateSetError):
             truncated_simplex([bad, 0.05])
+
+    def test_sums_do_not_depend_on_the_builtin_sum(self, monkeypatch):
+        # from Python 3.12 on, builtin sum compensates float sums as fsum
+        # does; the epsilons are summed left to right on every interpreter,
+        # the order of the running sum the recursion uses
+        monkeypatch.setattr(lotteries, "sum", math.fsum, raising=False)
+        K = truncated_simplex([0.085, 0.1859, 0.29619050110887085])
+        assert K.lotteries[2].probs[2] == 0.7291
 
 
 class TestComputeConditions:
