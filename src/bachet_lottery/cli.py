@@ -26,7 +26,6 @@ from .errors import (
     DegenerateSetError,
     InvalidEtaNuError,
     LotteryError,
-    SumTooLongError,
     TauOutOfRangeError,
 )
 from .lotteries import (
@@ -219,37 +218,26 @@ def _envelopes(delta: float | None, m: int) -> Iterator[str]:
     return itertools.chain(powers(), itertools.repeat("0,"))
 
 
-def _segments(body: list[str], moves: list[str], phase: int, rows: int, digits: int) -> list[str]:
-    """The rows + 1 strings whose join by an envelope field is the text of
-    ``rows`` consecutive rows of one 3m-block, the first repeating row
-    ``phase`` of the cycle (``body``: the six series fields, ``moves``: the
-    move field), with ``digits`` zeros where each row's k goes."""
-    at = [(phase + r) % len(body) for r in range(rows)]
-    heads = ["0" * digits + "," + body[i] for i in at]
-    return [heads[0], *(moves[i] + h for i, h in zip(at, heads[1:])), moves[at[-1]]]
-
-
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    """The bytes of values.csv: the header, then one or two ``bytes``-like
-    chunks per run of whole 3m-blocks, about CHUNK_ROWS rows.
+    """The bytes of values.csv: the header, then one ``bytes``-like chunk
+    per run of whole 3m-blocks, about CHUNK_ROWS rows.
 
     A row is k, the six series fields, the envelope and the move.  The
     envelope is one string per block (``_envelopes``), and the move is the
     label of vt.argmax(k).  The fields and the move of a pile size past
     computed are those of the one it repeats in the last period
     S..computed, S = computed - period + 1 (``engine.fold``).  So when the
-    picks repeat (not under seeded_random), every row from S on is k plus
-    one of the ``period`` rows S..computed, whose text is made once.  The
-    rows of a chunk from S on are joined from that cycle, one piece per
-    part of a block whose k have one number of digits: ``env.join`` of
-    the ``_segments`` of its phase, row count and digit count.  k's digits
-    are then written into the chunk at offsets from a cumsum of the row
-    widths: the last three from LOW_DIGITS, the ones above them once per
-    run of equal k // 1000.  The rows before S, and every row of a
-    seeded_random table, read their fields as slices up to computed (past
-    it through ``ds.index``), format each distinct magnitude once
-    (``_cells``) and their k with one ``%``.  The writer holds a chunk's
-    text, one cycle's, and the piece texts of about a chunk.
+    picks repeat (not under seeded_random), the text of the ``period``
+    rows S..computed is made once, and every row from S on is four parts:
+    zeros where its k goes, its phase's fields, the envelope and its
+    phase's move.  A row before S, and every row of a seeded_random table,
+    is nine: the zeros, its fields read as slices up to computed (past it
+    through ``ds.index``) with each distinct magnitude formatted once
+    (``_cells``), the envelope and the move.  A chunk's rows are joined
+    once, each row's first byte is found from the newlines, and k's digits
+    are written there: the last three from LOW_DIGITS, the ones above them
+    once per run of equal k // 1000.  The writer holds a chunk's text and
+    one cycle's.
     """
     m, n, c, period = vt.m, vt.n, vt.computed, vt.period
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
@@ -260,54 +248,45 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     start = n + 1
     if period and vt.picks.size == c:
         start = c - period + 1
-        cycle = _cells(np.stack([s[start - 1 : c] for s in series], axis=1))
-        body = ["".join(row) for row in cycle.tolist()]
+        cells = _cells(np.stack([s[start - 1 : c] for s in series], axis=1)).tolist()
         moves = labels[vt.picks[start - 1 :]].tolist()
-        # the width of each row's fields and move, from each phase on
-        ring = np.tile([len(b) + len(v) for b, v in zip(body, moves)], size // period + 2)
-    # (digits, phase, rows): the _segments of about a chunk's pieces
-    segs: dict[tuple[int, int, int], list[str]] = {}
+        # the four parts of each row S..computed, zeros and envelope (None)
+        # filled per chunk; repeated, so that a chunk's rows from S on are
+        # one slice from any phase
+        cycle = [x for fields, move in zip(cells, moves) for x in (None, "".join(fields), None, move)]
+        cycle *= size // period + 2
     yield VALUES_HEADER.encode()
     for lo in range(0, n, size):
         hi = min(n, lo + size)
-        env = list(itertools.islice(envs, -(-(hi - lo) // block)))
-        mid = min(hi, max(lo, start - 1))  # rows lo+1..mid formatted, mid+1..hi joined
+        mid = min(hi, max(lo, start - 1))  # rows lo+1..mid have nine parts, mid+1..hi four
+        # runs of rows whose k have one number of digits and one k // 1000
+        tens = range(len(str(lo + 1)), len(str(hi)))
+        thousands = range(1000 * ((lo + 1) // 1000 + 1), hi + 1, 1000)
+        runs = sorted({lo + 1, *(10**d for d in tens), *thousands, hi + 1})
+        heads, env = [], []
+        for a, b in zip(runs, runs[1:]):
+            heads += ["0" * len(str(a)) + ","] * (b - a)
+        for e in itertools.islice(envs, -(-(hi - lo) // block)):
+            env += [e] * block
+        del env[hi - lo :]
+        parts = []
         if mid > lo:
             row = np.empty((mid - lo, 9), dtype=object)
-            row[:, 0] = ("%d,\n" * (mid - lo) % tuple(range(lo + 1, mid + 1))).split("\n")[:-1]
             idx = slice(lo, mid) if mid <= c else ds.index(np.arange(lo + 1, mid + 1))
             row[:, 1:7] = _cells(np.stack([s[idx] for s in series], axis=1))
-            row[:, 7] = np.array(env, dtype=object).repeat(block)[: mid - lo]
             row[:, 8] = labels[vt.picks[lo:mid]]
-            yield "".join(row.ravel().tolist()).encode()
-        if mid == hi:
-            continue
-        # the rows mid+1..hi in pieces, each the part of a block whose k
-        # have one number of digits: split at mid+1, each block start and
-        # each power of ten
-        tens = [10**d for d in range(len(str(mid + 1)), len(str(hi)))]
-        first = sorted({mid + 1, *range(mid + 1 + -mid % block, hi + 1, block), *tens})
-        ends = first[1:] + [hi + 1]
-        keys = [(len(str(a)), (a - start) % period, b - a) for a, b in zip(first, ends)]
-        if len(segs) > size // block:
-            segs.clear()
-        for d, f, r in set(keys).difference(segs):
-            segs[d, f, r] = _segments(body, moves, f, r, d)
-        pieces = [env[(a - 1 - lo) // block] for a in first]  # each piece's envelope
-        chunk = bytearray("".join(map(str.join, pieces, map(segs.__getitem__, keys))), "ascii")
-        f = (mid + 1 - start) % period
-        widths = ring[f : f + hi - mid] + (len(str(mid + 1)) + 1)
-        for t in tens:
-            widths[t - mid - 1 :] += 1
-        widths += np.repeat([len(e) for e in env], block)[mid - lo : hi - lo]
-        at = np.cumsum(widths) - widths  # each row's first byte
+            parts = row.ravel().tolist()
+            parts[0::9], parts[7::9] = heads[: mid - lo], env[: mid - lo]
+        if hi > mid:
+            f = 4 * ((mid + 1 - start) % period)
+            tail = cycle[f : f + 4 * (hi - mid)]
+            tail[0::4], tail[2::4] = heads[mid - lo :], env[mid - lo :]
+            parts += tail
+        chunk = bytearray("".join(parts), "ascii")
         buf = np.frombuffer(chunk, np.uint8)
-        # k's digits, for each run of rows whose k have one number of digits
-        # and one k // 1000
-        thousands = range(1000 * ((mid + 1) // 1000 + 1), hi + 1, 1000)
-        edges = sorted({mid + 1, *tens, *thousands, hi + 1})
-        for a, b in zip(edges, edges[1:]):
-            d, i, j = len(str(a)), a - mid - 1, b - mid - 1
+        at = np.concatenate(([0], np.flatnonzero(buf[:-1] == 10) + 1))  # each row's first byte
+        for a, b in zip(runs, runs[1:]):
+            d, i, j = len(str(a)), a - lo - 1, b - lo - 1
             text = np.empty((d, j - i), np.uint8)
             text[-3:] = LOW_DIGITS[a % 1000 : b - a + a % 1000, max(0, 3 - d) :].T
             if d > 3:
@@ -328,18 +307,6 @@ def _fits_in_memory(where: str, what: str):
         yield
     except MemoryError as exc:
         raise ConfigError(f"{where}: {what} do not fit in memory") from exc
-
-
-@contextmanager
-def _game_sized(spec: GameSpec, n_field: str, k_field: str):
-    """The block that solves ``spec`` and reads its table, its n from config
-    ``n_field`` and its K from ``k_field``: it holds arrays that grow with n
-    until the state repeats, and compiles code for K's shape."""
-    try:
-        with _fits_in_memory(n_field, f"{spec.n} pile sizes"):
-            yield
-    except SumTooLongError as exc:
-        raise ConfigError(f"{k_field}: {exc}") from exc
 
 
 def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None,
@@ -366,7 +333,7 @@ def _cmd_solve(cfg: dict, out: Path, command: str) -> int:
     if not cond.nu_ok:  # only explore-nu-zero gets past _game with nu = 0
         print("warning: nu = 0, convergence hypotheses unmet; bound checks skipped",
               file=sys.stderr)
-    with _game_sized(spec, "game.n", "game.K"):
+    with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
         vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
         ds = analysis.deviation_series(vt)
         delta = None if (explore or dc is None) else dc.delta
@@ -388,7 +355,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     if not cond.eta_ok:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
     kappa_grid = _parse_kappa_grid(cfg)
-    with _game_sized(spec, "game.n", "game.K"):
+    with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
         vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
         reports = analysis.run_checks(analysis.deviation_series(vt), cond, dc, kappa_grid)
     total_violations = sum(r.violation_count for r in reports)
@@ -427,7 +394,7 @@ def _cmd_simulate(cfg: dict, out: Path, seed_override: int | None) -> int:
     most = MAX_TABLE // longest
     _require(reps <= most, "sim.replications", f"must be at most {most} for these n_values")
     lines = [SIM_HEADER]
-    with _game_sized(spec, "game.n", "game.K"):
+    with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
         vt = solve(spec)
         with _fits_in_memory("sim.replications", f"{reps} games of {longest} pile sizes"):
             # one stream per run: each n plays a prefix of it
@@ -478,7 +445,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     tau = _parse_tau(cfg)
     lines = [SWEEP_HEADER]
     for spec, cond, n_field, k_field in points:
-        with _game_sized(spec, n_field, k_field):
+        with _fits_in_memory(n_field, f"{spec.n} pile sizes"):
             vt, dc = _solve_bundle(spec, cond, tau, k_field)
         p_n = vt.p(vt.n)
         delta = "" if dc is None else "%.17g" % dc.delta

@@ -35,7 +35,6 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SumTooLongError
 from .lotteries import GameSpec, Lottery
 
 TIE_TOL = 1e-12
@@ -44,6 +43,10 @@ TIE_LOWEST = "lowest_index"
 TIE_HIGHEST = "highest_index"
 TIE_RANDOM = "seeded_random"
 TIE_RULES = (TIE_LOWEST, TIE_HIGHEST, TIE_RANDOM)
+
+# terms of one `+` chain in the generated code, which the compiler walks
+# recursively: a longer sum is written as several statements (``_chain``)
+_CHAIN_TERMS = 256
 
 
 def fold(k, n: int, computed: int, period: int):
@@ -182,21 +185,33 @@ def _shape(candidates: Sequence[Lottery]) -> tuple[tuple, tuple[float, ...]]:
     return (m, terms), tuple(classes)
 
 
-def _sum_exprs(shape: tuple, named=frozenset()) -> list[str]:
-    """Each candidate's sum_i pi_i * p_{k-i} as expression text, summed
-    left to right over its terms (i, c) of ``_shape``, zero weights left
-    out.  The product of a term in ``named`` is the local q{c}_{i}, every
-    other one is w{c}*t{m-i}, where w{c} is class c's weight and t_j =
-    p_{k-m+j}.  w*t is one IEEE operation, so a q{c}_{i} formed at an
-    earlier pile size holds the same double, and the sums are the same
-    bit for bit whatever is named.  The payoff is 1.0 less this sum: the
-    one definition of the payoff."""
+def _sum_exprs(shape: tuple, named=frozenset()) -> list[list[str]]:
+    """The terms of each candidate's sum_i pi_i * p_{k-i} as text, in the
+    order of its terms (i, c) of ``_shape``, zero weights left out; the
+    sum runs left to right (``_chain``).  The product of a term in
+    ``named`` is the local q{c}_{i}, every other one is w{c}*t{m-i}, where
+    w{c} is class c's weight and t_j = p_{k-m+j}.  w*t is one IEEE
+    operation, so a q{c}_{i} formed at an earlier pile size holds the same
+    double, and the sums are the same bit for bit whatever is named.  The
+    payoff is 1.0 less this sum: the one definition of the payoff."""
     m, terms = shape
     # p_{k-i} is t_{m-i}
-    return [
-        " + ".join(f"q{c}_{i}" if (i, c) in named else f"w{c}*t{m - i}" for i, c in cand) or "0.0"
-        for cand in terms
-    ]
+    return [[f"q{c}_{i}" if (i, c) in named else f"w{c}*t{m - i}" for i, c in cand] for cand in terms]
+
+
+def _chain(target: str, terms: list[str]) -> tuple[list[str], str]:
+    """(statements, expression): the expression is the sum of ``terms``
+    left to right once the statements have run.  A sum of up to
+    _CHAIN_TERMS terms is one ``+`` chain and no statement; a longer one
+    sums its leading runs of _CHAIN_TERMS into ``target`` (``target =
+    target + ...``), which keeps the order and every bit."""
+    runs = range(0, len(terms), _CHAIN_TERMS)
+    expr, *rest = [" + ".join(terms[i : i + _CHAIN_TERMS]) for i in runs] or ["0.0"]
+    lines = []
+    for run in rest:
+        lines.append(f"{target} = {expr}")
+        expr = f"{target} + {run}"
+    return lines, expr
 
 
 def _compiled(src: str, name: str):
@@ -219,18 +234,22 @@ def _generated(name: str, shape: tuple):
     weights = [f"w{c}" for c in range(len({c for cand in terms for _, c in cand}))]
     state = [f"t{j}" for j in range(m)]
     if name == "_kernel":
-        body = ", ".join(f"1.0 - ({s})" for s in _sum_exprs(shape))
-        return _compiled(f"def _kernel({', '.join(weights + state)}):\n    return ({body},)", name)
+        chains = [_chain(f"x{j}", cand) for j, cand in enumerate(_sum_exprs(shape))]
+        body = ", ".join(f"1.0 - ({expr})" for _, expr in chains)
+        lines = [f"def _kernel({', '.join(weights + state)}):",
+                 *(f"    {s}" for pre, _ in chains for s in pre), f"    return ({body},)"]
+        return _compiled("\n".join(lines), name)
     # a class that two or more terms use keeps the window q{c}_1..q{c}_{last},
     # shifted from the top down
     uses = Counter(c for cand in terms for _, c in cand)
     last = {c: i for i, c in sorted(itertools.chain.from_iterable(terms))}
     window = [(i, c) for c in sorted(last) if uses[c] > 1 for i in range(last[c], 0, -1)]
-    sums = _sum_exprs(shape, set(window))
+    (pre, expr), *others = [_chain("y" if j else "x", cand)
+                            for j, cand in enumerate(_sum_exprs(shape, set(window)))]
+    least = [*pre, f"x = {expr}"]
+    for pre, expr in others:
+        least += [*pre, f"y = {expr}", "if y < x: x = y"]
     saved = [f"s{j}" for j in range(m)]
-    least = [f"x = {sums[0]}"]
-    for s in sums[1:]:
-        least += [f"y = {s}", "if y < x: x = y"]
     shift = [f"t{j} = t{j + 1}" for j in range(m - 1)] + [f"t{m - 1} = best"]
     shift += [f"q{c}_{i} = q{c}_{i - 1}" if i > 1 else f"q{c}_1 = w{c}*best" for i, c in window]
     same = " and ".join(f"{t} == {s}" for t, s in zip(state, saved))
@@ -258,16 +277,9 @@ def _generated(name: str, shape: tuple):
 
 def _bound(name: str, candidates: Sequence[Lottery]):
     """The generated function ``name`` for the candidates' shape, with
-    their weights bound.  A sum is one left-nested ``+`` chain, which the
-    compiler walks recursively: a lottery with more nonzero weights than
-    this interpreter can compile raises SumTooLongError."""
+    their weights bound."""
     shape, weights = _shape(candidates)
-    try:
-        return partial(_generated(name, shape), *weights)
-    except RecursionError as exc:
-        longest = max(map(len, shape[1]))
-        raise SumTooLongError(f"a lottery of {longest} nonzero weights is too long "
-                              "for this interpreter to compile its payoff sum") from exc
+    return partial(_generated(name, shape), *weights)
 
 
 def payoff_kernel(candidates: Sequence[Lottery]):

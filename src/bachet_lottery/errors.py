@@ -29,11 +29,6 @@ class TauOutOfRangeError(ValueError):
     """Explicit tau lies outside its admissible open interval."""
 
 
-class SumTooLongError(ValueError):
-    """A lottery has more nonzero weights than the interpreter can compile
-    into one payoff sum."""
-
-
 class InstanceTooLargeError(ValueError):
     """Brute-force oracle bounds exceeded (|K| > 4 or n > 12)."""
 

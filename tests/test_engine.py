@@ -381,6 +381,19 @@ class TestGeneratedLoop:
             assert_keeps_the_first_period(vt, vt.p_ext)
             assert vt.tie_mask.shape == (vt.computed, len(K.lotteries))
 
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    def test_long_sums_match_reference(self, rule):
+        # sums of more terms than one generated `+` chain holds are written
+        # as several statements: distinct weights (plain products) and one
+        # weight at every position (a window of products)
+        m = 2 * engine._CHAIN_TERMS + 7
+        rng = random.Random(m)
+        v = [rng.uniform(0.01, 1.0) for _ in range(m)]
+        K = finite_set([[w / sum(v) for w in v], [1 / m] * m])
+        tail = [rng.random() for _ in range(m)]
+        assert win_probs(K.lotteries, tail) == tuple(reference_payoff(c, tail) for c in K.lotteries)
+        assert_matches_reference(GameSpec(3 * m, m, K), rule, seed=m)
+
     def test_cases_have_their_shape(self):
         single, zero_first, many, two, six, twins, tilted, spread = (K for _, K, _ in SHAPES)
         assert len(single.lotteries) == 1
