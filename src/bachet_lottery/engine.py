@@ -5,21 +5,21 @@ for a chosen lottery pi, with the boundary convention p_s = 1 for s <= 0
 (taking the last object loses).  The equilibrium value p_k maximizes this
 over the candidate lotteries; the recursion runs k = 1..n.
 
-The recursion is one generated Python function per shape of the
-candidate set (m, each lottery's nonzero positions, and which of its
-weights are equal), compiled once and called with one value per class of
-equal weights bound: the last m values live in locals, each pile size
-keeps the least of the candidates' sums sum_i pi_i p_{k-i} and takes
-p_k = 1.0 less it, and the loop stops at the first repeated state it sees.
-Each product w * p_{k-i} is formed once: a weight that two or more terms
-use keeps a window of its products and forms one new product per pile
-size, so the symmetric simplex forms two, not m * m.  Everything about
-ties is worked out on the first read of a table's ties or moves, in
-numpy, from the stored prefix: the payoff kernel is written from the same
-sum text and is elementwise, so on arrays it gives the same doubles as
-the loop.  A caller that reads only values never pays for ties.  The
-table keeps the values up to the end of the first period only, so its
-size does not grow with n once a state repeats; a later pile size is
+The recursion, the package's only generated code, is one Python function
+per shape of the candidate set (m, each lottery's nonzero positions, and
+which of its weights are equal), compiled once and called with one value
+per class of equal weights bound: the last m values live in locals, each
+pile size keeps the least of the candidates' sums sum_i pi_i p_{k-i} and
+takes p_k = 1.0 less it, and the loop stops at the first repeated state
+it sees.  Each product w * p_{k-i} is formed once: a weight that two or
+more terms use keeps a window of its products and forms one new product
+per pile size, so the symmetric simplex forms two, not m * m.  Ties are
+worked out on the first read of a table's ties or moves, in numpy, from
+the stored prefix, by ``payoff_kernel``: the formula above over the
+lotteries' weights, which gives the loop's doubles bit for bit without
+sharing its text.  A caller that reads only values never pays for ties.
+The table keeps the values up to the end of the first period only, so
+its size does not grow with n once a state repeats; a later pile size is
 read by going back whole periods (``fold``, the one range check of a
 pile size).
 """
@@ -185,15 +185,12 @@ def _shape(candidates: Sequence[Lottery]) -> tuple[tuple, tuple[float, ...]]:
     return (m, terms), tuple(classes)
 
 
-def _sum_exprs(shape: tuple, named=frozenset()) -> list[list[str]]:
+def _sum_exprs(shape: tuple, named) -> list[list[str]]:
     """The terms of each candidate's sum_i pi_i * p_{k-i} as text, in the
     order of its terms (i, c) of ``_shape``, zero weights left out; the
     sum runs left to right (``_chain``).  The product of a term in
     ``named`` is the local q{c}_{i}, every other one is w{c}*t{m-i}, where
-    w{c} is class c's weight and t_j = p_{k-m+j}.  w*t is one IEEE
-    operation, so a q{c}_{i} formed at an earlier pile size holds the same
-    double, and the sums are the same bit for bit whatever is named.  The
-    payoff is 1.0 less this sum: the one definition of the payoff."""
+    w{c} is class c's weight and t_j = p_{k-m+j}."""
     m, terms = shape
     # p_{k-i} is t_{m-i}
     return [[f"q{c}_{i}" if (i, c) in named else f"w{c}*t{m - i}" for i, c in cand] for cand in terms]
@@ -222,23 +219,15 @@ def _compiled(src: str, name: str):
 
 
 @lru_cache(maxsize=64)
-def _generated(name: str, shape: tuple):
-    """The generated function ``name`` for one shape: ``_kernel`` (see
-    ``payoff_kernel``) or ``_run`` (see ``_recursion``), each taking the
-    class weights w0, w1, ... as its leading parameters.  Both are
-    written from ``_sum_exprs`` over the shape's one term list; the cache
-    keeps the code of the last 64 (name, shape) pairs, so a process
-    compiles each shape's code once and holds a bounded amount of it
-    whatever sets it meets."""
+def _generated(shape: tuple):
+    """The generated ``_run`` (see ``_recursion``) for one shape, taking
+    the class weights w0, w1, ... as its leading parameters.  The cache
+    keeps the code of the last 64 shapes, so a process compiles each
+    shape's loop once and holds a bounded amount of code whatever sets it
+    meets."""
     m, terms = shape
     weights = [f"w{c}" for c in range(len({c for cand in terms for _, c in cand}))]
     state = [f"t{j}" for j in range(m)]
-    if name == "_kernel":
-        chains = [_chain(f"x{j}", cand) for j, cand in enumerate(_sum_exprs(shape))]
-        body = ", ".join(f"1.0 - ({expr})" for _, expr in chains)
-        lines = [f"def _kernel({', '.join(weights + state)}):",
-                 *(f"    {s}" for pre, _ in chains for s in pre), f"    return ({body},)"]
-        return _compiled("\n".join(lines), name)
     # a class that two or more terms use keeps the window q{c}_1..q{c}_{last},
     # shifted from the top down
     uses = Counter(c for cand in terms for _, c in cand)
@@ -272,27 +261,34 @@ def _generated(name: str, shape: tuple):
         "        power += (power >> 4) + 1",
         "    return 0",
     ]
-    return _compiled("\n".join(lines), name)
-
-
-def _bound(name: str, candidates: Sequence[Lottery]):
-    """The generated function ``name`` for the candidates' shape, with
-    their weights bound."""
-    shape, weights = _shape(candidates)
-    return partial(_generated(name, shape), *weights)
+    return _compiled("\n".join(lines), "_run")
 
 
 def payoff_kernel(candidates: Sequence[Lottery]):
     """Build f(t_0, ..., t_{m-1}) -> tuple of per-candidate payoffs.
 
     t_j = p_{k-m+j}, i.e. the tail in increasing k order.  Each payoff is
-    ``1.0 - (sum)`` with the sum from ``_sum_exprs``; the code is
-    generated once per shape and the lottery weights are bound to it.
-    The arguments may be floats or equal-length float64 arrays: every
-    operation is elementwise, so entry j of the array result is the
-    scalar result for column j, bit for bit.
+    1 - sum_i pi_i p_{k-i} from ``lot.probs`` alone: s = 0.0, then s +=
+    pi_i * p_{k-i} for i = 1..m, and 1.0 - s.  The arguments may be
+    floats or equal-length float64 arrays: every operation is elementwise,
+    so entry j of an array result is the scalar result for column j.
+    These are the loop's doubles bit for bit, though no text is shared:
+    w * p is one IEEE operation, so a window local q{c}_{i} holds the same
+    double; a zero weight of either sign adds +-0.0 to a sum that is
+    >= +0.0, and 0.0 + x = x, so neither a zero term the loop leaves out
+    nor the leading 0.0 changes a bit; and i runs in the loop's order.
     """
-    return _bound("_kernel", candidates)
+
+    def kernel(*tail):
+        out = []
+        for lot in candidates:
+            s = 0.0
+            for w, p in zip(lot.probs, reversed(tail)):  # p_{k-1}, p_{k-2}, ...
+                s += w * p
+            out.append(1.0 - s)
+        return tuple(out)
+
+    return kernel
 
 
 def payoffs(candidates: Sequence[Lottery], ext: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -311,7 +307,7 @@ def _recursion(candidates: Sequence[Lottery]):
     p_{k-i}, i = 1..its last position: after each pile size it forms the
     one new product w_c * p_k and shifts the window, so a product is formed
     once and read at each later pile size that needs it (exact, see
-    ``_sum_exprs``).  A class that one term uses stays inline, so a set
+    ``payoff_kernel``).  A class that one term uses stays inline, so a set
     whose weights are all distinct gets the plain sums.  p_k is 1.0 less
     the least of the candidates' sums, kept by one ``if y < x`` per
     candidate after the first: rounding to nearest is monotone, so
@@ -325,7 +321,8 @@ def _recursion(candidates: Sequence[Lottery]):
     length at the first state equal to the saved one, or 0 after n pile
     sizes without one.
     """
-    return _bound("_run", candidates)
+    shape, weights = _shape(candidates)
+    return partial(_generated(shape), *weights)
 
 
 def _tie_sets(mask: np.ndarray, period: int, n: int) -> Iterator[tuple[int, ...]]:

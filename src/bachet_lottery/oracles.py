@@ -3,8 +3,8 @@
 Two routes that never touch the backward-induction maximization or its
 tie rule: Monte-Carlo play of the actual game under the engine's policy,
 and exhaustive enumeration of stationary pure profiles on small instances
-with a one-shot-deviation optimality filter.  Both share with the engine
-only the one-step payoff: `payoff_kernel`, and `payoffs` of the prefix.
+with a one-shot-deviation optimality filter.  Both take from the engine
+only `payoff_kernel` and `payoffs`, which share no text with its loop.
 """
 from __future__ import annotations
 

@@ -332,8 +332,8 @@ class TestCycleDetection:
             assert part.tie_sets == full.tie_sets[:n]
 
     def test_unknown_tie_rule_rejected_first(self, monkeypatch):
-        def no_code(name, shape):
-            pytest.fail(f"{name} built before the tie rule was checked")
+        def no_code(shape):
+            pytest.fail("loop built before the tie rule was checked")
 
         # the cache may hold this shape already; the builder behind it is
         # replaced, so reaching it fails either way
@@ -471,7 +471,8 @@ class TestLeastSum:
 
 
 class TestCompiledOncePerShape:
-    """The loop and the kernel are generated once per shape of the set."""
+    """The loop is generated once per shape of the set; the payoff kernel
+    is a plain function, so reading ties or moves compiles nothing."""
 
     @pytest.fixture
     def compiled(self, monkeypatch):
@@ -499,22 +500,22 @@ class TestCompiledOncePerShape:
         # 0.1 on the last vertex's large weight rounds to a third value
         patterns = {len(engine._shape(vt.candidates)[1]) for vt in tables}
         assert patterns == {2, 3}
-        # sweep reads values only; the kernels are built on the first read of picks
         assert compiled == ["_run", "_run"] and len(tables) == len(eps)
+        # reading the moves compiles nothing more
         for vt in tables:
             vt.picks
-        assert sorted(compiled) == ["_kernel", "_kernel", "_run", "_run"]
+        assert compiled == ["_run", "_run"]
         compiled.clear()
         # another shape: first weight zero
         solve(GameSpec(50, 3, finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]]))).picks
-        assert sorted(compiled) == ["_kernel", "_run"]
+        assert compiled == ["_run"]
         # the same shape: other weights that coincide in the same places
         solve(GameSpec(50, 3, finite_set([[0.0, 0.8, 0.2], [0.4, 0.4, 0.2]]))).picks
-        assert len(compiled) == 2
+        assert len(compiled) == 1
         # the same nonzero positions, but two weights coincide: two loops
         solve(GameSpec(50, 3, finite_set([[0.2, 0.3, 0.5]])))
         solve(GameSpec(50, 3, finite_set([[0.25, 0.25, 0.5]])))
-        assert compiled[2:] == ["_run", "_run"]
+        assert compiled[1:] == ["_run", "_run"]
 
     @pytest.mark.parametrize("m", [3, 5])
     def test_symmetric_simplex_forms_two_products_per_pile(self, compiled, monkeypatch, m):
@@ -546,7 +547,7 @@ class TestCompiledOncePerShape:
         for count in range(1, size + 2):
             solve(GameSpec(5, 2, finite_set([[0.5, 0.5]] * count))).picks
         assert engine._generated.cache_info().currsize == size
-        assert len(compiled) == 2 * (size + 1)
+        assert len(compiled) == size + 1
 
 
 # (mu, period) of CYCLES, in the same order: the state after pile size

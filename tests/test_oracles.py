@@ -22,7 +22,7 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
-from bachet_lottery import oracles
+from bachet_lottery import engine, oracles
 from bachet_lottery.engine import TIE_LOWEST, TIE_RANDOM, TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
 from bachet_lottery.lotteries import SUM_TOL
@@ -417,6 +417,35 @@ class TestOneShotDeviation:
             bad[k - 1] = (picks[k - 1] + 1) % 3
             bad = _with_picks(vt, bad)
             assert one_shot_deviation_gap(bad) == _reference_gap(bad) == 1.0
+
+
+class TestCatchesLoopDefects:
+    """The oracles read the payoff from the weights, not from the solve
+    loop's term list, so a wrong term list changes the solved table and
+    not the game it is checked against."""
+
+    @pytest.fixture
+    def reversed_terms(self, monkeypatch):
+        # each lottery's nonzero positions reversed: (i, c) -> (m + 1 - i, c)
+        real = engine._shape
+
+        def mutated(candidates):
+            (m, terms), weights = real(candidates)
+            return (m, tuple(tuple((m + 1 - i, c) for i, c in cand) for cand in terms)), weights
+
+        engine._generated.cache_clear()
+        monkeypatch.setattr(engine, "_shape", mutated)
+        yield
+        engine._generated.cache_clear()
+
+    def test_reversed_positions_caught(self, reversed_terms):
+        # a set closed under reversal (a symmetric simplex, say) would be an
+        # equivalent mutant: the reversed lotteries are the same set
+        spec = GameSpec(8, 3, finite_set([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]))
+        vt = solve(spec)
+        values = brute_force_values(spec)
+        assert max(abs(values[k] - vt.p(k)) for k in values) > 1e-3
+        assert one_shot_deviation_gap(vt) > 1e-3
 
 
 def _reference_gap(vt):
