@@ -9,13 +9,12 @@ rerun with the same config produces byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -42,14 +41,16 @@ COMMANDS = ("solve", "verify", "simulate", "sweep", "explore-nu-zero")
 
 # Each CSV is its header plus one row template.  A values.csv row is k,
 # the six series fields as VALUES_FIELDS prints them, the envelope and the
-# move label; the writer builds it from cells (see _values_csv).  Reals get
-# 17 significant digits, which round-trip any double.
+# move label; the writer joins it from ready-made strings (see
+# _values_csv).  Reals get 17 significant digits, which round-trip any
+# double.
 VALUES_HEADER = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index\n"
 VALUES_FIELDS = "%.17g," * 6
 # rows of values.csv built at a time: the writer holds one chunk's strings
 CHUNK_ROWS = 512
-# row j: the three digits of j, zero-padded, as bytes: k's last three digits
-LOW_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+# k's last three digits and its comma: K_LOW[k] below 1000, after the
+# text of k // 1000 the zero-padded K_LOW[1000 + k % 1000]
+K_LOW = ["%d," % j for j in range(1000)] + ["%03d," % j for j in range(1000)]
 SIM_HEADER = "n,replications,seed,p_hat,std_err,p_engine,z_score\n"
 SIM_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n"
 SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n\n"
@@ -137,6 +138,8 @@ def _game(node, command: str, n_field: str) -> tuple[GameSpec, ConditionReport]:
     n, m = node.get("n"), node.get("m")
     _require(_is_int(n) and n >= 1, n_field, "must be an integer >= 1")
     _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
+    # before n's bound, which a larger m would make negative
+    _require(m < MAX_TABLE, "game.m", f"must be at most {MAX_TABLE - 1}")
     _require(n + m <= MAX_TABLE, n_field, f"must be at most {MAX_TABLE - m}")
     K = _parse_lottery_set(node.get("K"), "game.K")
     try:
@@ -198,51 +201,47 @@ def _cells(cols: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _envelopes(delta: float | None, m: int) -> Iterator[str]:
-    """The envelope field of each 3m-block in order, empty without a delta.
-    A bound is 0.0 only for delta < 1, and then every later power is
-    smaller: from the first 0.0 on, the field is "0," and no power is
-    taken.  The bounds of one ``_values_csv`` chunk are formatted in one
-    batch, one ``%`` on a template of "%.17g,\n" per bound whose result is
-    split at the newlines, as in ``_cells``."""
+def _envelopes(delta: float | None, m: int, blocks: range) -> list[str]:
+    """The envelope field of each 3m-block in ``blocks``, empty without a
+    delta, else formatted in one batch: one ``%`` on a template of
+    "%.17g,\n" per bound whose result is split at the newlines, as in
+    ``_cells``.  A bound is 0.0 only for delta < 1, and then every later
+    power is smaller: from the first 0.0 on, the field is "0," and no power
+    is taken."""
     if delta is None:
-        return itertools.repeat(",")
-    bounds = (analysis.envelope_bound(k, delta, m) for k in itertools.count(1, 3 * m))
-    nonzero = itertools.takewhile(bool, bounds)
-    batch = max(1, CHUNK_ROWS // (3 * m))
-
-    def powers() -> Iterator[str]:
-        while chunk := tuple(itertools.islice(nonzero, batch)):
-            yield from ("%.17g,\n" * len(chunk) % chunk).split("\n")[:-1]
-
-    return itertools.chain(powers(), itertools.repeat("0,"))
+        return [","] * len(blocks)
+    bounds = []
+    for b in blocks:
+        bounds.append(analysis.envelope_bound(1 + 3 * m * b, delta, m))
+        if not bounds[-1]:
+            break
+    text = ("%.17g,\n" * len(bounds) % tuple(bounds)).split("\n")[:-1]
+    return text + ["0,"] * (len(blocks) - len(bounds))
 
 
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):
-    """The bytes of values.csv: the header, then one ``bytes``-like chunk
-    per run of whole 3m-blocks, about CHUNK_ROWS rows.
+    """The bytes of values.csv: the header, then one ``bytes`` chunk per
+    run of whole 3m-blocks, about CHUNK_ROWS rows.
 
-    A row is k, the six series fields, the envelope and the move.  The
-    envelope is one string per block (``_envelopes``), and the move is the
-    label of vt.argmax(k).  The fields and the move of a pile size past
-    computed are those of the one it repeats in the last period
-    S..computed, S = computed - period + 1 (``engine.fold``).  So when the
-    picks repeat (not under seeded_random), the text of the ``period``
-    rows S..computed is made once, and every row from S on is four parts:
-    zeros where its k goes, its phase's fields, the envelope and its
-    phase's move.  A row before S, and every row of a seeded_random table,
-    is nine: the zeros, its fields read as slices up to computed (past it
-    through ``ds.index``) with each distinct magnitude formatted once
-    (``_cells``), the envelope and the move.  A chunk's rows are joined
-    once, each row's first byte is found from the newlines, and k's digits
-    are written there: the last three from LOW_DIGITS, the ones above them
-    once per run of equal k // 1000.  The writer holds a chunk's text and
-    one cycle's.
+    A row is k, the six series fields, the envelope and the move, joined
+    from strings that already exist.  k is two parts: the text of
+    k // 1000, one string per run of equal k // 1000, and k's last three
+    digits from K_LOW.  The envelope is one string per block
+    (``_envelopes``), spread to the block's rows, and the move is the label
+    of vt.argmax(k).  The fields and the move of a pile size past computed
+    are those of the one it repeats in the last period S..computed,
+    S = computed - period + 1 (``engine.fold``).  So when the picks repeat
+    (not under seeded_random), the text of the ``period`` rows S..computed
+    is made once, and every row from S on is five parts: k's two, its
+    phase's fields, the envelope and its phase's move.  A row before S,
+    and every row of a seeded_random table, is ten: k's two, its fields
+    read as slices up to computed (past it through ``ds.index``) with each
+    distinct magnitude formatted once (``_cells``), the envelope and the
+    move.  The writer holds a chunk's text and one cycle's.
     """
     m, n, c, period = vt.m, vt.n, vt.computed, vt.period
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
     labels = np.array(["%d\n" % i for i in range(len(vt.candidates))], dtype=object)
-    envs = _envelopes(delta, m)
     block = 3 * m
     size = block * max(1, CHUNK_ROWS // block)
     start = n + 1
@@ -250,49 +249,43 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
         start = c - period + 1
         cells = _cells(np.stack([s[start - 1 : c] for s in series], axis=1)).tolist()
         moves = labels[vt.picks[start - 1 :]].tolist()
-        # the four parts of each row S..computed, zeros and envelope (None)
-        # filled per chunk; repeated, so that a chunk's rows from S on are
-        # one slice from any phase
-        cycle = [x for fields, move in zip(cells, moves) for x in (None, "".join(fields), None, move)]
+        # the five parts of each row S..computed, k's two and the envelope
+        # (None) filled per chunk; repeated, so that a chunk's rows from S
+        # on are one slice from any phase
+        cycle = [x for fields, move in zip(cells, moves) for x in (None, None, "".join(fields), None, move)]
         cycle *= size // period + 2
+    zero = False  # a bound has been 0.0: every later one is
     yield VALUES_HEADER.encode()
     for lo in range(0, n, size):
         hi = min(n, lo + size)
-        mid = min(hi, max(lo, start - 1))  # rows lo+1..mid have nine parts, mid+1..hi four
-        # runs of rows whose k have one number of digits and one k // 1000
-        tens = range(len(str(lo + 1)), len(str(hi)))
-        thousands = range(1000 * ((lo + 1) // 1000 + 1), hi + 1, 1000)
-        runs = sorted({lo + 1, *(10**d for d in tens), *thousands, hi + 1})
-        heads, env = [], []
-        for a, b in zip(runs, runs[1:]):
-            heads += ["0" * len(str(a)) + ","] * (b - a)
-        for e in itertools.islice(envs, -(-(hi - lo) // block)):
-            env += [e] * block
+        mid = min(hi, max(lo, start - 1))  # rows lo+1..mid have ten parts, mid+1..hi five
+        highs, lows = [], []
+        for t in range((lo + 1) // 1000, hi // 1000 + 1):
+            a, b = max(lo + 1, 1000 * t), min(hi + 1, 1000 * t + 1000)
+            highs += ["%d" % t if t else ""] * (b - a)
+            i = a % 1000 + (1000 if t else 0)
+            lows += K_LOW[i : i + b - a]
+        blocks = range(lo // block, -(-hi // block))
+        envs = ["0,"] * len(blocks) if zero else _envelopes(delta, m, blocks)
+        zero = envs[-1] == "0,"
+        env = [""] * (len(blocks) * block)  # each block's field on each of its rows
+        for j in range(block):
+            env[j::block] = envs
         del env[hi - lo :]
         parts = []
         if mid > lo:
-            row = np.empty((mid - lo, 9), dtype=object)
+            row = np.empty((mid - lo, 10), dtype=object)
             idx = slice(lo, mid) if mid <= c else ds.index(np.arange(lo + 1, mid + 1))
-            row[:, 1:7] = _cells(np.stack([s[idx] for s in series], axis=1))
-            row[:, 8] = labels[vt.picks[lo:mid]]
+            row[:, 2:8] = _cells(np.stack([s[idx] for s in series], axis=1))
+            row[:, 9] = labels[vt.picks[lo:mid]]
             parts = row.ravel().tolist()
-            parts[0::9], parts[7::9] = heads[: mid - lo], env[: mid - lo]
+            parts[0::10], parts[1::10], parts[8::10] = highs[: mid - lo], lows[: mid - lo], env[: mid - lo]
         if hi > mid:
-            f = 4 * ((mid + 1 - start) % period)
-            tail = cycle[f : f + 4 * (hi - mid)]
-            tail[0::4], tail[2::4] = heads[mid - lo :], env[mid - lo :]
+            f = 5 * ((mid + 1 - start) % period)
+            tail = cycle[f : f + 5 * (hi - mid)]
+            tail[0::5], tail[1::5], tail[3::5] = highs[mid - lo :], lows[mid - lo :], env[mid - lo :]
             parts += tail
-        chunk = bytearray("".join(parts), "ascii")
-        buf = np.frombuffer(chunk, np.uint8)
-        at = np.concatenate(([0], np.flatnonzero(buf[:-1] == 10) + 1))  # each row's first byte
-        for a, b in zip(runs, runs[1:]):
-            d, i, j = len(str(a)), a - lo - 1, b - lo - 1
-            text = np.empty((d, j - i), np.uint8)
-            text[-3:] = LOW_DIGITS[a % 1000 : b - a + a % 1000, max(0, 3 - d) :].T
-            if d > 3:
-                text[:-3] = np.frombuffer(b"%d" % (a // 1000), np.uint8)[:, None]
-            buf[at[i:j] + np.arange(d)[:, None]] = text
-        yield chunk
+        yield "".join(parts).encode()
 
 
 def _json_bytes(obj) -> bytes:
@@ -414,6 +407,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     _require(isinstance(game, dict), "game", "must be an object")
     sweep = cfg.get("sweep")
     _require(isinstance(sweep, dict), "sweep", "required for sweep")
+    _require(not {"n_values", "epsilon_values"} <= sweep.keys(), "sweep",
+             "give n_values or epsilon_values, not both")
     # each point's game and conditions, and the config fields of its n and its K
     points: list[tuple[GameSpec, ConditionReport, str, str]] = []
     if "n_values" in sweep:
@@ -437,7 +432,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
                 where,
                 f"must be a real in (0, 1/{m})",
             )
-            node = {**game, "K": {"type": "truncated_simplex", "epsilon": [eps] * m}}
+            with _fits_in_memory("game.m", f"{m} lottery weights"):
+                node = {**game, "K": {"type": "truncated_simplex", "epsilon": [eps] * m}}
             points.append((*_game(node, "sweep", "game.n"), "game.n", where))
     else:
         raise ConfigError("sweep: needs n_values or epsilon_values")

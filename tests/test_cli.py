@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -345,6 +346,8 @@ class TestConfigErrors:
                                                      "n_values": []}}),
             # an m past the doubles: 1/m must not be taken in floats
             ("sweep", {"game": {**HALF_GAME, "m": 10**400}, "sweep": {"epsilon_values": [0.05]}}),
+            # two kinds of sweep: neither may be dropped in silence
+            ("sweep", {"game": HALF_GAME, "sweep": {"n_values": [5], "epsilon_values": [0.05]}}),
         ],
     )
     def test_command_options_exit_two(self, tmp_path, capsys, command, payload):
@@ -547,6 +550,33 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {"game": game, "sweep": {"n_values": [7, 10**30]}})
         assert run("sweep", cfg, output=tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("error: sweep.n_values[1]: must be at most ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "n, m, message",
+        [
+            (50, 2**62, f"error: game.m: must be at most {cli.MAX_TABLE - 1}\n"),
+            (2, cli.MAX_TABLE - 1, "error: game.n: must be at most 1\n"),
+        ],
+        ids=["m=2^62", "largest-m"],
+    )
+    def test_huge_m_names_its_field(self, tmp_path, capsys, n, m, message):
+        # m is checked first: the bound given for n is never negative
+        cfg = write_config(tmp_path, {"game": {**HALF_GAME, "n": n, "m": m}})
+        assert run("solve", cfg, output=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == message
+        assert not re.search(r"-\d", err)
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_huge_m_exit_two_without_traceback(self, tmp_path):
+        # an epsilon below 1/m asks for m lottery weights, 2 EiB of them
+        game = {"n": 5, "m": 2**58, "K": HALF_GAME["K"]}
+        proc = run_capped(tmp_path, "sweep", {"game": game, "sweep": {"epsilon_values": [1e-20]}},
+                          4 << 30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: game.m: {2**58} lottery weights do not fit")
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_sweep_n_out_of_memory_names_its_field(self, tmp_path, capsys, monkeypatch):
@@ -768,22 +798,29 @@ def test_artifacts_leave_the_umask_alone(tmp_path, monkeypatch):
     assert calls == []
 
 
-def _reference_values_csv(vt, delta):
-    """values.csv as one `%` template mapped over every series at every
-    pile size, each from its definition over the dense ``vt.p_ext``."""
-    m, n = vt.m, vt.n
+def _reference_rows(vt, delta, ks):
+    """The rows of values.csv for the pile sizes of the range ``ks``: one
+    `%` template mapped over every series, each from its definition over
+    the dense ``vt.p_ext``."""
+    m = vt.m
     p = vt.p_ext[m:]
     d = p - 0.5
     windows = np.lib.stride_tricks.sliding_window_view(vt.p_ext, m)[1:]  # row k - 1: W_k
     bar = np.abs(windows - 0.5).max(axis=1)
-    series = [p, d, np.abs(d), bar, np.maximum(d, 0.0), np.maximum(-d, 0.0)]
+    series = [s[ks.start - 1 : ks.stop - 1]
+              for s in (p, d, np.abs(d), bar, np.maximum(d, 0.0), np.maximum(-d, 0.0))]
     if delta is not None:
-        block = np.arange(n) // (3 * m)
-        bounds = [analysis.envelope_bound(1 + 3 * m * j, delta, m) for j in range(block[-1] + 1)]
-        series.append(np.array(bounds)[block])
+        block = (np.arange(ks.start, ks.stop) - 1) // (3 * m)
+        bounds = [analysis.envelope_bound(1 + 3 * m * j, delta, m)
+                  for j in range(block[0], block[-1] + 1)]
+        series.append(np.array(bounds)[block - block[0]])
     row = "%d," + "%.17g," * 6 + ("," if delta is None else "%.17g,") + "%d\n"
-    rows = zip(range(1, n + 1), *series, vt.argmax(np.arange(1, n + 1)))
-    return VALUES_HEAD + "".join(map(row.__mod__, rows))
+    rows = zip(ks, *series, vt.argmax(np.arange(ks.start, ks.stop)))
+    return "".join(map(row.__mod__, rows))
+
+
+def _reference_values_csv(vt, delta):
+    return VALUES_HEAD + _reference_rows(vt, delta, range(1, vt.n + 1))
 
 
 def assert_writer_matches_reference(spec, delta, rule=TIE_LOWEST, seed=0):
@@ -810,6 +847,8 @@ DELTAS = pytest.mark.parametrize("delta", [None, 0.9], ids=["no-envelope", "enve
 # signed zeros, subnormals, 2^-54 and the values near 1/2 the series take
 FIELD_POOL = [0.0, -0.0, 0.5, 1.0, 5e-324, 2.0**-1060, 2.0**-54, 0.5 + 2.0**-53,
               0.49999999999999994, 0.1, 1e300]
+# the first k of each number of digits past one
+EDGES = {10, 100, 1000, 10_000, 100_000}
 # tables whose rows span several chunks: with a repeat, and without one
 FIELD_TABLES = [solve(GameSpec(n, 3, truncated_simplex([eps] * 3)))
                 for n, eps in ((2500, 0.05), (1200, 0.001), (7, 0.05))]
@@ -1013,6 +1052,41 @@ class TestValuesWriter:
         assert formatted_rows(cells) <= vt.computed
         assert_writer_matches_reference(spec, 0.5)
 
+    @pytest.mark.parametrize("rows", [1, 3 * 4 + 1, 512])
+    @pytest.mark.parametrize("part", ["before S", "from S"])
+    def test_k_digits_across_powers_of_ten(self, part, rows, monkeypatch):
+        # k goes from 9 to 10, 99 to 100, ..., 99999 to 100000 inside a
+        # chunk (with m = 4, 10^d - 1 is no multiple of a 12-row block), on
+        # rows of ten parts and on rows of five
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        size = 12 * max(1, rows // 12)
+        if part == "before S":
+            # no repeat below k=26116; a seeded_random table never repeats
+            tables = [(10_010, truncated_simplex([0.001] * 4), TIE_LOWEST)]
+            if rows == 512:
+                tables.append((100_010, truncated_simplex([0.05] * 4), TIE_RANDOM))
+        else:
+            # pure moves repeat from k=1, eps=0.05 from k=505
+            pure = finite_set(np.eye(4).tolist())
+            tables = [(1010, pure, TIE_LOWEST), (100_010, truncated_simplex([0.05] * 4), TIE_LOWEST)]
+        covered = set()
+        for n, K, rule in tables:
+            vt = solve(GameSpec(n, 4, K), rule, seed=1)
+            start = vt.computed - vt.period + 1 if vt.picks.size == vt.computed else n + 1
+            _, *chunks = _values_csv(vt, deviation_series(vt), 0.9)
+            for edge in sorted(EDGES):
+                if edge + 10 > n or (edge - 1 >= start) != (part == "from S"):
+                    continue
+                assert (edge - 2) // size == (edge - 1) // size  # k = edge - 1 and edge share a chunk
+                ks = range(edge - 9, edge + 10)
+                first = (ks.start - 1) // size  # decode only the chunks that hold ks
+                lines = b"".join(chunks[first : (ks.stop - 2) // size + 1]).decode().splitlines(True)
+                got = lines[ks.start - 1 - first * size : ks.stop - 1 - first * size]
+                assert "".join(got) == _reference_rows(vt, 0.9, ks), edge
+                covered.add(edge)
+        # a seeded_random table of 10^5 rows takes a while: only in big chunks
+        assert covered == (EDGES if part == "from S" or rows == 512 else EDGES - {100_000})
+
     @pytest.mark.parametrize("delta", [0.5, 0.8363636363636363, 0.99])
     def test_envelopes_stop_taking_powers_at_zero(self, delta, monkeypatch):
         m = 3
@@ -1024,10 +1098,39 @@ class TestValuesWriter:
         calls = []
         bound = analysis.envelope_bound
         monkeypatch.setattr(analysis, "envelope_bound", lambda *a: calls.append(a) or bound(*a))
-        got = list(itertools.islice(_envelopes(delta, m), len(want)))
-        assert got == want
+        assert _envelopes(delta, m, range(len(want))) == want
         # the first 0.0 is the last power taken
         assert len(calls) == want.index("0,") + 1
+
+    @pytest.mark.parametrize("delta", [0.5, 0.8363636363636363, 0.99])
+    def test_envelopes_of_one_chunk(self, delta):
+        # the blocks of the default chunk that starts at each chunk edge
+        # near the start and around the first 0.0, and a last chunk cut short
+        m, per = 3, cli.CHUNK_ROWS // 9
+        zero = next(b for b in itertools.count() if not analysis.envelope_bound(1 + 9 * b, delta, m))
+        firsts = [0, per, zero // per * per - per, zero // per * per, zero // per * per + per]
+        for blocks in [range(f, f + per) for f in firsts] + [range(firsts[-1], firsts[-1] + 5)]:
+            want = ["%.17g," % analysis.envelope_bound(1 + 3 * m * b, delta, m) for b in blocks]
+            assert _envelopes(delta, m, blocks) == want, blocks
+
+    @pytest.mark.parametrize("rows", [1, 512])
+    @pytest.mark.parametrize("delta", [0.5, 0.8363636363636363])
+    def test_writer_stops_taking_powers_at_zero(self, delta, rows, monkeypatch):
+        # across chunk edges too: once a chunk's last bound is 0.0, no later
+        # chunk takes a power
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        m = 3
+        zero = next(b for b in itertools.count() if not analysis.envelope_bound(1 + 9 * b, delta, m))
+        spec = GameSpec(9 * (zero + 200) + 4, m, truncated_simplex([0.05] * m))
+        vt = solve(spec)
+        calls = []
+        bound = analysis.envelope_bound
+        monkeypatch.setattr(analysis, "envelope_bound", lambda *a: calls.append(a) or bound(*a))
+        text = b"".join(_values_csv(vt, deviation_series(vt), delta)).decode()
+        assert len(calls) == zero + 1
+        rows_at_zero = text.splitlines()[9 * zero + 1 :]
+        assert len(rows_at_zero) == 9 * 200 + 4
+        assert all(row.split(",")[7] == "0" for row in rows_at_zero)
 
     def test_memory_does_not_grow_with_n(self):
         # one chunk of rows at a time: no list or string of n entries, and
