@@ -224,20 +224,19 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     run of whole 3m-blocks, about CHUNK_ROWS rows.
 
     A row is k, the six series fields, the envelope and the move, joined
-    from strings that already exist.  k is two parts: the text of
-    k // 1000, one string per run of equal k // 1000, and k's last three
-    digits from K_LOW.  The envelope is one string per block
-    (``_envelopes``), spread to the block's rows, and the move is the label
-    of vt.argmax(k).  The fields and the move of a pile size past computed
-    are those of the one it repeats in the last period S..computed,
-    S = computed - period + 1 (``engine.fold``).  So when the picks repeat
-    (not under seeded_random), the text of the ``period`` rows S..computed
-    is made once, and every row from S on is five parts: k's two, its
-    phase's fields, the envelope and its phase's move.  A row before S,
-    and every row of a seeded_random table, is ten: k's two, its fields
-    read as slices up to computed (past it through ``ds.index``) with each
-    distinct magnitude formatted once (``_cells``), the envelope and the
-    move.  The writer holds a chunk's text and one cycle's.
+    from strings that already exist.  k is two parts: the text of k // 1000,
+    one string per run of equal k // 1000, and k's last three digits from
+    K_LOW.  The envelope is one string per block (``_envelopes``), spread to
+    the block's rows, and the move is the label of vt.argmax(k).  The fields
+    of a pile size past computed are those of the one it repeats in the last
+    period S..computed, S = computed - period + 1 (``engine.fold``), and so
+    is its move but under seeded_random, whose picks do not repeat.  So the
+    text of the ``period`` rows S..computed is made once, and every row from
+    S on is five parts: k's two, its phase's fields, the envelope and its
+    phase's move (under seeded_random, its own pick's label).  A row before
+    S is ten: k's two, its fields read as slices with each distinct
+    magnitude formatted once (``_cells``), the envelope and the move.  The
+    writer holds a chunk's text and one cycle's.
     """
     m, n, c, period = vt.m, vt.n, vt.computed, vt.period
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
@@ -245,10 +244,10 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     block = 3 * m
     size = block * max(1, CHUNK_ROWS // block)
     start = n + 1
-    if period and vt.picks.size == c:
+    if period:
         start = c - period + 1
         cells = _cells(np.stack([s[start - 1 : c] for s in series], axis=1)).tolist()
-        moves = labels[vt.picks[start - 1 :]].tolist()
+        moves = labels[vt.picks[start - 1 : c]].tolist()
         # the five parts of each row S..computed, k's two and the envelope
         # (None) filled per chunk; repeated, so that a chunk's rows from S
         # on are one slice from any phase
@@ -275,8 +274,7 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
         parts = []
         if mid > lo:
             row = np.empty((mid - lo, 10), dtype=object)
-            idx = slice(lo, mid) if mid <= c else ds.index(np.arange(lo + 1, mid + 1))
-            row[:, 2:8] = _cells(np.stack([s[idx] for s in series], axis=1))
+            row[:, 2:8] = _cells(np.stack([s[lo:mid] for s in series], axis=1))
             row[:, 9] = labels[vt.picks[lo:mid]]
             parts = row.ravel().tolist()
             parts[0::10], parts[1::10], parts[8::10] = highs[: mid - lo], lows[: mid - lo], env[: mid - lo]
@@ -284,6 +282,8 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
             f = 5 * ((mid + 1 - start) % period)
             tail = cycle[f : f + 5 * (hi - mid)]
             tail[0::5], tail[1::5], tail[3::5] = highs[mid - lo :], lows[mid - lo :], env[mid - lo :]
+            if vt.picks.size > c:  # seeded_random: its moves do not repeat
+                tail[4::5] = labels[vt.picks[mid:hi]].tolist()
             parts += tail
         yield "".join(parts).encode()
 

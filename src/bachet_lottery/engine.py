@@ -8,7 +8,7 @@ over the candidate lotteries; the recursion runs k = 1..n.
 The recursion, the package's only generated code, is one Python function
 per shape of the candidate set (m, each lottery's nonzero positions, and
 which of its weights are equal), compiled once and called with one value
-per class of equal weights bound: the last m values live in locals, each
+per class of equal weights first: the last m values live in locals, each
 pile size keeps the least of the candidates' sums sum_i pi_i p_{k-i} and
 takes p_k = 1.0 less it, and the loop stops at the first repeated state
 it sees.  Each product w * p_{k-i} is formed once: a weight that two or
@@ -29,7 +29,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -146,7 +146,9 @@ class ValueTable:
         """p_k for k = -(m-1)..last, index k + m - 1: a view of
         ``p_prefix`` while last <= computed, else one broadcast copy of its
         last period into a (cycles, period) view of the result, so no
-        repeated temporary is built."""
+        repeated temporary is built.  A ``last`` outside 1..n raises
+        ValueError (``fold``)."""
+        fold(last, self.n, self.computed, self.period)
         head, size = self.p_prefix, last + self.m
         if size <= head.size:
             return head[:size]
@@ -161,10 +163,6 @@ class ValueTable:
         integer array of pile sizes in 1..n; any other pile size raises
         ValueError."""
         return self.picks[fold(k, self.n, self.picks.size, self.period) - 1]
-
-    def policy(self, k: int) -> Lottery:
-        """Lottery the engine plays at pile size k."""
-        return self.candidates[int(self.argmax(k))]
 
 
 def _shape(candidates: Sequence[Lottery]) -> tuple[tuple, tuple[float, ...]]:
@@ -211,20 +209,41 @@ def _chain(target: str, terms: list[str]) -> tuple[list[str], str]:
     return lines, expr
 
 
-def _compiled(src: str, name: str):
-    """The function ``name`` that the generated ``src`` defines."""
+def _compiled(src: str):
+    """The function ``_run`` that the generated ``src`` defines."""
     ns: dict = {}
     exec(src, ns)
-    return ns[name]
+    return ns["_run"]
 
 
 @lru_cache(maxsize=64)
 def _generated(shape: tuple):
-    """The generated ``_run`` (see ``_recursion``) for one shape, taking
-    the class weights w0, w1, ... as its leading parameters.  The cache
-    keeps the code of the last 64 shapes, so a process compiles each
-    shape's loop once and holds a bounded amount of code whatever sets it
-    meets."""
+    """The loop of one shape (``_shape``), generated and compiled:
+    _run(w0, w1, ..., put, n, t0, ..., t{m-1}) -> period, where w{c} is
+    the weight of class c.
+
+    From the state (t0, ..., t{m-1}) = (p_{1-m}, ..., p_0) it evaluates p_k
+    for k = 1, 2, ..., passes each to ``put``, and shifts it into the
+    locals.  A class of equal weights that two or more terms use, at one
+    position or at several, keeps a window of locals q{c}_{i} = w_c *
+    p_{k-i}, i = 1..its last position: after each pile size it forms the
+    one new product w_c * p_k and shifts the window, so a product is formed
+    once and read at each later pile size that needs it (exact, see
+    ``payoff_kernel``).  A class that one term uses stays inline, so a set
+    whose weights are all distinct gets the plain sums.  p_k is 1.0 less
+    the least of the candidates' sums, kept by one ``if y < x`` per
+    candidate after the first: rounding to nearest is monotone, so
+    fl(1 - s) does not increase in s, and the maximum of the payoffs
+    fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is never -0.0,
+    so equal payoffs have equal bits).  Brent's saved state lives in the
+    locals s0..s{m-1}.  The pile sizes run one gap at a time, the last
+    gap cut short at n: an inner ``for`` over the gap counts the distance
+    from the saved state, and the state is saved after each gap, so no pile
+    size updates or tests a counter of its own.  It returns the repeat
+    length at the first state equal to the saved one, or 0 after n pile
+    sizes without one.  The cache keeps the code of the last 64 shapes, so
+    a process compiles each shape's loop once and holds a bounded amount
+    of code whatever sets it meets."""
     m, terms = shape
     weights = [f"w{c}" for c in range(len({c for cand in terms for _, c in cand}))]
     state = [f"t{j}" for j in range(m)]
@@ -261,7 +280,7 @@ def _generated(shape: tuple):
         "        power += (power >> 4) + 1",
         "    return 0",
     ]
-    return _compiled("\n".join(lines), "_run")
+    return _compiled("\n".join(lines))
 
 
 def payoff_kernel(candidates: Sequence[Lottery]):
@@ -297,34 +316,6 @@ def payoffs(candidates: Sequence[Lottery], ext: np.ndarray) -> tuple[np.ndarray,
     return payoff_kernel(candidates)(*sliding_window_view(ext[:-1], candidates[0].m).T)
 
 
-def _recursion(candidates: Sequence[Lottery]):
-    """Build run(put, n, t0, ..., t{m-1}) -> period.
-
-    From the state (t0, ..., t{m-1}) = (p_{1-m}, ..., p_0) it evaluates p_k
-    for k = 1, 2, ..., passes each to ``put``, and shifts it into the
-    locals.  A class of equal weights that two or more terms use, at one
-    position or at several, keeps a window of locals q{c}_{i} = w_c *
-    p_{k-i}, i = 1..its last position: after each pile size it forms the
-    one new product w_c * p_k and shifts the window, so a product is formed
-    once and read at each later pile size that needs it (exact, see
-    ``payoff_kernel``).  A class that one term uses stays inline, so a set
-    whose weights are all distinct gets the plain sums.  p_k is 1.0 less
-    the least of the candidates' sums, kept by one ``if y < x`` per
-    candidate after the first: rounding to nearest is monotone, so
-    fl(1 - s) does not increase in s, and the maximum of the payoffs
-    fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is never -0.0,
-    so equal payoffs have equal bits).  Brent's saved state lives in the
-    locals s0..s{m-1}.  The pile sizes run one gap at a time, the last
-    gap cut short at n: an inner ``for`` over the gap counts the distance
-    from the saved state, and the state is saved after each gap, so no pile
-    size updates or tests a counter of its own.  It returns the repeat
-    length at the first state equal to the saved one, or 0 after n pile
-    sizes without one.
-    """
-    shape, weights = _shape(candidates)
-    return partial(_generated(shape), *weights)
-
-
 def _tie_sets(mask: np.ndarray, period: int, n: int) -> Iterator[tuple[int, ...]]:
     """The tie set of each pile size 1..n in k order, from the mask of the
     evaluated ones; past them the last ``period`` sets repeat."""
@@ -339,7 +330,7 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     The stored value at each k is the exact maximum over candidates, so
     the values do not depend on the tie rule; only the picks may.
 
-    The loop is one generated function (see ``_recursion``) that does the
+    The loop is one generated function (see ``_generated``) that does the
     recursion and nothing else.  p_{k+1} and the tie set at k+1 are
     functions of the state (p_{k-m+1}, ..., p_k) alone, so once a state
     repeats bit for bit the rest of the table repeats with the same
@@ -380,8 +371,9 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     candidates = spec.K.lotteries
     m, n = spec.m, spec.n
 
+    shape, weights = _shape(candidates)
     p = [1.0] * m
-    period = _recursion(candidates)(p.append, n, *p)
+    period = _generated(shape)(*weights, p.append, n, *p)
     prefix = np.fromiter(p, np.float64, len(p))
     if period:
         # the indices j whose p_{j+1-m} differs in a bit from the value a

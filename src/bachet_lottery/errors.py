@@ -1,4 +1,4 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, each with what raises it."""
 
 
 class LotteryError(ValueError):
@@ -6,32 +6,36 @@ class LotteryError(ValueError):
 
 
 class NegativeEntryError(LotteryError):
-    """A lottery coordinate lies outside [0, 1] (negative, above 1 or NaN)."""
+    """``validate_lottery``: a coordinate outside [0, 1] (negative, above 1, NaN)."""
 
 
 class SumNotOneError(LotteryError):
-    """Lottery coordinates do not sum to 1 within tolerance."""
+    """``validate_lottery``: coordinates that do not sum to 1 within tolerance."""
 
 
 class WrongLengthError(LotteryError):
-    """Lottery vector shorter than the minimum of two coordinates."""
+    """``validate_lottery``: fewer than two coordinates; ``LotterySet``:
+    lotteries of unequal length; ``GameSpec``: an m unlike its set's."""
 
 
 class DegenerateSetError(ValueError):
-    """Truncated-simplex bounds leave an empty or degenerate feasible set."""
+    """``LotterySet``: no lottery; ``truncated_simplex``:
+    bounds that leave an empty or degenerate feasible set."""
 
 
 class InvalidEtaNuError(ValueError):
-    """Structural constants violate the hypotheses eta < 1, nu > 0."""
+    """``drop_constants``: eta or nu outside (0, 1), or a derived delta
+    outside (0, 1); ``check_corridor``: nu outside (0, 1)."""
 
 
 class TauOutOfRangeError(ValueError):
-    """Explicit tau lies outside its admissible open interval."""
+    """``drop_constants``: an explicit tau outside its admissible interval."""
 
 
 class InstanceTooLargeError(ValueError):
-    """Brute-force oracle bounds exceeded (|K| > 4 or n > 12)."""
+    """``brute_force_values``: |K| > 4 or n > 12."""
 
 
 class ConfigError(ValueError):
-    """Experiment config file violates the expected schema."""
+    """``cli``: a config that violates the schema or does not fit in memory,
+    or an output that cannot be written."""

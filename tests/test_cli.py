@@ -131,6 +131,15 @@ class TestSolve:
 
 
 class TestVerify:
+    def test_readme_example_config(self, tmp_path):
+        # the README's one json block, saved as it stands, output redirected
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert json.loads(block)["command"] == "verify"
+        cfg = write_config(tmp_path, block.encode())
+        assert run("verify", cfg, output=tmp_path / "out") == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["all_passed"] is True
+
     def test_clean_report_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"game": TRUNC_GAME, "output": str(tmp_path / "out")})
         assert run("verify", cfg) == 0
@@ -843,6 +852,9 @@ WRITER_SETS = [
     ("pure moves m=3", finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
     ("zero-weight set", finite_set([[0.5, 0.3, 0.2], [0, 0.5, 0.5], [0.6, 0, 0.4]])),
 ]
+# seeded_random tables whose picks past computed differ from the ones they
+# fold to, one with two-digit move labels
+SEEDED_SETS = [WRITER_SETS[i] for i in (1, 6, 8)]
 DELTAS = pytest.mark.parametrize("delta", [None, 0.9], ids=["no-envelope", "envelope"])
 # signed zeros, subnormals, 2^-54 and the values near 1/2 the series take
 FIELD_POOL = [0.0, -0.0, 0.5, 1.0, 5e-324, 2.0**-1060, 2.0**-54, 0.5 + 2.0**-53,
@@ -945,13 +957,21 @@ class TestValuesWriter:
         assert_writer_matches_reference(spec, delta)
         assert formatted_rows(cells) <= vt.computed
 
-    def test_seeded_random_stays_on_the_general_path(self, monkeypatch):
-        # its picks never repeat, so no row is joined from a cycle
-        spec = GameSpec(3 * 1027 + 2, 3, truncated_simplex([0.05] * 3))
-        assert solve(spec, TIE_RANDOM).picks.size == spec.n
+    @pytest.mark.parametrize("rows", [1, 13, 512])
+    @pytest.mark.parametrize("label, K", SEEDED_SETS, ids=[label for label, _ in SEEDED_SETS])
+    def test_seeded_random_joins_its_rows_from_the_cycle(self, label, K, rows, monkeypatch):
+        # its picks never repeat: rows from S on take the cycle's fields and
+        # the label of their own pick, so no row past computed is formatted
+        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+        probe = solve(GameSpec(100_000, K.m, K))
+        spec = GameSpec(3 * probe.computed, K.m, K)
+        vt = solve(spec, TIE_RANDOM, seed=1)
+        k = np.arange(1, spec.n + 1)
+        assert vt.picks.size == spec.n and vt.computed == probe.computed
+        assert (vt.picks != vt.picks[fold(k, spec.n, vt.computed, vt.period) - 1]).any()
         cells = spied(monkeypatch, "_cells")
         assert_writer_matches_reference(spec, 0.9, TIE_RANDOM, seed=1)
-        assert formatted_rows(cells) == spec.n
+        assert formatted_rows(cells) <= vt.computed
 
     @DELTAS
     @pytest.mark.parametrize("at", ["c-1", "c", "c+1", "c+period", "c+3m", "3c"])

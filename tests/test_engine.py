@@ -203,7 +203,7 @@ class TestSolve:
 
     def test_policy_and_tie_sets_exposed(self):
         vt = solve(GameSpec(5, 2, HALF))
-        assert vt.policy(3).probs == (0.5, 0.5)
+        assert vt.candidates[vt.argmax(3)].probs == (0.5, 0.5)
         assert vt.tie_sets[0] == (0,)
         assert [vt.p(k) for k in range(-1, 6)] == vt.p_ext.tolist()
         assert vt.p(-1) == 1.0 and vt.p(1) == 0.0 and vt.p_ext.size == 7
@@ -476,16 +476,12 @@ class TestCompiledOncePerShape:
 
     @pytest.fixture
     def compiled(self, monkeypatch):
-        names = []
+        """The source of each loop compiled while the test runs."""
+        sources = []
         real = engine._compiled
-
-        def counting(src, name):
-            names.append(name)
-            return real(src, name)
-
         engine._generated.cache_clear()
-        monkeypatch.setattr(engine, "_compiled", counting)
-        yield names
+        monkeypatch.setattr(engine, "_compiled", lambda src: real(sources.append(src) or src))
+        yield sources
         engine._generated.cache_clear()
 
     def test_sweep_compiles_one_loop_per_weight_pattern(self, compiled, tmp_path, monkeypatch):
@@ -500,44 +496,41 @@ class TestCompiledOncePerShape:
         # 0.1 on the last vertex's large weight rounds to a third value
         patterns = {len(engine._shape(vt.candidates)[1]) for vt in tables}
         assert patterns == {2, 3}
-        assert compiled == ["_run", "_run"] and len(tables) == len(eps)
+        assert len(compiled) == 2 and len(tables) == len(eps)
         # reading the moves compiles nothing more
         for vt in tables:
             vt.picks
-        assert compiled == ["_run", "_run"]
+        assert len(compiled) == 2
         compiled.clear()
         # another shape: first weight zero
         solve(GameSpec(50, 3, finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]]))).picks
-        assert compiled == ["_run"]
+        assert len(compiled) == 1
         # the same shape: other weights that coincide in the same places
         solve(GameSpec(50, 3, finite_set([[0.0, 0.8, 0.2], [0.4, 0.4, 0.2]]))).picks
         assert len(compiled) == 1
         # the same nonzero positions, but two weights coincide: two loops
         solve(GameSpec(50, 3, finite_set([[0.2, 0.3, 0.5]])))
         solve(GameSpec(50, 3, finite_set([[0.25, 0.25, 0.5]])))
-        assert compiled[1:] == ["_run", "_run"]
+        assert len(compiled) == 3
 
     @pytest.mark.parametrize("m", [3, 5])
-    def test_symmetric_simplex_forms_two_products_per_pile(self, compiled, monkeypatch, m):
+    def test_symmetric_simplex_forms_two_products_per_pile(self, compiled, m):
         # two weights, eps and 1 - (m-1)*eps, at every vertex; at some eps
         # (0.05 at m=5) one vertex's large weight rounds to a third value
         K = truncated_simplex([0.01] * m)
         assert len(engine._shape(K.lotteries)[1]) == 2
-        sources = {}
-        counting = engine._compiled
-        monkeypatch.setattr(engine, "_compiled", lambda src, name: counting(sources.setdefault(name, src), name))
         solve(GameSpec(10, m, K))
-        assert compiled == ["_run"]
-        loop = sources["_run"][sources["_run"].index("for period in") :]
+        assert len(compiled) == 1
+        loop = compiled[0][compiled[0].index("for period in") :]
         # w0*best and w1*best: one new product per weight, not m*m
         assert len(re.findall(r"\bw\d+\*", loop)) == 2
         # 0.5 sits at position 1 of both lotteries: a class that two terms
         # use at one position keeps a window too, so one product per class
         K = finite_set([[0.5, 0.3, 0.2], [0.5, 0.2, 0.3]])
         assert len(engine._shape(K.lotteries)[1]) == 3
-        sources.clear()
+        compiled.clear()
         solve(GameSpec(10, 3, K))
-        loop = sources["_run"][sources["_run"].index("for period in") :]
+        loop = compiled[0][compiled[0].index("for period in") :]
         assert len(re.findall(r"\bw\d+\*", loop)) == 3
 
     def test_cache_is_bounded(self, compiled):
@@ -588,7 +581,8 @@ class TestCycleFields:
         # did.  The table keeps 1..mu + lam wherever the loop stopped
         K = truncated_simplex([eps] * m)
         p = [1.0] * m
-        period = engine._recursion(K.lotteries)(p.append, 10**6, *p)
+        shape, weights = engine._shape(K.lotteries)
+        period = engine._generated(shape)(*weights, p.append, 10**6, *p)
         stop = len(p) - m
         p_ext, _, _ = _reference_solve(GameSpec(stop, m, K), TIE_LOWEST, 0)
         assert np.array(p).tobytes() == p_ext.tobytes()
@@ -661,7 +655,6 @@ class TestFoldedReads:
         assert [vt.p(k) for k in range(1 - K.m, n + 1)] == p_ext.tolist()
         k = np.arange(1, n + 1)
         assert vt.argmax(k).tobytes() == argmax.tobytes()
-        assert [vt.policy(j) for j in k.tolist()] == [vt.candidates[i] for i in argmax]
 
     def test_huge_n_stores_the_prefix_only(self):
         n = 10**15
@@ -684,9 +677,6 @@ class TestFoldedReads:
             for bad in (0, -1, n + 1, np.array([1, n + 1]), np.array([0, n])):
                 with pytest.raises(ValueError, match=f"pile size outside 1\\.\\.{n}$"):
                     vt.argmax(bad)
-            for bad in (0, -1, n + 1):
-                with pytest.raises(ValueError, match=f"1\\.\\.{n}"):
-                    vt.policy(bad)
 
     def test_values_past_n_rejected(self):
         K = truncated_simplex([0.05] * 3)
@@ -698,6 +688,19 @@ class TestFoldedReads:
             for bad in (n + 1, 10**6):
                 with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
                     vt.p(bad)
+
+    def test_p_upto_reads_pile_sizes_1_to_n_only(self):
+        # a table with a repeat (n past computed) and one without
+        K = truncated_simplex([0.05] * 3)
+        repeats, plain = solve(GameSpec(1000, 3, K)), solve(GameSpec(50, 3, K))
+        assert repeats.computed < repeats.n and plain.period == 0
+        for vt in (repeats, plain):
+            n = vt.n
+            for last in (1, vt.computed, n):
+                assert vt.p_upto(last).tolist() == [vt.p(k) for k in range(1 - vt.m, last + 1)]
+            for bad in (0, -10, n + 1, n + 5, 10**6):
+                with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
+                    vt.p_upto(bad)
 
     @given(st.integers(1, 50), st.integers(0, 50), st.integers(1, 10**6))
     def test_fold_lands_in_the_last_period(self, period, extra, k):

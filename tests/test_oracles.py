@@ -302,7 +302,7 @@ def _reference_result(cfg):
     and ends on the move that takes at least the pile."""
     vt, n, R = cfg.table, cfg.n, cfg.replications
     draws = np.random.Generator(np.random.Philox(cfg.seed)).random((R, n)).tolist()
-    cums = [list(itertools.accumulate(vt.policy(k).probs)) for k in range(1, n + 1)]
+    cums = [list(itertools.accumulate(vt.candidates[vt.argmax(k)].probs)) for k in range(1, n + 1)]
     wins = 0
     for row in draws:
         pile = n
