@@ -29,7 +29,7 @@ print(f"n = {spec.n}, m = {spec.m}, eta = {cond.eta}, nu = {cond.nu}")
 print(f"tau* = {dc.tau:.6f}, delta = {dc.delta:.6f}\n")
 print(f"{'check':28s} {'applied':>8s} {'violations':>10s} {'min slack':>12s}")
 
-reports = run_checks(ds, cond, dc, DEFAULT_KAPPA_GRID)
+reports = run_checks(ds, dc, DEFAULT_KAPPA_GRID)
 for rep in reports:
     slack = "n/a" if rep.checked == 0 else f"{rep.min_slack:.2e}"
     print(f"{rep.lemma_id:28s} {rep.checked:8d} {rep.violation_count:10d} {slack:>12s}")

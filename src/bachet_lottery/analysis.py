@@ -21,7 +21,6 @@ import numpy as np
 
 from .engine import ValueTable, fold
 from .errors import InvalidEtaNuError, TauOutOfRangeError
-from .lotteries import ConditionReport
 
 SLACK_TOL = 1e-9
 
@@ -405,13 +404,13 @@ def check_envelope(ds: DeviationSeries, dc: DropConstants) -> BoundReport:
 
 
 def run_checks(
-    ds: DeviationSeries, cond: ConditionReport, dc: DropConstants,
-    kappa_grid=DEFAULT_KAPPA_GRID,
+    ds: DeviationSeries, dc: DropConstants, kappa_grid=DEFAULT_KAPPA_GRID,
 ) -> list[BoundReport]:
-    """All inequality checks on one solved table's series, in report order."""
+    """All inequality checks on one solved table's series, in report order,
+    with eta, nu and delta from the drop constants ``dc``."""
     reports = [check_monotonicity(ds), check_no_long_winning(ds)]
-    reports += check_km_bound(ds, cond.eta, kappa_grid)
-    reports.append(check_corridor(ds, cond.nu))
+    reports += check_km_bound(ds, dc.eta, kappa_grid)
+    reports.append(check_corridor(ds, dc.nu))
     reports += check_drop_down(ds, dc)
     reports.append(check_plus_minus(ds))
     reports.append(check_envelope(ds, dc))

@@ -39,13 +39,10 @@ from .oracles import SimConfig, draw_stream, estimate_win_prob
 
 COMMANDS = ("solve", "verify", "simulate", "sweep", "explore-nu-zero")
 
-# Each CSV is its header plus one row template.  A values.csv row is k,
-# the six series fields as VALUES_FIELDS prints them, the envelope and the
-# move label; the writer joins it from ready-made strings (see
-# _values_csv).  Reals get 17 significant digits, which round-trip any
-# double.
+# Each CSV is its header plus one row template, but values.csv, whose rows
+# the writer joins from ready-made strings (see _values_csv).  Reals get 17
+# significant digits, which round-trip any double.
 VALUES_HEADER = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index\n"
-VALUES_FIELDS = "%.17g," * 6
 # rows of values.csv built at a time: the writer holds one chunk's strings
 CHUNK_ROWS = 512
 # k's last three digits and its comma: K_LOW[k] below 1000, after the
@@ -304,13 +301,13 @@ def _fits_in_memory(where: str, what: str):
 
 def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None,
                   k_field: str = "game.K"):
-    """The table and, under the hypotheses, the drop constants.  A tau
-    outside its interval is an error on ``tau``; a delta that rounds to 1
-    is one on ``tau`` when the config sets it, else on the lottery set's
-    config field ``k_field``."""
+    """The table of a game with nu > 0 and, when eta < 1 too, its drop
+    constants.  A tau outside its interval is an error on ``tau``; a delta
+    that rounds to 1 is one on ``tau`` when the config sets it, else on the
+    lottery set's config field ``k_field``."""
     vt = solve(spec)
     dc = None
-    if cond.eta_ok and cond.nu_ok:
+    if cond.eta_ok:
         try:
             dc = analysis.drop_constants(cond.eta, cond.nu, tau)
         except TauOutOfRangeError as exc:
@@ -321,16 +318,17 @@ def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None,
 
 
 def _cmd_solve(cfg: dict, out: Path, command: str) -> int:
+    """solve, and explore-nu-zero, whose values.csv has no envelope: it
+    reads no tau and derives no delta."""
     spec, cond = _game(cfg.get("game"), command, "game.n")
     explore = command == "explore-nu-zero"
     if not cond.nu_ok:  # only explore-nu-zero gets past _game with nu = 0
         print("warning: nu = 0, convergence hypotheses unmet; bound checks skipped",
               file=sys.stderr)
     with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
-        vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+        vt, dc = (solve(spec), None) if explore else _solve_bundle(spec, cond, _parse_tau(cfg))
         ds = analysis.deviation_series(vt)
-        delta = None if (explore or dc is None) else dc.delta
-        _atomic_write(out / "values.csv", _values_csv(vt, ds, delta))
+        _atomic_write(out / "values.csv", _values_csv(vt, ds, None if dc is None else dc.delta))
     summary = {
         "eta": cond.eta,
         "nu": cond.nu,
@@ -350,7 +348,7 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     kappa_grid = _parse_kappa_grid(cfg)
     with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
         vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
-        reports = analysis.run_checks(analysis.deviation_series(vt), cond, dc, kappa_grid)
+        reports = analysis.run_checks(analysis.deviation_series(vt), dc, kappa_grid)
     total_violations = sum(r.violation_count for r in reports)
     report = {
         "eta": cond.eta,
@@ -452,7 +450,8 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
 
 def run(command: str, config_path: str | Path, output: str | None = None,
         seed: int | None = None) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.  Only
+    simulate reads ``seed``, its override of sim.seed."""
     try:
         if command not in COMMANDS:
             raise ConfigError(f"command: unknown command {command!r}")
@@ -480,9 +479,10 @@ def main(argv: list[str] | None = None) -> None:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--output", default=None, help="output directory (default: from config)")
-        p.add_argument("--seed", type=int, default=None, help="override simulation seed")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="override sim.seed")
     args = parser.parse_args(argv)
-    sys.exit(run(args.command, args.config, args.output, args.seed))
+    sys.exit(run(args.command, args.config, args.output, getattr(args, "seed", None)))
 
 
 if __name__ == "__main__":

@@ -149,7 +149,7 @@ class TestDeviationSeries:
         dc = drop_constants(cond.eta, cond.nu)
         tracemalloc.start()
         try:
-            reports = run_checks(deviation_series(vt), cond, dc)
+            reports = run_checks(deviation_series(vt), dc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,7 +332,7 @@ class TestKmBound:
         with pytest.raises(ValueError, match="given twice"):
             check_km_bound(trunc_series, cond.eta, kappa_grid=grid)
         with pytest.raises(ValueError, match="given twice"):
-            run_checks(trunc_series, cond, trunc_constants, kappa_grid=grid)
+            run_checks(trunc_series, trunc_constants, kappa_grid=grid)
 
 
 class TestCorridor:
@@ -494,7 +494,7 @@ def _reference_checks(vt, ds, nu, dc, kappa_grid):
 
 
 def _assert_matches_reference(vt, ds, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
-    got = run_checks(ds, cond, dc, kappa_grid)
+    got = run_checks(ds, dc, kappa_grid)
     want = _reference_checks(vt, ds, cond.nu, dc, kappa_grid)
     assert [r.summary() for r in got] == [r.summary() for r in want]
     if vt.n == vt.computed:
@@ -625,7 +625,7 @@ def _dense_checks(vt, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
 def _assert_matches_dense(vt, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
     """The folded checks against the dense scans: equal summaries (floats
     compared with ==), and equal violation lists while nothing repeats."""
-    got = run_checks(deviation_series(vt), cond, dc, kappa_grid)
+    got = run_checks(deviation_series(vt), dc, kappa_grid)
     want = _dense_checks(vt, cond, dc, kappa_grid)
     assert [r.summary() for r in got] == [s for s, _ in want]
     if vt.n == vt.computed:

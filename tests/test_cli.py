@@ -31,7 +31,7 @@ from bachet_lottery import (
 )
 from bachet_lottery import cli, engine
 from bachet_lottery.analysis import DeviationSeries
-from bachet_lottery.cli import VALUES_FIELDS, _envelopes, _values_csv, run
+from bachet_lottery.cli import _envelopes, _values_csv, run
 from bachet_lottery.engine import TIE_RULES, fold
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
@@ -241,6 +241,19 @@ class TestSimulate:
         assert proc.stderr.splitlines() == ["error: --seed: must be a non-negative integer"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "explore-nu-zero"])
+    def test_seed_is_an_option_of_simulate_alone(self, tmp_path, capsys, command):
+        cfg = str(write_config(tmp_path, VALID_CONFIGS.get(command, SWEEP_N)))
+        argv = [command, "--config", cfg, "--output", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+
 
 class TestSweep:
     def test_row_per_point(self, tmp_path):
@@ -310,6 +323,19 @@ class TestExploreNuZero:
         assert "warning" in summary
         rows = read_csv(tmp_path / "out" / "values.csv")
         assert all(r.split(",")[7] == "" for r in rows[1:])  # no envelope claimed
+
+    @pytest.mark.parametrize("tau", [None, 5.0, "x"])
+    @pytest.mark.parametrize("game", [DEGENERATE_GAME, {**TRUNC_GAME, "n": 30}],
+                             ids=["delta-rounds-to-1", "simplex"])
+    def test_reads_no_tau_and_derives_no_delta(self, tmp_path, game, tau):
+        # a delta that rounds to 1 and a tau that is not in its interval, or
+        # not a real, are errors of the commands that use them: this one
+        # writes no envelope
+        payload = {"game": game} if tau is None else {"game": game, "tau": tau}
+        assert run("explore-nu-zero", write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        rows = read_csv(tmp_path / "out" / "values.csv")
+        assert len(rows) == game["n"] + 1
+        assert all(r.split(",")[7] == "" for r in rows[1:])
 
 
 class TestConfigErrors:
@@ -655,7 +681,8 @@ VALID_CONFIGS = {
     "solve": {"command": "solve", "output": "out", "tau": 0.05,
               "game": {"n": 20, "m": 2, "K": {"type": "finite",
                                               "lotteries": [[0.9, 0.1], [0.1, 0.9]]}}},
-    "explore-nu-zero": {"game": {"n": 20, "m": 2,
+    "explore-nu-zero": {"tau": 0.05,
+                        "game": {"n": 20, "m": 2,
                                  "K": {"type": "polytope_vertices", "lotteries": [[1.0, 0.0]]}}},
     "verify": {"tau": 0.05, "kappa_grid": [0.3, 0.6], "game": {**TRUNC_GAME, "n": 30}},
     "simulate": {"game": {**HALF_GAME, "n": 8},
@@ -726,6 +753,8 @@ class TestDeterminism:
 PURE_GAME = {"n": 5, "m": 3,
              "K": {"type": "finite", "lotteries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
 VALUES_HEAD = "k,p,D,Delta,DeltaBar,DeltaPlus,DeltaMinus,envelope,argmax_index\n"
+# the six series fields of a values.csv row, as the reference writer prints them
+VALUES_FIELDS = "%.17g," * 6
 SWEEP_HEAD = "n,m,eta,nu,delta,p_n,Delta_n\n"
 
 
@@ -823,7 +852,7 @@ def _reference_rows(vt, delta, ks):
         bounds = [analysis.envelope_bound(1 + 3 * m * j, delta, m)
                   for j in range(block[0], block[-1] + 1)]
         series.append(np.array(bounds)[block - block[0]])
-    row = "%d," + "%.17g," * 6 + ("," if delta is None else "%.17g,") + "%d\n"
+    row = "%d," + VALUES_FIELDS + ("," if delta is None else "%.17g,") + "%d\n"
     rows = zip(ks, *series, vt.argmax(np.arange(ks.start, ks.stop)))
     return "".join(map(row.__mod__, rows))
 
