@@ -183,16 +183,20 @@ def load_config(path: str | Path, command: str) -> dict:
     return raw
 
 
+def _batch(values: list[float]) -> list[str]:
+    """The "%.17g," text of each double in ``values``, formatted in one
+    batch: one ``%`` on a template of "%.17g,\n" per value, whose result is
+    split at the newlines."""
+    return ("%.17g,\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
 def _cells(cols: np.ndarray) -> np.ndarray:
     """The "%.17g," text of each double in ``cols``, as an object array of
     the same shape.  The distinct magnitudes (``np.unique``) are formatted
-    in one batch, one ``%`` on a template of "%.17g,\n" per magnitude whose
-    result is split at the newlines.  A cell whose sign bit is set gets a
-    "-" in front: what "%.17g" prints for any double but a NaN, -0.0
-    included."""
+    in one ``_batch``.  A cell whose sign bit is set gets a "-" in front:
+    what "%.17g" prints for any double but a NaN, -0.0 included."""
     mags, inverse = np.unique(np.abs(cols), return_inverse=True)
-    text = ("%.17g,\n" * mags.size % tuple(mags.tolist())).split("\n")
-    cells = np.array(text[:-1], dtype=object)[inverse.reshape(cols.shape)]
+    cells = np.array(_batch(mags.tolist()), dtype=object)[inverse.reshape(cols.shape)]
     neg = np.signbit(cols)
     cells[neg] = "-" + cells[neg]
     return cells
@@ -200,11 +204,9 @@ def _cells(cols: np.ndarray) -> np.ndarray:
 
 def _envelopes(delta: float | None, m: int, blocks: range) -> list[str]:
     """The envelope field of each 3m-block in ``blocks``, empty without a
-    delta, else formatted in one batch: one ``%`` on a template of
-    "%.17g,\n" per bound whose result is split at the newlines, as in
-    ``_cells``.  A bound is 0.0 only for delta < 1, and then every later
-    power is smaller: from the first 0.0 on, the field is "0," and no power
-    is taken."""
+    delta, else formatted in one ``_batch``.  A bound is 0.0 only for
+    delta < 1, and then every later power is smaller: from the first 0.0
+    on, the field is "0," and no power is taken."""
     if delta is None:
         return [","] * len(blocks)
     bounds = []
@@ -212,8 +214,7 @@ def _envelopes(delta: float | None, m: int, blocks: range) -> list[str]:
         bounds.append(analysis.envelope_bound(1 + 3 * m * b, delta, m))
         if not bounds[-1]:
             break
-    text = ("%.17g,\n" * len(bounds) % tuple(bounds)).split("\n")[:-1]
-    return text + ["0,"] * (len(blocks) - len(bounds))
+    return _batch(bounds) + ["0,"] * (len(blocks) - len(bounds))
 
 
 def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | None):

@@ -21,8 +21,6 @@ from .lotteries import GameSpec
 
 # a profile stays one-shot optimal while no deviation gains more than this
 OPTIMALITY_TOL = 1e-12
-# draw columns that estimate_win_prob copies into its contiguous tile at once
-_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,7 @@ def estimate_win_prob(cfg: SimConfig, draws: np.ndarray | None = None) -> SimRes
     lottery picked at pile size k.  A zero cumulative weight gives 0,
     which every draw reaches; 1.0 gives 2**53, which none does, and so
     does column 0, a finished game.  Move t plays all R games at once on
-    column t of the draws, shifted into a contiguous tile that holds the
-    next ``_TILE`` columns of i as rows.  It takes
+    column t of the draws, shifted into one length-R buffer of i.  It takes
     ``1 + #{j < m-1: i >= thr[j, pile]}`` objects from one length-R pile
     array, counting the hits in the smallest unsigned dtype that holds m,
     and clamps the pile at 0, where a finished game stays; the games that
@@ -102,7 +99,7 @@ def estimate_win_prob(cfg: SimConfig, draws: np.ndarray | None = None) -> SimRes
     not decrease, so u >= cum[m-1] implies u >= every earlier entry, and
     the count without the last entry equals
     ``min(1 + #{j <= m-1: u >= cum[j]}, m)`` bit for bit.  Besides the
-    draws the loop holds the tile and four length-R buffers.
+    draws the loop holds five length-R buffers.
     """
     vt, n, R = cfg.table, int(cfg.n), int(cfg.replications)
     if draws is None:
@@ -122,14 +119,11 @@ def estimate_win_prob(cfg: SimConfig, draws: np.ndarray | None = None) -> SimRes
     take = np.empty(R, dtype=np.min_scalar_type(vt.m))
     bound = np.empty(R, dtype=np.uint64)
     hit = np.empty(R, dtype=bool)
-    tile = np.empty((min(_TILE, n), R), dtype=np.uint64)
+    i = np.empty(R, dtype=np.uint64)
     first_end = -(-n // vt.m) - 1
     alive, wins = R, 0
     for t in range(n):
-        if not t % _TILE:
-            cols = draws[:, t : t + _TILE]
-            np.right_shift(cols.T, 11, out=tile[: cols.shape[1]])
-        i = tile[t % _TILE]
+        np.right_shift(draws[:, t], 11, out=i)
         take.fill(1)
         for row in thr:
             # pile stays in 0..n: clip never clips, and spares the copy that

@@ -22,7 +22,7 @@ from bachet_lottery import (
     truncated_simplex,
     validate_lottery,
 )
-from bachet_lottery import engine, oracles
+from bachet_lottery import engine
 from bachet_lottery.engine import TIE_LOWEST, TIE_RANDOM, TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
 from bachet_lottery.lotteries import SUM_TOL
@@ -255,15 +255,13 @@ class TestEstimateWinProb:
                 assert got.wins_first_player == R * ((-(-n // m) - 1) % 2)
 
     @pytest.mark.parametrize("R", [1, 3])
-    def test_games_across_tile_boundaries(self, R):
-        # games that last about n moves, n around one and two tiles of draw
-        # columns: always take 1, and take 1 with probability 7/8.  A game
-        # that reaches move n - 1 has one object left, so the last column's
-        # draw never matters; at n = tile + 2 column ``tile`` does
-        tile = oracles._TILE
+    def test_games_that_last_about_n_moves(self, R):
+        # always take 1, and take 1 with probability 7/8.  A game that
+        # reaches move n - 1 has one object left, so the last column's draw
+        # never matters; at n = 10 column 8 does
         for probs in ([1.0, 0.0], [0.875, 0.125]):
-            vt = solve(GameSpec(2 * tile + 1, 2, finite_set([probs])))
-            for n in (tile - 1, tile, tile + 1, tile + 2, 2 * tile + 1):
+            vt = solve(GameSpec(17, 2, finite_set([probs])))
+            for n in (7, 8, 9, 10, 17):
                 for seed in range(10):
                     cfg = SimConfig(table=vt, n=n, replications=R, seed=seed)
                     assert estimate_win_prob(cfg) == _reference_result(cfg)
@@ -279,8 +277,8 @@ class TestEstimateWinProb:
 
     def test_memory_is_the_draws_and_length_r_buffers(self):
         # the benchmark's largest game; a second R x n array (a transposed
-        # copy of the draws, say) would break the bound, while the draw
-        # tile, 8 x R doubles, stays inside it
+        # copy of the draws, say) or an (8, R) tile of shifted draws would
+        # break the bound, which leaves room for the five length-R buffers
         vt = solve(GameSpec(400, 3, truncated_simplex([0.05] * 3)))
         R, n = 2000, 400
         cfg = SimConfig(table=vt, n=n, replications=R, seed=0)
@@ -293,7 +291,7 @@ class TestEstimateWinProb:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < R * n * 8 + 16 * R * 8
+        assert peak < R * n * 8 + 8 * R * 8
 
 
 def _reference_result(cfg):
