@@ -45,7 +45,8 @@ class DeviationSeries:
 
     Round-to-nearest is monotone and odd, so the window maxima of Delta
     and DeltaMinus are, bit for bit, max(fl(p_max - 1/2), fl(1/2 - p_min))
-    and max(fl(1/2 - p_min), 0): the window extrema of p fix both.
+    and max(fl(1/2 - p_min), 0): the window extrema of p fix both, and
+    are the only window reductions.
     """
 
     m: int
@@ -229,7 +230,8 @@ def _folded(ds: DeviationSeries, k_lo: int, k_hi: int, lag: int):
     has the same lhs and rhs, bit for bit, at k and at k - period for
     every k >= computed + lag.  The representatives are the pile sizes
     below that point plus one period of them; each one from that point on
-    stands for every checked k of its residue class.
+    stands for every checked k of its residue class, so a report counts
+    all n pile sizes while the work is O(computed).
     """
     start, period = ds.computed + lag, ds.period
     last = min(k_hi, max(start, k_lo) + period - 1) if period else k_hi

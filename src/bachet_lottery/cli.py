@@ -235,6 +235,10 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     S is ten: k's two, its fields read as slices with each distinct
     magnitude formatted once (``_cells``), the envelope and the move.  The
     writer holds a chunk's text and one cycle's.
+
+    The seeded_random branch stays although no command builds such a
+    table: refusing one would need a check where the branch is, so no line
+    would go, and a table built through the library could not be written.
     """
     m, n, c, period = vt.m, vt.n, vt.computed, vt.period
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]

@@ -1,27 +1,12 @@
 """Backward-induction equilibrium engine.
 
 The mover at pile size k wins with probability 1 - sum_i pi_i * p_{k-i}
-for a chosen lottery pi, with the boundary convention p_s = 1 for s <= 0
-(taking the last object loses).  The equilibrium value p_k maximizes this
-over the candidate lotteries; the recursion runs k = 1..n.
-
-The recursion, the package's only generated code, is one Python function
-per shape of the candidate set (m, each lottery's nonzero positions, and
-which of its weights are equal), compiled once and called with one value
-per class of equal weights first: the last m values live in locals, each
-pile size keeps the least of the candidates' sums sum_i pi_i p_{k-i} and
-takes p_k = 1.0 less it, and the loop stops at the first repeated state
-it sees.  Each product w * p_{k-i} is formed once: a weight that two or
-more terms use keeps a window of its products and forms one new product
-per pile size, so the symmetric simplex forms two, not m * m.  Ties are
-worked out on the first read of a table's ties or moves, in numpy, from
-the stored prefix, by ``payoff_kernel``: the formula above over the
-lotteries' weights, which gives the loop's doubles bit for bit without
-sharing its text.  A caller that reads only values never pays for ties.
-The table keeps the values up to the end of the first period only, so
-its size does not grow with n once a state repeats; a later pile size is
-read by going back whole periods (``fold``, the one range check of a
-pile size).
+for a chosen lottery pi, with p_s = 1 for s <= 0 (taking the last object
+loses); p_k is the maximum over the candidate lotteries, k = 1..n.
+``solve`` runs that recursion in the loop that ``_generated`` compiles and
+keeps the values up to the end of the first period; ``fold`` maps a later
+pile size back onto them.  ``payoff_kernel`` is the payoff written from
+the formula alone, and a table's ties and moves are worked out from it.
 """
 from __future__ import annotations
 
@@ -69,9 +54,10 @@ class ValueTable:
     Only a prefix is stored.  ``period`` is the length of the repeat the
     recursion saw before n, or 0 when it saw none.  ``computed`` is then
     mu + period, where the state after pile size mu is the first that comes
-    back, or n when period is 0.  Beyond the stored part everything
-    repeats: p_k == p_{k-period} for k > computed - m, and so do the tie
-    sets and the moves for k > computed.
+    back, or n when period is 0.  Beyond the stored part the values
+    repeat: p_k == p_{k-period} for k > computed - m.  So do the tie sets
+    for k > computed, and the moves under lowest_index and highest_index;
+    seeded_random's moves do not repeat (see ``picks``).
 
     ``p_prefix`` holds p_k for k = -(m-1)..computed (index k + m - 1); the
     first m entries are the boundary ones.  ``tie_rule`` and ``seed`` are
@@ -199,7 +185,8 @@ def _chain(target: str, terms: list[str]) -> tuple[list[str], str]:
     left to right once the statements have run.  A sum of up to
     _CHAIN_TERMS terms is one ``+`` chain and no statement; a longer one
     sums its leading runs of _CHAIN_TERMS into ``target`` (``target =
-    target + ...``), which keeps the order and every bit."""
+    target + ...``), which keeps the order and every bit, so a lottery of
+    any length compiles."""
     runs = range(0, len(terms), _CHAIN_TERMS)
     expr, *rest = [" + ".join(terms[i : i + _CHAIN_TERMS]) for i in runs] or ["0.0"]
     lines = []
@@ -218,9 +205,9 @@ def _compiled(src: str):
 
 @lru_cache(maxsize=64)
 def _generated(shape: tuple):
-    """The loop of one shape (``_shape``), generated and compiled:
-    _run(w0, w1, ..., put, n, t0, ..., t{m-1}) -> period, where w{c} is
-    the weight of class c.
+    """The loop of one shape (``_shape``), generated and compiled, the
+    package's only generated code: _run(w0, w1, ..., put, n, t0, ...,
+    t{m-1}) -> period, where w{c} is the weight of class c.
 
     From the state (t0, ..., t{m-1}) = (p_{1-m}, ..., p_0) it evaluates p_k
     for k = 1, 2, ..., passes each to ``put``, and shifts it into the
@@ -229,21 +216,40 @@ def _generated(shape: tuple):
     p_{k-i}, i = 1..its last position: after each pile size it forms the
     one new product w_c * p_k and shifts the window, so a product is formed
     once and read at each later pile size that needs it (exact, see
-    ``payoff_kernel``).  A class that one term uses stays inline, so a set
-    whose weights are all distinct gets the plain sums.  p_k is 1.0 less
-    the least of the candidates' sums, kept by one ``if y < x`` per
+    ``payoff_kernel``), and the symmetric simplex forms two products per
+    pile size, not m * m.  A class that one term uses stays inline, so a
+    set whose weights are all distinct gets the plain sums.  p_k is 1.0
+    less the least of the candidates' sums, kept by one ``if y < x`` per
     candidate after the first: rounding to nearest is monotone, so
     fl(1 - s) does not increase in s, and the maximum of the payoffs
-    fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (1.0 - s is never -0.0,
-    so equal payoffs have equal bits).  Brent's saved state lives in the
-    locals s0..s{m-1}.  The pile sizes run one gap at a time, the last
-    gap cut short at n: an inner ``for`` over the gap counts the distance
-    from the saved state, and the state is saved after each gap, so no pile
-    size updates or tests a counter of its own.  It returns the repeat
+    fl(1 - s_j) is fl(1 - min_j s_j) bit for bit (no value is -0.0, see
+    below).
+
+    The loop stops at the first repeat of the state (p_{k-m+1}, ..., p_k)
+    that it sees, by Brent's cycle detection.  p_{k+1} and the tie set at
+    k+1 are functions of the state alone, so once a state repeats bit for
+    bit the rest of the table repeats with the same period.  Each state is
+    compared with one saved state, held in the locals s0..s{m-1}.  The pile
+    sizes run one gap at a time, the last gap cut short at n: an inner
+    ``for`` over the gap counts the distance from the saved state, the
+    state is saved after each gap, and the gap then grows by
+    a sixteenth of itself plus one (1, 2, ..., 16, 18, 20, ...), so no
+    pile size updates or tests a counter of its own.  Any gaps that grow
+    without bound give the repeat length exactly, since after a save at or
+    past the transient the first match comes one period later; gaps this
+    slow put that save within about a sixteenth of the transient past its
+    end, where doubling ones could put it nearly a whole transient past.
+    The state locals are compared one by one with ``==``, and that is enough
+    for the repeated tail to be bit-identical to the full loop's:
+    lotteries are finite, so no NaN arises, and no value is -0.0 (the
+    boundary values are 1.0, and 1.0 - x is +0.0 where x is 1.0), so two
+    values that compare equal have equal bits.  It returns the repeat
     length at the first state equal to the saved one, or 0 after n pile
-    sizes without one.  The cache keeps the code of the last 64 shapes, so
-    a process compiles each shape's loop once and holds a bounded amount
-    of code whatever sets it meets."""
+    sizes without one.
+
+    The cache keeps the code of the last 64 shapes, so a process compiles
+    each shape's loop once and holds a bounded amount of code whatever sets
+    it meets."""
     m, terms = shape
     weights = [f"w{c}" for c in range(len({c for cand in terms for _, c in cand}))]
     state = [f"t{j}" for j in range(m)]
@@ -296,6 +302,8 @@ def payoff_kernel(candidates: Sequence[Lottery]):
     double; a zero weight of either sign adds +-0.0 to a sum that is
     >= +0.0, and 0.0 + x = x, so neither a zero term the loop leaves out
     nor the leading 0.0 changes a bit; and i runs in the loop's order.
+    Because no text is shared, a wrong term list in the loop shows up in
+    the ties and the oracles instead of being checked against itself.
     """
 
     def kernel(*tail):
@@ -330,36 +338,15 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     The stored value at each k is the exact maximum over candidates, so
     the values do not depend on the tie rule; only the picks may.
 
-    The loop is one generated function (see ``_generated``) that does the
-    recursion and nothing else.  p_{k+1} and the tie set at k+1 are
-    functions of the state (p_{k-m+1}, ..., p_k) alone, so once a state
-    repeats bit for bit the rest of the table repeats with the same
-    period.  Brent's cycle detection compares each state with one saved
-    state; at the first match the loop stops.  The saved state moves to the
-    current one when the count of pile sizes since it last moved reaches
-    a gap, and the gap then grows by a sixteenth of itself plus one (1, 2,
-    ..., 16, 18, 20, ...).  Any gaps that grow without bound give the
-    repeat length exactly, since after a move at or past the transient the
-    first match comes one period later; gaps this slow put that move
-    within about a sixteenth of the transient past its end, where doubling
-    ones could put it nearly a whole transient past.  The state
-    and the saved state are m float locals each, compared one by one with
-    ``==``, and that is enough for the repeated tail to be bit-identical
-    to the full loop's: lotteries are finite, so no NaN arises, and two
-    locals that compare equal differ at most in the sign of a zero, which
-    cannot change p_{k+1}, 1.0 less the least sum of w*t (a zero term
-    leaves a non-zero sum unchanged, a zero sum compares equal to a zero
-    of either sign, and 1.0 - (+-0.0) is 1.0).
-
-    The loop stops up to about a sixteenth past mu + period (see
-    ``ValueTable``).  One numpy pass then compares each evaluated value
-    with the one a period later, bit for bit.  A state equal to the state
-    a period later makes every later state so, so if p_i is the last value
-    that differs from the one a period later, mu = i + m, the first pile
-    size whose state lies wholly past it (mu = 0 when none differs).  The
-    table keeps p_k up to k = mu + period.  No value is -0.0 (1.0 less a
-    sum of nonnegative products), so the bits agree where the loop's
-    ``==`` does.
+    The recursion runs in the loop of ``_generated``, which returns the
+    repeat length some way past mu + period (see ``ValueTable``).  One
+    numpy pass then compares each evaluated value with the one a period
+    later, bit for bit, which agrees with the loop's ``==`` (see
+    ``_generated``).  A state equal to the state a period later makes
+    every later state so, so if p_i is the last value that differs from
+    the one a period later, mu = i + m, the first pile size whose state
+    lies wholly past it (mu = 0 when none differs).  The table keeps p_k
+    up to k = mu + period.
 
     solve computes no ties: the ties and the moves under ``tie_rule``
     are worked out from the prefix on the first read of ``tie_mask`` or

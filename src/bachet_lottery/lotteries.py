@@ -59,8 +59,9 @@ def validate_lottery(probs: Sequence[float]) -> Lottery:
 
 
 def _running_sum(vec: Sequence[float]) -> float:
-    """The left-to-right float sum, the recursion's order: builtin ``sum``
-    compensates its float sums from Python 3.12 on."""
+    """The left-to-right float sum, the recursion's order, so a config
+    solves the same game on every interpreter: builtin ``sum`` compensates
+    its float sums from Python 3.12 on."""
     total = 0.0
     for x in vec:
         total += x

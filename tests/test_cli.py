@@ -132,13 +132,17 @@ class TestSolve:
 
 class TestVerify:
     def test_readme_example_config(self, tmp_path):
-        # the README's one json block, saved as it stands, output redirected
+        # every json block of the README, saved as it stands and run under its
+        # own command, output redirected
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
-        assert json.loads(block)["command"] == "verify"
-        cfg = write_config(tmp_path, block.encode())
-        assert run("verify", cfg, output=tmp_path / "out") == 0
-        assert json.loads((tmp_path / "out" / "report.json").read_text())["all_passed"] is True
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        for i, block in enumerate(blocks):
+            cfg = write_config(tmp_path, block.encode(), name=f"config{i}.json")
+            out = tmp_path / f"out{i}"
+            assert run(json.loads(block)["command"], cfg, output=out) == 0, block
+            if (out / "report.json").exists():
+                assert json.loads((out / "report.json").read_text())["all_passed"] is True
 
     def test_clean_report_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"game": TRUNC_GAME, "output": str(tmp_path / "out")})

@@ -1,0 +1,78 @@
+"""The README's user contract against the code: the CSV headers it shows,
+the commands it lists, the package names and source paths it cites."""
+import importlib
+import re
+from pathlib import Path
+
+from bachet_lottery import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+PACKAGE = ROOT / "src" / "bachet_lottery"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+HEADERS = {
+    "values.csv": cli.VALUES_HEADER,
+    "simulation.csv": cli.SIM_HEADER,
+    "sweep.csv": cli.SWEEP_HEADER,
+}
+
+
+def csv_headers(text: str) -> dict[str, str]:
+    """Each ``<name>.csv  <header>`` line of the text's code blocks."""
+    return dict(re.findall(r"^(\w+\.csv) +(\S+)$", text, re.M))
+
+
+def commands(text: str) -> tuple[str, ...]:
+    """The backticked names on the text's ``Commands:`` line."""
+    (line,) = re.findall(r"^Commands: (.*)$", text, re.M)
+    return tuple(re.findall(r"`([^`]+)`", line))
+
+
+def package_names(text: str) -> list[str]:
+    """Every backticked ``module.name`` (or longer chain) whose module is
+    one of the package's."""
+    found = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+    return [name for name in found if name.split(".")[0] in MODULES]
+
+
+def unresolved(names: list[str]) -> list[str]:
+    """The names that ``getattr`` does not resolve from their module."""
+    absent, missing = object(), []
+    for name in names:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"bachet_lottery.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, absent)
+        if obj is absent:
+            missing.append(name)
+    return missing
+
+
+def test_csv_headers_are_the_writers():
+    assert csv_headers(README) == {name: h.rstrip("\n") for name, h in HEADERS.items()}
+
+
+def test_commands_are_the_clis():
+    assert commands(README) == cli.COMMANDS
+
+
+def test_package_names_resolve():
+    names = package_names(README)
+    assert names
+    assert unresolved(names) == []
+
+
+def test_source_paths_exist():
+    paths = set(re.findall(r"src/bachet_lottery/\w+\.py", README))
+    assert {f"src/bachet_lottery/{m}.py" for m in MODULES} <= paths
+    assert [p for p in paths if not (ROOT / p).is_file()] == []
+
+
+def test_checks_catch_a_perturbed_readme():
+    # one wrong header cell, one misspelled name
+    wrong_cell = README.replace("p_hat,std_err", "p_hat,stderr", 1)
+    assert wrong_cell != README
+    assert csv_headers(wrong_cell)["simulation.csv"] != cli.SIM_HEADER.rstrip("\n")
+    misspelled = README.replace("`engine.fold`", "`engine.fould`", 1)
+    assert misspelled != README
+    assert unresolved(package_names(misspelled)) == ["engine.fould"]
