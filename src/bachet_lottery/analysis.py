@@ -1,10 +1,10 @@
 """Deviation series of the value table and numerical checks of the
 contraction argument behind p_n -> 1/2.
 
-`deviation_series` is the one reader of a solved table; every check
-scans that series and records violations of one proved inequality.  On
-a table whose lottery set satisfies eta < 1 and nu > 0, all checks must
-come back clean; a violation beyond the slack tolerance indicates an
+`deviation_series` is the one reader of a solved table; each check states
+one proved inequality on its series as a record that `_scan` evaluates.
+On a table whose lottery set satisfies eta < 1 and nu > 0, all checks
+must come back clean; a violation beyond the slack tolerance indicates an
 implementation defect, not a counterexample.
 
 Window convention: W_k = {k, k-1, ..., k-m+1}, and indices s <= 0 carry
@@ -16,6 +16,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .errors import InvalidEtaNuError, TauOutOfRangeError
 SLACK_TOL = 1e-9
 
 DEFAULT_KAPPA_GRID = tuple(round(0.1 * i, 10) for i in range(1, 10))
+_KM_BLOCK = 1 << 15  # (kappa, k) pairs that check_km_bound scans at a time
 
 
 @dataclass(frozen=True)
@@ -177,40 +181,31 @@ def drop_constants(eta: float, nu: float, tau: float | None = None) -> DropConst
 class BoundReport:
     """Outcome of one inequality scan: where it applied, where it failed.
 
-    ``k`` holds the representative pile sizes the scan evaluated, and
-    ``weight`` how many checked pile sizes each one stands for (see
-    ``_folded``).  ``checked`` and ``violation_count`` count every pile
-    size; ``violations`` lists (k, lhs, rhs) at the representatives that
-    fail, in k order.
+    ``checked`` and ``violation_count`` count every pile size;
+    ``violations`` lists (k, lhs, rhs) at the representatives that fail.
+    ``k`` holds the representatives the scan evaluated, and ``weight`` how
+    many pile sizes each one stands for (see ``_folded``), both in k order:
+    ``derive`` gives them in parts, joined and stably sorted on first read.
     """
 
     lemma_id: str
-    k: np.ndarray
-    weight: np.ndarray
+    checked: int
     violation_count: int
     violations: list[tuple[int, float, float]]
     min_slack: float
     extra: dict = field(default_factory=dict)
+    derive: Callable[[], list[tuple[np.ndarray, np.ndarray]]] = field(
+        default=None, repr=False, compare=False)
 
-    @classmethod
-    def scan(cls, lemma_id: str, k: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
-             weight: np.ndarray, **extra) -> BoundReport:
-        """Assert lhs <= rhs + SLACK_TOL at every index k (parallel arrays),
-        where entry i stands for weight[i] checked pile sizes."""
-        slack = rhs - lhs
-        bad = slack < -SLACK_TOL
-        at = np.flatnonzero(bad)
-        violations = list(zip(k[at].tolist(), lhs[at].tolist(), rhs[at].tolist()))
-        min_slack = float(slack.min()) if slack.size else math.inf
-        return cls(lemma_id, k, weight, int(weight[bad].sum()), violations, min_slack, extra)
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        k, weight = (np.concatenate(column) for column in zip(*self.derive()))
+        order = np.argsort(k, kind="stable")
+        return k[order], weight[order]
 
-    @property
-    def checked(self) -> int:
-        return int(self.weight.sum())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violation_count
+    k = property(lambda self: self._entries[0])
+    weight = property(lambda self: self._entries[1])
+    ok = property(lambda self: not self.violation_count)
 
     def summary(self) -> dict:
         return {
@@ -222,8 +217,35 @@ class BoundReport:
         }
 
 
-def _folded(ds: DeviationSeries, k_lo: int, k_hi: int, lag: int):
-    """The checked pile sizes k_lo..k_hi as (representative k, multiplicity).
+class _Fold(NamedTuple):
+    """The representatives k_lo..last of the checked pile sizes k_lo..k_hi
+    (last = k_lo - 1 when there are none, so every view is empty); those
+    from index ``split`` on stand for their residue class."""
+
+    k_lo: int
+    last: int
+    k_hi: int
+    split: int
+    period: int
+
+    def at(self, series: np.ndarray, shift: int = 0) -> np.ndarray:
+        """``series`` at k + shift for every representative k: a view."""
+        return series[self.k_lo - 1 + shift : self.last + shift]
+
+    def weight(self) -> np.ndarray:
+        """1 below ``split``, then the members of each class up to k_hi."""
+        weight = np.ones(self.last - self.k_lo + 1, dtype=np.int64)
+        tail = np.arange(self.k_lo + self.split, self.last + 1)
+        weight[self.split :] += (self.k_hi - tail) // max(self.period, 1)
+        return weight
+
+    def entries(self, hit) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(k, weight) where ``hit`` holds, as ``BoundReport.derive`` gives them."""
+        return [(np.arange(self.k_lo, self.last + 1)[hit], self.weight()[hit])]
+
+
+def _folded(ds: DeviationSeries, k_lo: int, k_hi: int, lag: int) -> _Fold:
+    """The checked pile sizes k_lo..k_hi, folded onto their representatives.
 
     Every series repeats past computed - 1, so a check that reads its
     series at most ``lag`` pile sizes behind k, and anywhere ahead of it,
@@ -234,53 +256,72 @@ def _folded(ds: DeviationSeries, k_lo: int, k_hi: int, lag: int):
     all n pile sizes while the work is O(computed).
     """
     start, period = ds.computed + lag, ds.period
-    last = min(k_hi, max(start, k_lo) + period - 1) if period else k_hi
-    k = np.arange(k_lo, last + 1)
-    weight = np.ones_like(k)
-    if period:
-        tail = k >= start
-        weight[tail] = (k_hi - k[tail]) // period + 1
-    return k, weight
+    last = max(min(k_hi, max(start, k_lo) + period - 1) if period else k_hi, k_lo - 1)
+    size = last - k_lo + 1
+    return _Fold(k_lo, last, k_hi, min(max(start - k_lo, 0), size) if period else size, period)
 
 
-def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Interleave two equal-length arrays: first[0], second[0], first[1], ..."""
-    return np.column_stack((first, second)).ravel()
+def _scan(ids, fold: _Fold, lhs, rhs, hit=None) -> list[BoundReport]:
+    """The evaluator of every check: lhs <= rhs + SLACK_TOL on one folded
+    range, one report per row of rhs - lhs.
+
+    A check states its lemma once, as a record: the range and lag it folds
+    (``_folded``), lhs and rhs, and ``hit``, where the lemma applies (None:
+    everywhere), all read through ``fold.at`` views.  Rows are km_bound's
+    kappas, one id each, or inequalities for ``_merged`` (a str id names
+    every row).  Nothing is compressed: the slack reads +inf outside the
+    hit mask, ``checked`` is the mask times the multiplicities, and only
+    failing representatives are gathered.
+    """
+    slack = np.atleast_2d(rhs - lhs)
+    if hit is None:
+        checked = [max(fold.k_hi - fold.k_lo + 1, 0)] * len(slack)
+    else:
+        hit = np.atleast_2d(hit)
+        slack = np.where(hit, slack, math.inf)
+        checked = (hit @ fold.weight()).tolist()
+    bad = slack < -SLACK_TOL
+    low = slack.min(axis=1, initial=math.inf).tolist()
+    reports = []
+    for i, fails in enumerate(bad.any(axis=1).tolist()):
+        violations, count = [], 0
+        if fails:
+            at = np.flatnonzero(bad[i])
+            count = int(fold.weight()[at].sum())
+            sides = (np.broadcast_to(side, slack.shape)[i, at].tolist() for side in (lhs, rhs))
+            violations = list(zip((fold.k_lo + at).tolist(), *sides))
+        reports.append(BoundReport(
+            ids if isinstance(ids, str) else ids[i], checked[i], count, violations, low[i], {},
+            partial(fold.entries, slice(None) if hit is None else hit[i]),
+        ))
+    return reports
+
+
+def _merged(parts: list[BoundReport], **extra) -> BoundReport:
+    """One report of several inequalities: at one k, in the order of ``parts``."""
+    return BoundReport(
+        parts[0].lemma_id, sum(p.checked for p in parts), sum(p.violation_count for p in parts),
+        sorted((v for p in parts for v in p.violations), key=itemgetter(0)),
+        min(p.min_slack for p in parts), extra, lambda: [(p.k, p.weight) for p in parts])
 
 
 def check_monotonicity(ds: DeviationSeries) -> BoundReport:
     """Delta_k <= DeltaBar_{k-1} and DeltaBar_k <= DeltaBar_{k-1} for k = 2..n."""
-    k, weight = _folded(ds, 2, ds.n, 1)
-    prev = ds.delta_bar[k - 2]
-    return BoundReport.scan(
-        "monotonicity",
-        np.repeat(k, 2),
-        _pairs(ds.delta[k - 1], ds.delta_bar[k - 1]),
-        np.repeat(prev, 2),
-        np.repeat(weight, 2),
-        # empirical observation only; per-step strict decrease is not asserted
-        delta_bar_strictly_decreasing_per_step=bool(np.all(ds.delta_bar[k - 1] < prev)),
-    )
+    fold = _folded(ds, 2, ds.n, 1)
+    bar, prev = fold.at(ds.delta_bar), fold.at(ds.delta_bar, -1)
+    # empirical observation only; per-step strict decrease is not asserted
+    return _merged(_scan("monotonicity", fold, np.stack((fold.at(ds.delta), bar)), prev),
+                   delta_bar_strictly_decreasing_per_step=bool(np.all(bar < prev)))
 
 
 def check_no_long_winning(ds: DeviationSeries) -> BoundReport:
-    """After m consecutive winning positions, the next one loses.
-
-    Whenever p_j > 1/2 on the whole window W_k (k > m): p_{k+1} < 1/2 and
-    p_{k-m} <= 1/2.
-    """
-    m, n = ds.m, ds.n
-    k, weight = _folded(ds, m + 1, n, m)
-    hit = ds.p_min[k - 1] > 0.5
-    k, weight = k[hit], weight[hit]
-    # p_{k+1} is only checked while k + 1 <= n: not at pile size n, the
-    # last member of the class that reaches it
-    ahead = weight - (k + (weight - 1) * ds.period == n)
-    p_next = ds.p[np.minimum(k, ds.p.size - 1)]
-    keep = _pairs(ahead > 0, weight > 0)
-    lhs = _pairs(p_next, ds.p[k - m - 1])[keep]
-    return BoundReport.scan("no_long_winning", np.repeat(k, 2)[keep], lhs,
-                            np.full_like(lhs, 0.5), _pairs(ahead, weight)[keep])
+    """After m consecutive winning positions, the next one loses: whenever
+    p_j > 1/2 on the whole window W_k (k > m), p_{k+1} < 1/2 (while k < n)
+    and p_{k-m} <= 1/2."""
+    m, parts = ds.m, []
+    for fold, shift in ((_folded(ds, m + 1, ds.n - 1, m), 1), (_folded(ds, m + 1, ds.n, m), -m)):
+        parts += _scan("no_long_winning", fold, fold.at(ds.p, shift), 0.5, fold.at(ds.p_min) > 0.5)
+    return _merged(parts)
 
 
 def check_km_bound(
@@ -290,25 +331,26 @@ def check_km_bound(
     deviation m steps back dominates: Delta_{k+1} <= eta/((2-eta)(1-kappa))
     * Delta_{k-m}.  One report per kappa, with id ``km_bound[kappa=...]``
     holding repr(kappa), so that distinct kappas get distinct ids; a
-    kappa outside (0, 1) or given twice raises ValueError.
+    kappa outside (0, 1) or given twice raises ValueError.  The kappas
+    are the rows of one scan, taken _KM_BLOCK (kappa, k) pairs at a time.
     """
-    k, weight = _folded(ds, ds.m + 1, ds.n - 1, ds.m)
-    window_min = ds.p_min[k - 1]
-    d_next = ds.delta[k]             # Delta_{k+1}
-    d_back = ds.delta[k - ds.m - 1]  # Delta_{k-m}
-    reports = {}
+    below = {}  # id -> 1 - kappa
     for kappa in kappa_grid:
         if not (0.0 < kappa < 1.0):
             raise ValueError(f"kappa must be in (0, 1), got {kappa}")
         lemma = f"km_bound[kappa={float(kappa)!r}]"
-        if lemma in reports:
+        if lemma in below:
             raise ValueError(f"kappa {kappa} given twice: each names one report")
-        factor = eta / ((2.0 - eta) * (1.0 - kappa))
-        hit = window_min >= 0.5 + (1.0 - kappa) * d_next
-        reports[lemma] = BoundReport.scan(
-            lemma, k[hit], d_next[hit], factor * d_back[hit], weight[hit]
-        )
-    return list(reports.values())
+        below[lemma] = 1.0 - kappa
+    fold = _folded(ds, ds.m + 1, ds.n - 1, ds.m)
+    window_min, d_next, d_back = fold.at(ds.p_min), fold.at(ds.delta, 1), fold.at(ds.delta, -ds.m)
+    ids, below = list(below), np.array(list(below.values()))[:, None]
+    rows, reports = max(1, _KM_BLOCK // max(d_next.size, 1)), []
+    for lo in range(0, len(ids), rows):
+        c = below[lo : lo + rows]
+        reports += _scan(ids[lo : lo + rows], fold, d_next, eta / ((2.0 - eta) * c) * d_back,
+                         window_min >= 0.5 + c * d_next)
+    return reports
 
 
 def check_corridor(ds: DeviationSeries, nu: float) -> BoundReport:
@@ -321,14 +363,10 @@ def check_corridor(ds: DeviationSeries, nu: float) -> BoundReport:
     """
     if not (0.0 < nu < 1.0):
         raise InvalidEtaNuError(f"corridor check needs 0 < nu < 1, got {nu}")
-    ratio = nu / (1.0 - nu)
-    k, weight = _folded(ds, 1, ds.n - 1, 0)
-    losing = ds.p[k] < 0.5
-    k, weight = k[losing], weight[losing]
-    ceil = 0.5 + ds.delta[k]
-    return BoundReport.scan(
-        "corridor", k, ratio * (ceil - ds.p_min[k - 1]), ds.p_max[k - 1] - ceil, weight
-    )
+    fold = _folded(ds, 1, ds.n - 1, 0)
+    ceil = 0.5 + fold.at(ds.delta, 1)
+    return _scan("corridor", fold, nu / (1.0 - nu) * (ceil - fold.at(ds.p_min)),
+                 fold.at(ds.p_max) - ceil, fold.at(ds.p, 1) < 0.5)[0]
 
 
 def check_drop_down(ds: DeviationSeries, dc: DropConstants) -> list[BoundReport]:
@@ -339,30 +377,22 @@ def check_drop_down(ds: DeviationSeries, dc: DropConstants) -> list[BoundReport]
     - all k > 3m: DeltaBar_k <= delta * DeltaBar_{k-3m}
     """
     m, n, delta = ds.m, ds.n, dc.delta
-    k, weight = _folded(ds, m + 1, n - 1, m)
-    losing = ds.p[k] < 0.5
-    k, weight = k[losing], weight[losing]
-    losing = BoundReport.scan(
-        "drop_down_losing", k, ds.delta[k], delta * ds.delta_bar[k - m - 1], weight
-    )
-    k, weight = _folded(ds, 2 * m + 1, n - 1, 2 * m)
-    every = BoundReport.scan(
-        "drop_down_2m", k, ds.delta[k], delta * ds.delta_bar[k - 2 * m - 1], weight
-    )
-    k, weight = _folded(ds, 3 * m + 1, n, 3 * m)
-    block = BoundReport.scan(
-        "drop_down_3m", k, ds.delta_bar[k - 1], delta * ds.delta_bar[k - 3 * m - 1], weight
-    )
-    return [losing, every, block]
+    fold = _folded(ds, m + 1, n - 1, m)
+    reports = _scan("drop_down_losing", fold, fold.at(ds.delta, 1),
+                    delta * fold.at(ds.delta_bar, -m), fold.at(ds.p, 1) < 0.5)
+    fold = _folded(ds, 2 * m + 1, n - 1, 2 * m)
+    reports += _scan("drop_down_2m", fold, fold.at(ds.delta, 1),
+                     delta * fold.at(ds.delta_bar, -2 * m))
+    fold = _folded(ds, 3 * m + 1, n, 3 * m)
+    return reports + _scan("drop_down_3m", fold, fold.at(ds.delta_bar),
+                           delta * fold.at(ds.delta_bar, -3 * m))
 
 
 def check_plus_minus(ds: DeviationSeries) -> BoundReport:
     """Upward deviation is capped by the recent downward ones:
     DeltaPlus_{k+1} <= DeltaBarMinus_k for k = 1..n-1."""
-    k, weight = _folded(ds, 1, ds.n - 1, 0)
-    return BoundReport.scan(
-        "plus_minus", k, ds.delta_plus[k], ds.delta_bar_minus[k - 1], weight
-    )
+    fold = _folded(ds, 1, ds.n - 1, 0)
+    return _scan("plus_minus", fold, fold.at(ds.delta_plus, 1), fold.at(ds.delta_bar_minus))[0]
 
 
 def check_envelope(ds: DeviationSeries, dc: DropConstants) -> BoundReport:
@@ -373,36 +403,35 @@ def check_envelope(ds: DeviationSeries, dc: DropConstants) -> BoundReport:
 
     The one check whose rhs does not repeat.  Along a residue class past
     the prefix DeltaBar repeats and the rhs does not increase, and
-    fl(a - c) is monotone in a, so the slack does not increase either:
-    the violations of a class are a suffix of it, found by a search over
-    its members, and its minimum slack is at its last member.  So each
-    class enters the scan as at most two pile sizes: its last member that
-    holds, standing for that one and every earlier member, and its last
+    fl(a - c) is monotone in a, so the slack does not increase either: the
+    scan reads each class's rhs at its last member, where the slack is
+    least, and when that fails a search finds the failing suffix.  So a
+    class enters the report as at most two pile sizes: its last member
+    that holds, standing for it and every earlier member, and its last
     member, standing for the suffix that fails.
     """
-    m, delta, period = ds.m, dc.delta, ds.period
-    k, weight = _folded(ds, 1, ds.n, 0)
-    classes = weight > 1
-    ks, weights = [], []
-    for r, count in zip(k[classes].tolist(), weight[classes].tolist()):
-        bar = float(ds.delta_bar[r - 1])
-        members = range(r, r + count * period, period)
+    m, delta, period = ds.m, dc.delta, max(ds.period, 1)
+    fold = _folded(ds, 1, ds.n, 0)
+    weight = fold.weight()
+    last = np.arange(1, fold.last + 1) + (weight - 1) * period
+    prefix = [envelope_bound(1 + 3 * m * b, delta, m) for b in range(-(-fold.split // (3 * m)))]
+    rhs = np.concatenate((np.repeat(prefix, 3 * m)[: fold.split],  # k = 1.. by blocks of 3m
+                          [envelope_bound(j, delta, m) for j in last[fold.split :].tolist()]))
+    report = _scan("envelope", fold, fold.at(ds.delta_bar), rhs)[0]
+    violations, held = [], []
+    for k, bar, bound in report.violations:
+        members = range(k, int(last[k - 1]) + 1, period)
         holds = bisect.bisect_left(
             members, True, key=lambda j: envelope_bound(j, delta, m) - bar < -SLACK_TOL
         )
+        violations.append((members[-1], bar, bound))
         if holds:
-            ks.append(members[holds - 1])
-            weights.append(holds)
-        if holds < count:
-            ks.append(members[-1])
-            weights.append(count - holds)
-    k = np.concatenate((k[~classes], np.array(ks, dtype=k.dtype)))
-    weight = np.concatenate((weight[~classes], np.array(weights, dtype=k.dtype)))
-    order = np.argsort(k)
-    k, weight = k[order], weight[order]
-    blocks, block_of = np.unique((k - 1) // (3 * m), return_inverse=True)
-    rhs = np.array([envelope_bound(1 + 3 * m * b, delta, m) for b in blocks.tolist()])
-    return BoundReport.scan("envelope", k, ds.delta_bar[ds.index(k)], rhs[block_of], weight)
+            held.append((members[holds - 1], holds))
+            weight[k - 1] -= holds
+    held_k, held_weight = np.array(held, dtype=weight.dtype).reshape(-1, 2).T
+    return BoundReport("envelope", report.checked, report.violation_count - int(held_weight.sum()),
+                       sorted(violations), report.min_slack, {},
+                       lambda: [(last, weight), (held_k, held_weight)])
 
 
 def run_checks(

@@ -72,6 +72,15 @@ def _games(draw):
     return GameSpec(n, m, K)
 
 
+# kappas anywhere in (0, 1), and some so close to 0 or 1 that their
+# reports may hit nothing, or every pile size whose window is above 1/2
+KAPPA_GRIDS = st.lists(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    | st.sampled_from([5e-324, 1e-12, 0.5, 1.0 - 2.0**-53]),
+    min_size=1, max_size=9, unique_by=lambda kappa: repr(float(kappa)),
+)
+
+
 def _assert_p_windows(vt, ds):
     """p, p_min and p_max against per-index values of the table: in order
     over the arrays, and through ``ds.index`` at every pile size 1..n."""
@@ -118,7 +127,7 @@ def _bits(values) -> bytes:
 
 class TestDeviationSeries:
     @given(_p_ext_tables())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_every_series_matches_its_definition(self, vt):
         """Bit for bit, index by index: the pointwise series against their
         expressions in p_k, the window series against maxima over W_k."""
@@ -139,6 +148,23 @@ class TestDeviationSeries:
         assert _bits(ds.delta_bar_minus) == _bits(
             [max(max(0.0, -(x - 0.5)) for x in w) for w in windows]
         )
+
+    def test_peak_memory_of_a_long_kappa_grid(self):
+        # verify-m3's table: one pass of 2000 kappas over its 635 folded
+        # pile sizes would take 10 MB per temporary; the scan takes blocks
+        K = truncated_simplex([0.05] * 3)
+        vt = solve(GameSpec(10_000, 3, K))
+        cond = compute_conditions(K)
+        ds, dc = deviation_series(vt), drop_constants(cond.eta, cond.nu)
+        grid = [(i + 1) / 2001 for i in range(2000)]
+        tracemalloc.start()
+        try:
+            reports = run_checks(ds, dc, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 2008 and all(r.ok for r in reports)
+        assert peak < 6.7 * 2**20
 
     def test_peak_memory_at_n_1e6(self):
         # the table keeps pile sizes 1..632 and repeats with period 4: the
@@ -202,7 +228,7 @@ class TestDeviationSeries:
         assert half_series.p_min[0] == 0.0 and half_series.p_max[0] == 1.0
 
     @given(_games())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_p_windows_on_solved_tables(self, spec):
         vt = solve(spec)
         _assert_p_windows(vt, deviation_series(vt))
@@ -245,7 +271,7 @@ class TestDropConstants:
             drop_constants(0.5, 0.5, tau=0.0)
 
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_delta_always_below_one(self, eta, nu):
         dc = drop_constants(eta, nu)
         assert 0.0 < dc.delta < 1.0
@@ -314,6 +340,13 @@ class TestNoLongWinning:
         assert check_no_long_winning(trunc_series).ok
 
 
+class _Unread:
+    """A deviation series that fails the test when it is read."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"series read before the kappa grid was checked: {name}")
+
+
 class TestKmBound:
     def test_grid_of_reports(self, trunc_series):
         eta = compute_conditions(truncated_simplex([0.05, 0.05])).eta
@@ -324,6 +357,13 @@ class TestKmBound:
     def test_rejects_bad_kappa(self, half_series):
         with pytest.raises(ValueError):
             check_km_bound(half_series, compute_conditions(HALF).eta, kappa_grid=[1.0])
+
+    @given(KAPPA_GRIDS, st.data())
+    def test_bad_or_repeated_kappa_raises_before_any_read(self, grid, data):
+        wrong = data.draw(st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan, math.inf, *grid]))
+        at = data.draw(st.integers(0, len(grid)))
+        with pytest.raises(ValueError):
+            check_km_bound(_Unread(), 0.5, [*grid[:at], wrong, *grid[at:]])
 
     @pytest.mark.parametrize("grid", [(0.3, 0.3), [0.1, 0.3, 0.1], (0.5, np.float64(0.5))])
     def test_rejects_repeated_kappa(self, trunc_series, trunc_constants, grid):
@@ -493,25 +533,47 @@ def _reference_checks(vt, ds, nu, dc, kappa_grid):
     return reports
 
 
+def _members(report, period):
+    """Every checked pile size the report's entries stand for, sorted: an
+    entry stands for its class from k on, or, for envelope, up to k."""
+    step = -period if report.lemma_id == "envelope" else period
+    return sorted(k + j * step
+                  for k, w in zip(report.k.tolist(), report.weight.tolist()) for j in range(w))
+
+
 def _assert_matches_reference(vt, ds, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
     got = run_checks(ds, dc, kappa_grid)
     want = _reference_checks(vt, ds, cond.nu, dc, kappa_grid)
     assert [r.summary() for r in got] == [r.summary() for r in want]
-    if vt.n == vt.computed:
-        # nothing repeats: every checked k is its own representative
-        for g, w in zip(got, want):
+    for g, w in zip(got, want):
+        assert _members(g, vt.period) == sorted(w.checked_k)
+        assert set(g.violations) <= set(w.violations)
+        if vt.n == vt.computed:
+            # nothing repeats: every checked k is its own representative
             assert g.violations == w.violations
             assert g.k.tolist() == w.checked_k
     return got
 
 
 class TestMatchesPerIndexReference:
-    @given(_games())
-    @settings(max_examples=60, deadline=None)
-    def test_solved_tables(self, spec):
+    @given(_games(), KAPPA_GRIDS)
+    @settings(max_examples=60)
+    def test_solved_tables(self, spec, kappa_grid):
         vt = solve(spec)
         cond = compute_conditions(spec.K)
-        _assert_matches_reference(vt, deviation_series(vt), cond, drop_constants(cond.eta, cond.nu))
+        _assert_matches_reference(vt, deviation_series(vt), cond,
+                                  drop_constants(cond.eta, cond.nu), kappa_grid)
+
+    def test_grid_with_reports_that_hit_nothing(self):
+        # at kappa = 1e-12 the whole window must clear 1/2 + Delta_{k+1},
+        # which it never does in the first 300 pile sizes of this game
+        K = truncated_simplex([0.05] * 3)
+        vt = solve(GameSpec(300, 3, K))
+        cond = compute_conditions(K)
+        got = _assert_matches_reference(vt, deviation_series(vt), cond,
+                                        drop_constants(cond.eta, cond.nu), [0.9, 1e-12, 0.5])
+        checked = {r.lemma_id: r.checked for r in got}
+        assert checked["km_bound[kappa=1e-12]"] == 0 < checked["km_bound[kappa=0.9]"]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tiny_tables_report_nothing(self, n):

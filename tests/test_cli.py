@@ -33,6 +33,7 @@ from bachet_lottery import cli, engine
 from bachet_lottery.analysis import DeviationSeries
 from bachet_lottery.cli import _envelopes, _values_csv, run
 from bachet_lottery.engine import TIE_RULES, fold
+from test_acceptance import VERIFY_GAMES
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
 TRUNC_GAME = {"n": 2000, "m": 2, "K": {"type": "truncated_simplex", "epsilon": [0.05, 0.05]}}
@@ -48,6 +49,28 @@ FILE_CAP = 64 << 20
 DEGENERATE_GAME = {"n": 50, "m": 3, "K": {"type": "finite", "lotteries": [[1e-320, 0.5, 0.5]]}}
 # a config nested past the interpreter's recursion limit
 DEEP_CONFIG = b"[" * 100000 + b"]" * 100000
+# m=2, K = {(1-a, a), (a, 1-a)} at a = 1e-9: verify exits 1 on corridor
+EQUAL_CORRIDOR_GAME = {"n": 1000, "m": 2, "K": {"type": "finite",
+                                               "lotteries": [[1 - 1e-9, 1e-9], [1e-9, 1 - 1e-9]]}}
+SIMPLEX_M3 = {"type": "truncated_simplex", "epsilon": [0.05] * 3}
+# report.json of verify, byte for byte
+REPORT_PINS = [
+    *zip(({"game": game} for game in VERIFY_GAMES), (
+        "3eb27ffaa45ed2575a9e8b53aa7f98d9ca2dcdf7ff9a80babc8c4a368cffc298",
+        "443624de643cba89c0e7159d946be9d072c0929aa57e1c61465c276cf44d6620",
+        "0e97671e527dba44a244ecc7050b31b222092fb53966273b0bb4b641e7abe04d",
+    )),
+    # drop_down_2m and drop_down_3m are vacuous: checked 0, min_slack null
+    ({"game": {"n": 7, "m": 3, "K": SIMPLEX_M3}},
+     "db0830d423970bdc9c6dd37e77a27ede28ad6ffd1e084e05222acb8e507e8f04"),
+    ({"game": {"n": 5000, "m": 3, "K": SIMPLEX_M3}, "kappa_grid": [0.95, 0.2, 1e-6, 0.5],
+      "tau": 0.1},
+     "adc1bae145d56d67b726f1875a76bbb3df180bd01224ed5747cd6fc9a5c71bf6"),
+    ({"game": {"n": 10_000, "m": 5, "K": {"type": "truncated_simplex", "epsilon": [0.1] * 5}}},
+     "db3995feddaa6a5a8f7dddcfc522f3955f740a2bbff8600497027376056fb500"),
+    ({"game": EQUAL_CORRIDOR_GAME},
+     "b8e0d22fdc3db33e860ab4deb5904bbce48620c1381c7b4199712a18ec0378f0"),
+]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -167,6 +190,26 @@ class TestVerify:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         ids = [c["lemma_id"] for c in report["checks"] if c["lemma_id"].startswith("km_bound")]
         assert ids == ["km_bound[kappa=0.1]", "km_bound[kappa=0.1000001]"]
+
+    @pytest.mark.parametrize("cfg, digest", REPORT_PINS, ids=[
+        "verify-m2", "verify-m3", "verify-mirror", "tiny-n7", "kappa-tau", "m5-eps0.1",
+        "equal-corridor",
+    ])
+    def test_report_bytes(self, tmp_path, cfg, digest):
+        code = run("verify", write_config(tmp_path, cfg), output=tmp_path / "out")
+        assert sha256(tmp_path / "out" / "report.json") == digest
+        assert code == (1 if cfg["game"] == EQUAL_CORRIDOR_GAME else 0)
+
+    def test_equal_corridor_report(self, tmp_path):
+        # corridor holds with equality in exact arithmetic on this set, and
+        # nu/(1-nu) ~ 1e9 scales a one-ulp gap past SLACK_TOL
+        cfg = write_config(tmp_path, {"game": EQUAL_CORRIDOR_GAME})
+        assert run("verify", cfg, output=tmp_path / "out") == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["all_passed"] is False
+        failing = [c for c in report["checks"] if c["violations"]]
+        assert failing == [{"lemma_id": "corridor", "checked": 333, "violations": 84,
+                            "min_slack": -1.1102230560244089e-07}]
 
 
 class TestSimulate:
@@ -725,7 +768,7 @@ class TestContract:
     def test_valid_configs_pass(self, tmp_path, command, cfg):
         assert run(command, write_config(tmp_path, cfg), output=tmp_path / "out") == 0
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.sampled_from(CASES), JSON_VALUES)
     def test_one_field_replaced(self, case, value):
         command, cfg, path = case
@@ -1050,7 +1093,7 @@ class TestValuesWriter:
             GameSpec(3 * 1027 + 2, 3, truncated_simplex([0.05] * 3)), delta, TIE_RANDOM, seed
         )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(finite_games(), st.sampled_from(TIE_RULES), st.sampled_from([None, 0.5, 0.999]),
            st.data())
     def test_matches_reference_on_random_sets(self, spec, rule, delta, data):
@@ -1074,7 +1117,7 @@ class TestValuesWriter:
         assert_writer_matches_reference(spec, 0.9, rule)
         assert sum(len(cols) for cols, in cells) <= start - 1 + vt.period
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_rows_match_the_field_template(self, data):
         # hand-built series drawn from a small pool, so that magnitudes

@@ -64,13 +64,13 @@ def lottery_sets(draw):
 
 
 class TestPayoffKernel:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(lottery_sets())
     def test_bit_identical_to_reference(self, case):
         cands, tail = case
         assert win_probs(cands, tail) == tuple(reference_payoff(c, tail) for c in cands)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(lottery_sets(), st.data())
     def test_arrays_match_scalar_calls(self, case, data):
         # solve's tie pass runs the kernel on arrays and relies on this
@@ -194,7 +194,7 @@ class TestSolve:
         k = np.arange(1, 31)
         assert (a.argmax(k) == b.argmax(k)).all()
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.lists(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2), min_size=1, max_size=4))
     def test_random_sets_stay_bounded(self, raw):
         K = finite_set([[w / sum(v) for w in v] for v in raw])
@@ -312,7 +312,7 @@ class TestCycleDetection:
         assert_matches_reference(GameSpec(2000, 4, truncated_simplex([0.01] * 4)), rule, 1)
         assert_matches_reference(GameSpec(3000, 3, truncated_simplex([0.001] * 3)), rule, 2)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(lottery_sets(), st.integers(1, 3000), st.sampled_from(TIE_RULES), st.integers(0, 3))
     def test_matches_reference_on_random_sets(self, case, n, rule, seed):
         cands, _ = case
@@ -438,7 +438,7 @@ class TestSharedProducts:
     products once, and the tables stay those of the full recursion, bit
     for bit."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(pooled_sets(), st.integers(1, 1500), st.integers(0, 3))
     def test_pooled_weights_match_reference(self, K, n, seed):
         spec = GameSpec(n, K.m, K)
@@ -453,7 +453,7 @@ class TestSharedProducts:
 class TestLeastSum:
     """The loop keeps the least candidate sum and subtracts it once."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
         st.data(),
@@ -602,7 +602,7 @@ class TestCycleFields:
             assert vt.period > 0
             assert_keeps_the_first_period(vt, p_ext)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(finite_games(), st.sampled_from(TIE_RULES), st.integers(0, 3))
     def test_keeps_the_first_period_of_random_games(self, spec, rule, seed):
         vt = solve(spec, rule, seed=seed)

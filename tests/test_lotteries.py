@@ -58,7 +58,7 @@ class TestValidateLottery:
 
     @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=2, max_size=12)
            .filter(any))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_running_sum_is_exactly_one(self, weights):
         # the payoff recursion sums the coordinates left to right, so
         # p_1 = 1 - sum(pi) is 0 exactly

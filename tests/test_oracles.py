@@ -137,7 +137,7 @@ class TestEstimateWinProb:
                 cfg = SimConfig(table=vt, n=n, replications=40, seed=n)
                 assert estimate_win_prob(cfg) == _reference_result(cfg)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(st.data())
     def test_matches_per_game_loop(self, data):
         m = data.draw(st.integers(2, 5))
@@ -202,7 +202,7 @@ class TestEstimateWinProb:
             got = (stream[: 7 * n].reshape(7, n) >> 11) * 2.0**-53
             assert got.tobytes() == want.tobytes()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.data())
     def test_threshold_identity(self, data):
         # (w >> 11) >= ceil(c * 2**53) is (w >> 11) * 2**-53 >= c, for the
@@ -353,7 +353,7 @@ class TestOneShotDeviation:
             vt = solve(GameSpec(30, 2, finite_set(vecs)))
             assert one_shot_deviation_gap(vt) <= 1e-12
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.data())
     def test_matches_per_pile_loop(self, data):
         m = data.draw(st.integers(2, 6))
