@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from operator import itemgetter
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,7 +176,7 @@ def drop_constants(eta: float, nu: float, tau: float | None = None) -> DropConst
     return DropConstants(eta=eta, nu=nu, tau=tau, delta=delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     """Outcome of one inequality scan: where it applied, where it failed.
 
@@ -185,7 +184,8 @@ class BoundReport:
     ``violations`` lists (k, lhs, rhs) at the representatives that fail.
     ``k`` holds the representatives the scan evaluated, and ``weight`` how
     many pile sizes each one stands for (see ``_folded``), both in k order:
-    ``derive`` gives them in parts, joined and stably sorted on first read.
+    they are derived on first read from ``entries``, the scan's fold, the k
+    and multiplicity of its entries (None: the fold's) and its hit mask.
     """
 
     lemma_id: str
@@ -193,28 +193,24 @@ class BoundReport:
     violation_count: int
     violations: list[tuple[int, float, float]]
     min_slack: float
+    entries: tuple = field(repr=False)
     extra: dict = field(default_factory=dict)
-    derive: Callable[[], list[tuple[np.ndarray, np.ndarray]]] = field(
-        default=None, repr=False, compare=False)
 
     @cached_property
     def _entries(self) -> tuple[np.ndarray, np.ndarray]:
-        k, weight = (np.concatenate(column) for column in zip(*self.derive()))
-        order = np.argsort(k, kind="stable")
-        return k[order], weight[order]
+        fold, at, weight, hit = self.entries
+        at, weight, hit = (a.T for a in np.broadcast_arrays(*fold.columns(at, weight), hit))
+        order = np.argsort(at[hit], kind="stable")  # k order, then row order
+        return at[hit][order], weight[hit][order]
 
     k = property(lambda self: self._entries[0])
     weight = property(lambda self: self._entries[1])
     ok = property(lambda self: not self.violation_count)
 
     def summary(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "checked": self.checked,
-            "violations": self.violation_count,
-            "min_slack": None if math.isinf(self.min_slack) else self.min_slack,
-            **self.extra,
-        }
+        low = None if math.isinf(self.min_slack) else self.min_slack
+        return {"lemma_id": self.lemma_id, "checked": self.checked,
+                "violations": self.violation_count, "min_slack": low, **self.extra}
 
 
 class _Fold(NamedTuple):
@@ -232,16 +228,14 @@ class _Fold(NamedTuple):
         """``series`` at k + shift for every representative k: a view."""
         return series[self.k_lo - 1 + shift : self.last + shift]
 
-    def weight(self) -> np.ndarray:
-        """1 below ``split``, then the members of each class up to k_hi."""
-        weight = np.ones(self.last - self.k_lo + 1, dtype=np.int64)
-        tail = np.arange(self.k_lo + self.split, self.last + 1)
-        weight[self.split :] += (self.k_hi - tail) // max(self.period, 1)
-        return weight
-
-    def entries(self, hit) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(k, weight) where ``hit`` holds, as ``BoundReport.derive`` gives them."""
-        return [(np.arange(self.k_lo, self.last + 1)[hit], self.weight()[hit])]
+    def columns(self, at=None, weight=None) -> tuple[np.ndarray, np.ndarray]:
+        """``at`` and ``weight``, where None the representatives and their
+        multiplicities: 1 below ``split``, then the class members up to k_hi."""
+        k = np.arange(self.k_lo, self.last + 1)
+        if weight is None:
+            weight = np.ones_like(k)
+            weight[self.split :] += (self.k_hi - k[self.split :]) // max(self.period, 1)
+        return k if at is None else at, weight
 
 
 def _folded(ds: DeviationSeries, k_lo: int, k_hi: int, lag: int) -> _Fold:
@@ -261,48 +255,34 @@ def _folded(ds: DeviationSeries, k_lo: int, k_hi: int, lag: int) -> _Fold:
     return _Fold(k_lo, last, k_hi, min(max(start - k_lo, 0), size) if period else size, period)
 
 
-def _scan(ids, fold: _Fold, lhs, rhs, hit=None) -> list[BoundReport]:
+def _scan(ids, fold: _Fold, lhs, rhs, hit=None, weight=None, at=None, **extra):
     """The evaluator of every check: lhs <= rhs + SLACK_TOL on one folded
-    range, one report per row of rhs - lhs.
-
-    A check states its lemma once, as a record: the range and lag it folds
-    (``_folded``), lhs and rhs, and ``hit``, where the lemma applies (None:
-    everywhere), all read through ``fold.at`` views.  Rows are km_bound's
-    kappas, one id each, or inequalities for ``_merged`` (a str id names
-    every row).  Nothing is compressed: the slack reads +inf outside the
-    hit mask, ``checked`` is the mask times the multiplicities, and only
-    failing representatives are gathered.
+    range.  A check states its lemma once, as a record: the range and lag
+    it folds (``_folded``), lhs, rhs and ``hit``, where it applies (None:
+    everywhere), read through ``fold.at`` views; ``at`` replaces the k the
+    entries stand for, ``weight`` the multiplicities where a masked row
+    checks fewer pile sizes.  Rows are inequalities: a str id makes one
+    report of them all, at each k in row order; a list of ids one report
+    per row (km_bound's kappas).  The hit mask compresses nothing: the
+    slack reads +inf outside it, and only failing entries are gathered.
     """
-    slack = np.atleast_2d(rhs - lhs)
-    if hit is None:
-        checked = [max(fold.k_hi - fold.k_lo + 1, 0)] * len(slack)
-    else:
-        hit = np.atleast_2d(hit)
-        slack = np.where(hit, slack, math.inf)
-        checked = (hit @ fold.weight()).tolist()
-    bad = slack < -SLACK_TOL
-    low = slack.min(axis=1, initial=math.inf).tolist()
-    reports = []
-    for i, fails in enumerate(bad.any(axis=1).tolist()):
-        violations, count = [], 0
-        if fails:
-            at = np.flatnonzero(bad[i])
-            count = int(fold.weight()[at].sum())
-            sides = (np.broadcast_to(side, slack.shape)[i, at].tolist() for side in (lhs, rhs))
-            violations = list(zip((fold.k_lo + at).tolist(), *sides))
-        reports.append(BoundReport(
-            ids if isinstance(ids, str) else ids[i], checked[i], count, violations, low[i], {},
-            partial(fold.entries, slice(None) if hit is None else hit[i]),
-        ))
+    every = hit is None  # every pile size, once per row
+    slack = np.atleast_2d(rhs - lhs if every else np.where(hit, rhs - lhs, math.inf))
+    hit = np.ones((len(slack), 1), dtype=bool) if every else np.atleast_2d(hit)
+    checked = [max(fold.k_hi - fold.k_lo + 1, 0)] * len(slack) if every else np.einsum(
+        "...j,...j->...", hit, fold.columns(at, weight)[1]).tolist()
+    bad, low = slack < -SLACK_TOL, slack.min(axis=1, initial=math.inf).tolist()
+    merged, fails, reports = isinstance(ids, str), bad.any(axis=1).tolist(), []
+    for i, lemma in enumerate([ids] if merged else ids):
+        rows, violations, count = slice(None) if merged else slice(i, i + 1), [], 0
+        if any(fails[rows]):
+            where = bad[rows].T  # k order, then row order
+            k, w, lhs_at, rhs_at = (np.broadcast_to(a, slack.shape)[rows].T[where].tolist()
+                                    for a in (*fold.columns(at, weight), lhs, rhs))
+            count, violations = sum(w), list(zip(k, lhs_at, rhs_at))
+        reports.append(BoundReport(lemma, sum(checked[rows]), count, violations, min(low[rows]),
+                                   (fold, at, weight, hit[rows]), dict(extra)))
     return reports
-
-
-def _merged(parts: list[BoundReport], **extra) -> BoundReport:
-    """One report of several inequalities: at one k, in the order of ``parts``."""
-    return BoundReport(
-        parts[0].lemma_id, sum(p.checked for p in parts), sum(p.violation_count for p in parts),
-        sorted((v for p in parts for v in p.violations), key=itemgetter(0)),
-        min(p.min_slack for p in parts), extra, lambda: [(p.k, p.weight) for p in parts])
 
 
 def check_monotonicity(ds: DeviationSeries) -> BoundReport:
@@ -310,23 +290,25 @@ def check_monotonicity(ds: DeviationSeries) -> BoundReport:
     fold = _folded(ds, 2, ds.n, 1)
     bar, prev = fold.at(ds.delta_bar), fold.at(ds.delta_bar, -1)
     # empirical observation only; per-step strict decrease is not asserted
-    return _merged(_scan("monotonicity", fold, np.stack((fold.at(ds.delta), bar)), prev),
-                   delta_bar_strictly_decreasing_per_step=bool(np.all(bar < prev)))
+    return _scan("monotonicity", fold, np.array((fold.at(ds.delta), bar)), prev,
+                 delta_bar_strictly_decreasing_per_step=bool(np.all(bar < prev)))[0]
 
 
 def check_no_long_winning(ds: DeviationSeries) -> BoundReport:
     """After m consecutive winning positions, the next one loses: whenever
     p_j > 1/2 on the whole window W_k (k > m), p_{k+1} < 1/2 (while k < n)
     and p_{k-m} <= 1/2."""
-    m, parts = ds.m, []
-    for fold, shift in ((_folded(ds, m + 1, ds.n - 1, m), 1), (_folded(ds, m + 1, ds.n, m), -m)):
-        parts += _scan("no_long_winning", fold, fold.at(ds.p, shift), 0.5, fold.at(ds.p_min) > 0.5)
-    return _merged(parts)
+    fold = _folded(ds, ds.m + 1, ds.n, ds.m)
+    (k, weight), hit = fold.columns(), fold.at(ds.p_min) > 0.5
+    # no p_{n+1}: the p_{k+1} row counts one member fewer of the class that reaches n
+    ahead = weight - (k + (weight - 1) * ds.period == ds.n)
+    p_next = np.append(fold.at(ds.p, 1), 0.5)[: k.size]
+    return _scan("no_long_winning", fold, np.array((p_next, fold.at(ds.p, -ds.m))), 0.5,
+                 np.array((hit & (ahead > 0), hit)), np.array((ahead, weight)))[0]
 
 
-def check_km_bound(
-    ds: DeviationSeries, eta: float, kappa_grid=DEFAULT_KAPPA_GRID
-) -> list[BoundReport]:
+def check_km_bound(ds: DeviationSeries, eta: float,
+                   kappa_grid=DEFAULT_KAPPA_GRID) -> list[BoundReport]:
     """When the whole window sits above 1/2 + (1-kappa)*Delta_{k+1}, the
     deviation m steps back dominates: Delta_{k+1} <= eta/((2-eta)(1-kappa))
     * Delta_{k-m}.  One report per kappa, with id ``km_bound[kappa=...]``
@@ -402,50 +384,39 @@ def check_envelope(ds: DeviationSeries, dc: DropConstants) -> BoundReport:
     monotonicity of DeltaBar extends it to every k in between.
 
     The one check whose rhs does not repeat.  Along a residue class past
-    the prefix DeltaBar repeats and the rhs does not increase, and
-    fl(a - c) is monotone in a, so the slack does not increase either: the
-    scan reads each class's rhs at its last member, where the slack is
-    least, and when that fails a search finds the failing suffix.  So a
-    class enters the report as at most two pile sizes: its last member
-    that holds, standing for it and every earlier member, and its last
-    member, standing for the suffix that fails.
+    the prefix DeltaBar repeats and the rhs does not increase, and fl(a - c)
+    is monotone in a, so neither does the slack: the scan reads each class
+    at its last member, where the slack is least, and a class that fails
+    there enters the report as two pile sizes, found by a search: its last
+    member that holds, for it and every earlier one, and its last member.
     """
     m, delta, period = ds.m, dc.delta, max(ds.period, 1)
     fold = _folded(ds, 1, ds.n, 0)
-    weight = fold.weight()
-    last = np.arange(1, fold.last + 1) + (weight - 1) * period
+    reps, weight = fold.columns()
+    last = reps + (weight - 1) * period
     prefix = [envelope_bound(1 + 3 * m * b, delta, m) for b in range(-(-fold.split // (3 * m)))]
     rhs = np.concatenate((np.repeat(prefix, 3 * m)[: fold.split],  # k = 1.. by blocks of 3m
                           [envelope_bound(j, delta, m) for j in last[fold.split :].tolist()]))
-    report = _scan("envelope", fold, fold.at(ds.delta_bar), rhs)[0]
-    violations, held = [], []
-    for k, bar, bound in report.violations:
-        members = range(k, int(last[k - 1]) + 1, period)
-        holds = bisect.bisect_left(
-            members, True, key=lambda j: envelope_bound(j, delta, m) - bar < -SLACK_TOL
-        )
-        violations.append((members[-1], bar, bound))
-        if holds:
-            held.append((members[holds - 1], holds))
-            weight[k - 1] -= holds
-    held_k, held_weight = np.array(held, dtype=weight.dtype).reshape(-1, 2).T
-    return BoundReport("envelope", report.checked, report.violation_count - int(held_weight.sum()),
-                       sorted(violations), report.min_slack, {},
-                       lambda: [(last, weight), (held_k, held_weight)])
+    report = _scan("envelope", fold, fold.at(ds.delta_bar), rhs, at=last)[0]
+    if not report.violations:
+        return report
+    held = np.zeros_like(weight)  # the class of representative i + 1 holds at held[i] members
+    for k, bar, _ in report.violations:
+        i = int(np.flatnonzero(last == k)[0])
+        held[i] = bisect.bisect_left(range(i + 1, k + 1, period), True,
+                                     key=lambda j: envelope_bound(j, delta, m) - bar < -SLACK_TOL)
+    at, weight = np.array((last - (weight - held) * period, last)), np.array((held, weight - held))
+    return replace(report, violation_count=report.violation_count - int(held.sum()),
+                   violations=sorted(report.violations), entries=(fold, at, weight, weight > 0))
 
 
-def run_checks(
-    ds: DeviationSeries, dc: DropConstants, kappa_grid=DEFAULT_KAPPA_GRID,
-) -> list[BoundReport]:
+def run_checks(ds: DeviationSeries, dc: DropConstants,
+               kappa_grid=DEFAULT_KAPPA_GRID) -> list[BoundReport]:
     """All inequality checks on one solved table's series, in report order,
     with eta, nu and delta from the drop constants ``dc``."""
-    reports = [check_monotonicity(ds), check_no_long_winning(ds)]
-    reports += check_km_bound(ds, dc.eta, kappa_grid)
-    reports.append(check_corridor(ds, dc.nu))
-    reports += check_drop_down(ds, dc)
-    reports.append(check_plus_minus(ds))
-    reports.append(check_envelope(ds, dc))
-    return reports
+    return [check_monotonicity(ds), check_no_long_winning(ds),
+            *check_km_bound(ds, dc.eta, kappa_grid), check_corridor(ds, dc.nu),
+            *check_drop_down(ds, dc), check_plus_minus(ds), check_envelope(ds, dc)]
 
 
 def envelope_bound(k: int, delta: float, m: int) -> float:

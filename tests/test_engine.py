@@ -717,3 +717,9 @@ class TestFoldedReads:
             for repeat in (period, 0):
                 with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
                     engine.fold(np.array([k, bad]), n, computed, repeat)
+
+
+def test_hypothesis_examples_have_no_deadline():
+    # tests/conftest.py loads one profile for every @given test: a wall-clock
+    # deadline would fail slow examples on a loaded machine
+    assert settings().deadline is None
