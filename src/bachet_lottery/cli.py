@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import analysis
-from .engine import ValueTable, solve
+from .engine import ValueTable, solve, values_at
 from .errors import (
     ConfigError,
     DegenerateSetError,
@@ -54,7 +54,7 @@ SWEEP_HEADER = "n,m,eta,nu,delta,p_n,Delta_n\n"
 SWEEP_ROW = "%d,%d,%.17g,%.17g,%s,%.17g,%.17g\n"
 
 # numpy refuses an array over sys.maxsize bytes with a ValueError.  With
-# the n + m doubles of a value table whose state never repeats, and the
+# the n + m doubles the recursion keeps when its state never repeats, and the
 # replications x max(n_values) 64-bit words of a Monte-Carlo draw stream,
 # bounded by half that, an array too large for memory fails to allocate
 # instead: a MemoryError, which `_fits_in_memory` reports against the
@@ -304,22 +304,24 @@ def _fits_in_memory(where: str, what: str):
         raise ConfigError(f"{where}: {what} do not fit in memory") from exc
 
 
-def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None,
-                  k_field: str = "game.K"):
-    """The table of a game with nu > 0 and, when eta < 1 too, its drop
-    constants.  A tau outside its interval is an error on ``tau``; a delta
-    that rounds to 1 is one on ``tau`` when the config sets it, else on the
-    lottery set's config field ``k_field``."""
-    vt = solve(spec)
-    dc = None
-    if cond.eta_ok:
-        try:
-            dc = analysis.drop_constants(cond.eta, cond.nu, tau)
-        except TauOutOfRangeError as exc:
-            raise ConfigError(f"tau: {exc}") from exc
-        except InvalidEtaNuError as exc:
-            raise ConfigError(f"{k_field if tau is None else 'tau'}: {exc}") from exc
-    return vt, dc
+def _drop_constants(cond: ConditionReport, tau: float | None, k_field: str = "game.K"):
+    """The drop constants of a set with nu > 0, or None when eta = 1.  A
+    tau outside its interval is an error on ``tau``; a delta that rounds to
+    1 is one on ``tau`` when the config sets it, else on the lottery set's
+    config field ``k_field``."""
+    if not cond.eta_ok:
+        return None
+    try:
+        return analysis.drop_constants(cond.eta, cond.nu, tau)
+    except TauOutOfRangeError as exc:
+        raise ConfigError(f"tau: {exc}") from exc
+    except InvalidEtaNuError as exc:
+        raise ConfigError(f"{k_field if tau is None else 'tau'}: {exc}") from exc
+
+
+def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
+    """The table of a game with nu > 0 and its drop constants."""
+    return solve(spec), _drop_constants(cond, tau)
 
 
 def _cmd_solve(cfg: dict, out: Path, command: str) -> int:
@@ -442,13 +444,20 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         raise ConfigError("sweep: needs n_values or epsilon_values")
 
     tau = _parse_tau(cfg)
+    # (point, the pile sizes whose p_n its loop gives): an epsilon point its
+    # own n; the points of an n sweep share their set, so one run of the
+    # loop at the first largest n gives them all
+    runs = [(point, [point[0].n]) for point in points]
+    if "n_values" in sweep:
+        runs = [(max(points, key=lambda point: point[0].n), [spec.n for spec, *_ in points])]
     lines = [SWEEP_HEADER]
-    for spec, cond, n_field, k_field in points:
-        with _fits_in_memory(n_field, f"{spec.n} pile sizes"):
-            vt, dc = _solve_bundle(spec, cond, tau, k_field)
-        p_n = vt.p(vt.n)
+    for (spec, cond, n_field, k_field), ns in runs:
+        dc = _drop_constants(cond, tau, k_field)
         delta = "" if dc is None else "%.17g" % dc.delta
-        lines.append(SWEEP_ROW % (spec.n, spec.m, cond.eta, cond.nu, delta, p_n, abs(p_n - 0.5)))
+        with _fits_in_memory(n_field, f"{spec.n} pile sizes"):
+            p = values_at(spec, ns)
+        lines += [SWEEP_ROW % (n, spec.m, cond.eta, cond.nu, delta, p_n, abs(p_n - 0.5))
+                  for n, p_n in zip(ns, p)]
     _atomic_write(out / "sweep.csv", ("".join(lines).encode(),))
     return 0
 

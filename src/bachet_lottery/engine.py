@@ -5,8 +5,10 @@ for a chosen lottery pi, with p_s = 1 for s <= 0 (taking the last object
 loses); p_k is the maximum over the candidate lotteries, k = 1..n.
 ``solve`` runs that recursion in the loop that ``_generated`` compiles and
 keeps the values up to the end of the first period; ``fold`` maps a later
-pile size back onto them.  ``payoff_kernel`` is the payoff written from
-the formula alone, and a table's ties and moves are worked out from it.
+pile size back onto them.  ``values_at`` reads a few values straight from
+the loop's list, with no table.  ``payoff_kernel`` is the payoff written
+from the formula alone, and a table's ties and moves are worked out from
+it.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,7 +41,8 @@ def fold(k, n: int, computed: int, period: int):
     ``k`` itself up to ``computed``, else ``k`` less the whole number of
     periods that brings it into computed - period + 1..computed.  ``k``
     may be an int or an integer array of pile sizes in 1..n; any other
-    pile size raises ValueError."""
+    pile size raises ValueError.  ``computed`` may also be the pile size at
+    which the loop stopped (see ``values_at``)."""
     if not np.all((k >= 1) & (k <= n)):
         raise ValueError(f"pile size outside 1..{n}")
     if not period:
@@ -332,6 +335,36 @@ def _tie_sets(mask: np.ndarray, period: int, n: int) -> Iterator[tuple[int, ...]
     return itertools.chain(sets, itertools.islice(cycle, n - len(sets)))
 
 
+def _run_loop(spec: GameSpec) -> tuple[list[float], int]:
+    """(values, period): the loop of ``_generated`` run once on ``spec``.
+    ``values`` holds p_k for k = -(m-1)..L, index k + m - 1, where L is the
+    pile size at which the loop stopped; ``period`` is what it returned."""
+    shape, weights = _shape(spec.K.lotteries)
+    p = [1.0] * spec.m
+    return p, _generated(shape)(*weights, p.append, spec.n, *p)
+
+
+def values_at(spec: GameSpec, ks: Iterable[int]) -> list[float]:
+    """p_k for each pile size k in ``ks`` (each in 1..n), in that order,
+    from one run of the loop and no table: each is read from the loop's
+    list through ``fold``, with the stop pile L = len(values) - m in place
+    of ``computed``.
+
+    That is exact because of where the loop stops.  It returns the period
+    lambda at pile size L, where the state (p_{L-m+1}, ..., p_L) equals the
+    state saved at s = L - lambda, and p_{k+1} is a function of the state
+    alone, so p_{k+lambda} = p_k for every k > s - m.  So every pile size
+    past L has the value of the one that ``fold`` maps it to in s+1..L,
+    and no pass that finds mu is needed.  With no repeat, the loop stops at
+    L = n.  Each value is the same double as ``solve(spec).p(k)``: the list
+    entries are the doubles that ``solve`` copies into ``p_prefix``.  A k
+    outside 1..n raises ValueError (``fold``)."""
+    p, period = _run_loop(spec)
+    m = spec.m
+    stop = len(p) - m
+    return [p[fold(k, spec.n, stop, period) + m - 1] for k in ks]
+
+
 def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTable:
     """Solve the game by backward induction over pile sizes 1..n.
 
@@ -358,9 +391,7 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     candidates = spec.K.lotteries
     m, n = spec.m, spec.n
 
-    shape, weights = _shape(candidates)
-    p = [1.0] * m
-    period = _generated(shape)(*weights, p.append, n, *p)
+    p, period = _run_loop(spec)
     prefix = np.fromiter(p, np.float64, len(p))
     if period:
         # the indices j whose p_{j+1-m} differs in a bit from the value a

@@ -135,6 +135,30 @@ def test_long_transient_solve_budget():
     report(f"long transient: n=1e6 m=3 eps=0.001 solve (30883 piles evaluated) in {elapsed:.3f} s")
 
 
+def test_n_sweep_costs_about_one_solve(tmp_path):
+    # a sweep over n runs the loop once, at its largest n, and builds no
+    # table: seven points at eps=0.001, whose transient outlasts the first
+    # five, against one solve at the largest n; the best of 5 of each,
+    # taken in turn, so that a slow spell of the host does not decide
+    ns = [10, 100, 1_000, 10_000, 30_000, 100_000, 1_000_000]
+    game = {"m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.001] * 3}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"game": game, "sweep": {"n_values": ns}}))
+    spec = GameSpec(ns[-1], 3, truncated_simplex([0.001] * 3))
+    solve(spec)  # warm-up: the loop is compiled once per shape
+    sweeps, solves = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        assert run("sweep", cfg, output=tmp_path / "out") == 0
+        t1 = time.perf_counter()
+        solve(spec)
+        sweeps.append(t1 - t0)
+        solves.append(time.perf_counter() - t1)
+    ratio = min(sweeps) / min(solves)
+    assert ratio <= 1.5, f"the sweep took {ratio:.2f}x one solve at n=1e6"
+    report(f"n sweep: 7 points n=10..1e6 m=3 eps=0.001 in {ratio:.2f}x one solve at n=1e6")
+
+
 def test_large_n_cli_solve_budget(tmp_path):
     # rows from k=629 on repeat with period 4 and are written from one cycle
     game = {"n": 1_000_000, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}

@@ -320,18 +320,49 @@ class TestSweep:
         assert run("sweep", cfg, output=tmp_path / "out") == 0
         assert len(read_csv(tmp_path / "out" / "sweep.csv")) == 4
 
+    @pytest.fixture
+    def loop_runs(self, monkeypatch):
+        """The game of each run of the loop."""
+        specs, run_loop = [], engine._run_loop
+        monkeypatch.setattr(engine, "_run_loop", lambda spec: specs.append(spec) or run_loop(spec))
+        return specs
+
+    def test_n_sweep_runs_the_loop_once(self, tmp_path, loop_runs):
+        # unsorted and repeated points, n = 1, and points on both sides of
+        # where solve first sees a repeat (k = 649; the table keeps 1..632)
+        ns = [2000, 1, 649, 10, 632, 10**6, 633, 648, 10, 650, 1, 2000]
+        payload = {"game": {"m": 3, "K": SIMPLEX_M3}, "sweep": {"n_values": ns}}
+        assert run("sweep", write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        assert sha256(tmp_path / "out" / "sweep.csv") == (
+            "34b5a8f0ea7043ff13d8098f396d038e3f297e0769498653e67d920848ca049e"
+        )
+        assert [spec.n for spec in loop_runs] == [10**6]
+        rows = read_csv(tmp_path / "out" / "sweep.csv")[1:]
+        K = truncated_simplex([0.05] * 3)
+        assert [float(row.split(",")[5]) for row in rows] == [solve(GameSpec(n, 3, K)).p(n)
+                                                              for n in ns]
+
+    def test_epsilon_sweep_runs_the_loop_once_per_point(self, tmp_path, loop_runs):
+        eps = [0.05, 0.01, 0.05, 0.2]
+        payload = {"game": {"n": 700, "m": 3}, "sweep": {"epsilon_values": eps}}
+        assert run("sweep", write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        assert [spec.K.lotteries for spec in loop_runs] == [truncated_simplex([e] * 3).lotteries
+                                                            for e in eps]
+
 
 class TestTiesOnFirstRead:
     """solve runs the recursion only: a table's tie pass runs on the first
     read of its ties or moves, once, and never for the commands that read
-    values alone."""
+    values alone; sweep reads its values from the loop and builds no
+    table."""
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """The tables cli.solve returns, and the prefix each tie pass read."""
+        """Every table built, and the prefix each tie pass read."""
         tables, passes = [], []
-        solve_, payoffs = cli.solve, engine.payoffs
-        monkeypatch.setattr(cli, "solve", lambda *a: tables.append(solve_(*a)) or tables[-1])
+        table, payoffs = engine.ValueTable, engine.payoffs
+        monkeypatch.setattr(engine, "ValueTable",
+                            lambda **kw: tables.append(table(**kw)) or tables[-1])
         monkeypatch.setattr(engine, "payoffs", lambda c, ext: passes.append(ext) or payoffs(c, ext))
         return tables, passes
 
@@ -343,7 +374,7 @@ class TestTiesOnFirstRead:
     def test_values_only_commands_compute_no_ties(self, recorded, tmp_path, command, payload):
         tables, passes = recorded
         assert run(command, write_config(tmp_path, payload), output=tmp_path / "out") == 0
-        assert tables and passes == []
+        assert len(tables) == (command == "verify") and passes == []
         for vt in tables:
             assert "tie_mask" not in vt.__dict__ and "picks" not in vt.__dict__
 
@@ -662,19 +693,39 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_n_out_of_memory_names_its_field(self, tmp_path, capsys, monkeypatch):
-        solve = cli.solve
+        values_at = cli.values_at
 
-        def no_memory_past_1e6(spec):
+        def no_memory_past_1e6(spec, ks):
             if spec.n > 10**6:
                 raise MemoryError
-            return solve(spec)
+            return values_at(spec, ks)
 
-        monkeypatch.setattr(cli, "solve", no_memory_past_1e6)
+        monkeypatch.setattr(cli, "values_at", no_memory_past_1e6)
         game = {"m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
         cfg = write_config(tmp_path, {"game": game, "sweep": {"n_values": [7, 10**15]}})
         assert run("sweep", cfg, output=tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(
             "error: sweep.n_values[1]: 1000000000000000 pile sizes do not fit in memory"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_recursion_out_of_memory_names_the_first_largest_n(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # one run of the loop serves the sweep; the point that asked for its
+        # n first is the one named
+        run_loop = engine._run_loop
+
+        def no_memory_past_1e6(spec):
+            if spec.n > 10**6:
+                raise MemoryError
+            return run_loop(spec)
+
+        monkeypatch.setattr(engine, "_run_loop", no_memory_past_1e6)
+        game = {"m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}
+        cfg = write_config(tmp_path, {"game": game, "sweep": {"n_values": [7, 10**15, 10**15]}})
+        assert run("sweep", cfg, output=tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            "error: sweep.n_values[1]: 1000000000000000 pile sizes do not fit in memory\n"
         )
         assert not (tmp_path / "out").exists()
 

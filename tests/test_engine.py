@@ -488,19 +488,19 @@ class TestCompiledOncePerShape:
         eps = [0.001, 0.003, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3]
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"game": {"n": 200, "m": 3}, "sweep": {"epsilon_values": eps}}))
-        tables = []
-        monkeypatch.setattr(cli, "solve", lambda *a: tables.append(solve(*a)) or tables[-1])
+        runs, run_loop = [], engine._run_loop
+        monkeypatch.setattr(engine, "_run_loop", lambda spec: runs.append(spec) or run_loop(spec))
         assert cli.run("sweep", cfg, output=tmp_path / "out") == 0
         assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 1 + len(eps)
         # up to eps=0.05 every vertex holds eps and one value 1 - 2*eps; from
         # 0.1 on the last vertex's large weight rounds to a third value
-        patterns = {len(engine._shape(vt.candidates)[1]) for vt in tables}
+        patterns = {len(engine._shape(spec.K.lotteries)[1]) for spec in runs}
         assert patterns == {2, 3}
-        assert len(compiled) == 2 and len(tables) == len(eps)
-        # reading the moves compiles nothing more
-        for vt in tables:
-            vt.picks
-        assert len(compiled) == 2
+        assert len(compiled) == 2 and len(runs) == len(eps)
+        # solving the same games and reading their moves compiles nothing more
+        for spec in runs[: len(eps)]:
+            solve(spec).picks
+        assert len(compiled) == 2 and len(runs) == 2 * len(eps)
         compiled.clear()
         # another shape: first weight zero
         solve(GameSpec(50, 3, finite_set([[0.0, 0.6, 0.4], [0.3, 0.3, 0.4]]))).picks
@@ -717,6 +717,69 @@ class TestFoldedReads:
             for repeat in (period, 0):
                 with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
                     engine.fold(np.array([k, bad]), n, computed, repeat)
+
+
+# the n at which the property test looks for where the loop stops on a set
+PROBE_N = 20_000
+
+
+@st.composite
+def values_at_cases(draw):
+    """(spec, ks): a set of m = 2..5 and 1..10 lotteries, zero weights
+    included; an n from 1 up, or about where the loop first sees a repeat on
+    the set (n just before, at or past mu + period, or the pile size at
+    which the loop stops), or several periods past that; and pile sizes 1,
+    n, the loop's stop L on the game, L + 1, some pile sizes several
+    periods past L, and some drawn from 1..n."""
+    m = draw(st.integers(2, 5))
+    weights = st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=m, max_size=m
+    ).filter(lambda v: sum(v) > 0.0)
+    raw = draw(st.lists(weights, min_size=1, max_size=10))
+    K = LotterySet(tuple(validate_lottery([w / sum(v) for w in v]) for v in raw))
+    vt = solve(GameSpec(PROBE_N, m, K))
+    values, period = engine._run_loop(GameSpec(PROBE_N, m, K))
+    stop = len(values) - m
+    near = [1, draw(st.integers(1, PROBE_N)), stop - 1, stop, stop + 1, stop + 2]
+    if period:
+        near += [vt.computed - 1, vt.computed, vt.computed + 1,
+                 stop + draw(st.integers(2, 9)) * period + draw(st.integers(0, period - 1)), 10**15]
+    n = draw(st.sampled_from([k for k in near if k >= 1]))
+    spec = GameSpec(n, m, K)
+    values, period = engine._run_loop(spec)
+    stop = len(values) - m
+    ks = [1, n, stop, stop + 1, *(stop + j * max(period, 1) + j % 3 for j in range(2, 6))]
+    ks += draw(st.lists(st.integers(1, n), max_size=5))
+    return spec, [k for k in ks if 1 <= k <= n]
+
+
+class TestValuesAt:
+    """``values_at`` reads p_k from one run of the loop, with no table; the
+    table ``solve`` builds is the reference."""
+
+    @settings(max_examples=150)
+    @given(values_at_cases())
+    def test_equals_the_tables_values(self, case):
+        spec, ks = case
+        vt = solve(spec)
+        assert [v.hex() for v in engine.values_at(spec, ks)] == [vt.p(k).hex() for k in ks]
+
+    @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
+    def test_around_the_stop(self, label, K, detect):
+        for n in (1, detect - 1, detect, detect + 1, 5 * detect + 3):
+            spec = GameSpec(n, K.m, K)
+            ks = list(range(1, n + 1))
+            assert [v.hex() for v in engine.values_at(spec, ks)] == [v.hex() for v in
+                                                                     solve(spec).p_ext[K.m :]]
+
+    def test_pile_sizes_outside_the_game_rejected(self):
+        K = truncated_simplex([0.05] * 3)
+        for n in (50, 2000):
+            spec = GameSpec(n, 3, K)
+            assert engine.values_at(spec, []) == []
+            for bad in (0, -1, n + 1):
+                with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
+                    engine.values_at(spec, [1, bad])
 
 
 def test_hypothesis_examples_have_no_deadline():

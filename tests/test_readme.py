@@ -68,6 +68,17 @@ def test_source_paths_exist():
     assert [p for p in paths if not (ROOT / p).is_file()] == []
 
 
+def module_line(text: str, module: str) -> str:
+    """The ``Modules`` entry of ``src/bachet_lottery/<module>.py``, up to
+    the next entry."""
+    (entry,) = re.findall(rf"^- `src/bachet_lottery/{module}\.py` — .*?(?=^- )", text, re.M | re.S)
+    return entry
+
+
+def test_engine_entry_names_the_sweeps_read_path():
+    assert "`engine.values_at`" in module_line(README, "engine")
+
+
 def test_checks_catch_a_perturbed_readme():
     # one wrong header cell, one misspelled name
     wrong_cell = README.replace("p_hat,std_err", "p_hat,stderr", 1)
@@ -76,3 +87,5 @@ def test_checks_catch_a_perturbed_readme():
     misspelled = README.replace("`engine.fold`", "`engine.fould`", 1)
     assert misspelled != README
     assert unresolved(package_names(misspelled)) == ["engine.fould"]
+    renamed = README.replace("`engine.values_at`", "`engine.values`", 1)
+    assert "`engine.values_at`" not in module_line(renamed, "engine")
