@@ -127,17 +127,29 @@ def _parse_lottery_set(node: dict, where: str) -> LotterySet:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _game_m(node: dict) -> int:
+    """game.m of config ``node``: an integer in 2..MAX_TABLE - 1."""
+    m = node.get("m")
+    _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
+    _require(m < MAX_TABLE, "game.m", f"must be at most {MAX_TABLE - 1}")
+    return m
+
+
+def _pile_bound(n: int, m: int, n_field: str) -> None:
+    """Pile size n, from config ``n_field``, leaves n + m within MAX_TABLE."""
+    _require(n + m <= MAX_TABLE, n_field, f"must be at most {MAX_TABLE - m}")
+
+
 def _game(node, command: str, n_field: str) -> tuple[GameSpec, ConditionReport]:
     """The game of config ``node``, its n from config ``n_field``, and its
-    conditions: the preamble of every command and of every sweep point.
-    nu = 0 is a config error on game.K except under explore-nu-zero."""
+    conditions: the preamble of every command and of each lottery set of a
+    sweep.  nu = 0 is a config error on game.K except under explore-nu-zero."""
     _require(isinstance(node, dict), "game", "must be an object")
-    n, m = node.get("n"), node.get("m")
+    n = node.get("n")
     _require(_is_int(n) and n >= 1, n_field, "must be an integer >= 1")
-    _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
-    # before n's bound, which a larger m would make negative
-    _require(m < MAX_TABLE, "game.m", f"must be at most {MAX_TABLE - 1}")
-    _require(n + m <= MAX_TABLE, n_field, f"must be at most {MAX_TABLE - m}")
+    # m before n's bound, which a larger m would make negative
+    m = _game_m(node)
+    _pile_bound(n, m, n_field)
     K = _parse_lottery_set(node.get("K"), "game.K")
     try:
         spec = GameSpec(n=n, m=m, K=K)
@@ -414,8 +426,12 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
     _require(isinstance(sweep, dict), "sweep", "required for sweep")
     _require(not {"n_values", "epsilon_values"} <= sweep.keys(), "sweep",
              "give n_values or epsilon_values, not both")
-    # each point's game and conditions, and the config fields of its n and its K
-    points: list[tuple[GameSpec, ConditionReport, str, str]] = []
+    # each run of the loop: its game, the set's conditions, the config
+    # fields of its n and of its K, and the pile sizes whose p_n it gives.
+    # An n sweep is one game: its first point is parsed by _game, each later
+    # one only as a pile size of that game, and one run at the first largest
+    # n gives every point.  Each epsilon point is a set, and a run, of its own.
+    runs: list[tuple[GameSpec, ConditionReport, str, str, list[int]]] = []
     if "n_values" in sweep:
         n_values = sweep["n_values"]
         _require(isinstance(n_values, list) and n_values, "sweep.n_values",
@@ -423,10 +439,14 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         for i, n in enumerate(n_values):
             where = f"sweep.n_values[{i}]"
             _require(_is_int(n) and n >= 1, where, "integer >= 1")
-            points.append((*_game({**game, "n": n}, "sweep", where), where, "game.K"))
+            if i == 0:
+                spec, cond = _game({**game, "n": n}, "sweep", where)
+            _pile_bound(n, spec.m, where)
+        top = max(range(len(n_values)), key=n_values.__getitem__)
+        runs.append((GameSpec(n=n_values[top], m=spec.m, K=spec.K), cond,
+                     f"sweep.n_values[{top}]", "game.K", n_values))
     elif "epsilon_values" in sweep:
-        m = game.get("m")
-        _require(_is_int(m) and m >= 2, "game.m", "must be an integer >= 2")
+        m = _game_m(game)
         eps_values = sweep["epsilon_values"]
         _require(isinstance(eps_values, list) and eps_values, "sweep.epsilon_values",
                  "must be a non-empty list")
@@ -439,19 +459,14 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
             )
             with _fits_in_memory("game.m", f"{m} lottery weights"):
                 node = {**game, "K": {"type": "truncated_simplex", "epsilon": [eps] * m}}
-            points.append((*_game(node, "sweep", "game.n"), "game.n", where))
+            spec, cond = _game(node, "sweep", "game.n")
+            runs.append((spec, cond, "game.n", where, [spec.n]))
     else:
         raise ConfigError("sweep: needs n_values or epsilon_values")
 
     tau = _parse_tau(cfg)
-    # (point, the pile sizes whose p_n its loop gives): an epsilon point its
-    # own n; the points of an n sweep share their set, so one run of the
-    # loop at the first largest n gives them all
-    runs = [(point, [point[0].n]) for point in points]
-    if "n_values" in sweep:
-        runs = [(max(points, key=lambda point: point[0].n), [spec.n for spec, *_ in points])]
     lines = [SWEEP_HEADER]
-    for (spec, cond, n_field, k_field), ns in runs:
+    for spec, cond, n_field, k_field, ns in runs:
         dc = _drop_constants(cond, tau, k_field)
         delta = "" if dc is None else "%.17g" % dc.delta
         with _fits_in_memory(n_field, f"{spec.n} pile sizes"):

@@ -159,6 +159,31 @@ def test_n_sweep_costs_about_one_solve(tmp_path):
     report(f"n sweep: 7 points n=10..1e6 m=3 eps=0.001 in {ratio:.2f}x one solve at n=1e6")
 
 
+def test_long_n_sweep_costs_about_one_point(tmp_path):
+    # an n sweep is one game: its set is parsed and its conditions computed
+    # once, however many points it has.  200 points n = 1..200 of ten
+    # lotteries at m=5, against a one-point sweep at n=200; the best of 5
+    # of each, taken in turn, so that a slow spell of the host does not decide
+    lotteries = [[w / sum(ws) for w in ws]
+                 for ws in ([1 + (i * j + i) % 7 for j in range(5)] for i in range(10))]
+    game = {"m": 5, "K": {"type": "finite", "lotteries": lotteries}}
+    long_cfg, one_cfg = tmp_path / "long.json", tmp_path / "one.json"
+    long_cfg.write_text(json.dumps({"game": game, "sweep": {"n_values": list(range(1, 201))}}))
+    one_cfg.write_text(json.dumps({"game": game, "sweep": {"n_values": [200]}}))
+    assert run("sweep", one_cfg, output=tmp_path / "out") == 0  # warm-up: compiles the loop
+    longs, ones = [], []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        assert run("sweep", long_cfg, output=tmp_path / "out") == 0
+        t1 = time.perf_counter()
+        assert run("sweep", one_cfg, output=tmp_path / "out") == 0
+        longs.append(t1 - t0)
+        ones.append(time.perf_counter() - t1)
+    ratio = min(longs) / min(ones)
+    assert ratio <= 8.0, f"the 200-point sweep took {ratio:.2f}x a one-point sweep"
+    report(f"n sweep: 200 points n=1..200 m=5 |K|=10 in {ratio:.2f}x a one-point sweep at n=200")
+
+
 def test_large_n_cli_solve_budget(tmp_path):
     # rows from k=629 on repeat with period 4 and are written from one cycle
     game = {"n": 1_000_000, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [0.05] * 3}}

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -33,6 +35,7 @@ from bachet_lottery import cli, engine
 from bachet_lottery.analysis import DeviationSeries
 from bachet_lottery.cli import _envelopes, _values_csv, run
 from bachet_lottery.engine import TIE_RULES, fold
+from bachet_lottery.errors import ConfigError, DegenerateSetError, InvalidEtaNuError, LotteryError
 from test_acceptance import VERIFY_GAMES
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
@@ -43,6 +46,10 @@ SERIES_GAME = {"n": 4 * 10**6, "m": 3, "K": {"type": "truncated_simplex", "epsil
 SERIES_CAP = 300 << 20
 # a game of 1e15 pile sizes, the same set
 HUGE_GAME = {**SERIES_GAME, "n": 10**15}
+# sizes that are integers and reals, but past the table bound
+PAST_THE_BOUND = [cli.MAX_TABLE, 2**63, 2**64]
+EACH_PAST_THE_BOUND = pytest.mark.parametrize("value", PAST_THE_BOUND,
+                                              ids=["MAX_TABLE", "2^63", "2^64"])
 # the largest file a capped run may write
 FILE_CAP = 64 << 20
 # a game whose eta and nu pass, and whose contraction constant delta is 1.0
@@ -302,6 +309,53 @@ class TestSimulate:
         assert exc.value.code == 0
 
 
+def sweep_as_games(cfg):
+    """The exit code and stderr of an ``n_values`` sweep whose points are
+    each parsed as a game of their own: for each point in order, its type
+    check, then ``cli._game``; then tau, and the drop constants of the set."""
+    try:
+        games = []
+        for i, n in enumerate(cfg["sweep"]["n_values"]):
+            where = f"sweep.n_values[{i}]"
+            cli._require(cli._is_int(n) and n >= 1, where, "integer >= 1")
+            games.append(cli._game({**cfg["game"], "n": n}, "sweep", where))
+        cli._drop_constants(games[0][1], cli._parse_tau(cfg))
+    except (ConfigError, LotteryError, DegenerateSetError, InvalidEtaNuError) as exc:
+        return 2, f"error: {exc}\n"
+    return 0, ""
+
+
+@st.composite
+def faulty_n_sweeps(draw):
+    """An ``n_values`` sweep whose points, set, ``game.m`` and ``tau`` may
+    each be at fault: bad entries and points past MAX_TABLE - m at any
+    position; a set of the wrong sum, with nu = 0, of another m or of no
+    known type; an m that is no integer >= 2 or past MAX_TABLE; a tau that
+    is no real or outside its interval.  Each part is sound two times in
+    three, so that a fault often stands alone."""
+    m = draw(st.sampled_from([2, 3, 4, 5]))
+    sound = st.sampled_from([True, True, False])
+    K = draw(st.sampled_from([
+        {"type": "finite", "lotteries": [[1 / m] * m]},
+        {"type": "truncated_simplex", "epsilon": [0.05] * m},
+        {"type": "finite", "lotteries": [[float(i == j) for j in range(m)] for i in range(m)]},
+    ] if draw(sound) else [
+        {"type": "finite", "lotteries": [[0.6] * m]},
+        {"type": "finite", "lotteries": [[1.0] + [0.0] * (m - 1)]},
+        {"type": "finite", "lotteries": [[1 / (m + 1)] * (m + 1)]},
+        {"type": "mystery"},
+    ]))
+    game_m = m if draw(sound) else draw(st.sampled_from([1, True, "3", *PAST_THE_BOUND]))
+    ns = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        bad = st.sampled_from([0, -1, True, 1.5, "7", None] if draw(st.booleans())
+                              else [cli.MAX_TABLE - 1, cli.MAX_TABLE, 10**30])
+        ns.insert(draw(st.integers(0, len(ns))), draw(bad))
+    cfg = {"game": {"m": game_m, "K": K}, "sweep": {"n_values": ns}}
+    tau = draw(st.sampled_from([None, 0.1] if draw(sound) else ["x", 5.0]))
+    return cfg if tau is None else {**cfg, "tau": tau}
+
+
 class TestSweep:
     def test_row_per_point(self, tmp_path):
         payload = {"game": HALF_GAME, "sweep": {"n_values": [2, 5, 9, 14]}}
@@ -348,6 +402,68 @@ class TestSweep:
         assert run("sweep", write_config(tmp_path, payload), output=tmp_path / "out") == 0
         assert [spec.K.lotteries for spec in loop_runs] == [truncated_simplex([e] * 3).lotteries
                                                             for e in eps]
+
+    @pytest.fixture
+    def set_calls(self, monkeypatch):
+        """How often the run parses a lottery set and computes its conditions."""
+        calls = dict.fromkeys(["_parse_lottery_set", "compute_conditions"], 0)
+        for name in calls:
+            def spy(*args, name=name, inner=getattr(cli, name)):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        return calls
+
+    def test_n_sweep_parses_its_set_once(self, tmp_path, set_calls):
+        # 50 unsorted points, with repeats: one game
+        ns = [(17 * i) % 41 + 1 for i in range(50)]
+        payload = {"game": {"m": 3, "K": SIMPLEX_M3}, "sweep": {"n_values": ns}}
+        assert run("sweep", write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        assert sha256(tmp_path / "out" / "sweep.csv") == (
+            "a6c13fa1565912a5b7d23580fcfea8539aa38fb09964c5715e808fd9fee2ae10"
+        )
+        assert set_calls == {"_parse_lottery_set": 1, "compute_conditions": 1}
+
+    def test_epsilon_sweep_parses_each_set(self, tmp_path, set_calls):
+        eps = [0.05, 0.01, 0.05, 0.2]
+        payload = {"game": {"n": 700, "m": 3}, "sweep": {"epsilon_values": eps}}
+        assert run("sweep", write_config(tmp_path, payload), output=tmp_path / "out") == 0
+        assert sha256(tmp_path / "out" / "sweep.csv") == (
+            "ed5bb91b3344ae1a99385b6791b0861df8ad95fd858a81b989bc239f13b56c50"
+        )
+        assert set_calls == {"_parse_lottery_set": 4, "compute_conditions": 4}
+
+    @settings(max_examples=150)
+    @given(faulty_n_sweeps())
+    def test_n_sweep_reports_the_error_of_points_parsed_as_games(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("sweep", write_config(Path(tmp), cfg), output=Path(tmp) / "out")
+        assert (code, err.getvalue()) == sweep_as_games(cfg)
+
+    @pytest.mark.parametrize(
+        "game, ns, tau, message",
+        [
+            # the set's fault comes before a later point's
+            ({"m": 3, "K": {"type": "finite", "lotteries": [[0.6, 0.6, 0.6]]}}, [5, True], None,
+             "game.K: coordinates sum to 1.7999999999999998, expected 1 within 1e-12"),
+            ({"m": 3, "K": {"type": "mystery"}}, [True, 5], None, "sweep.n_values[0]: integer >= 1"),
+            ({"m": 1, "K": SIMPLEX_M3}, [5, 10**30], "x", "game.m: must be an integer >= 2"),
+            ({"m": 3, "K": SIMPLEX_M3}, [5, 10**30, "x"], "x",
+             f"sweep.n_values[1]: must be at most {cli.MAX_TABLE - 3}"),
+            ({"m": 2, "K": {"type": "finite", "lotteries": [[1.0, 0.0]]}}, [5, 0], None,
+             "game.K: nu = 0 is only allowed under explore-nu-zero, not 'sweep'"),
+            ({"m": 2, "K": SIMPLEX_M3}, [5, cli.MAX_TABLE], None,
+             "game: lottery set has m=3, game spec has m=2"),
+        ],
+    )
+    def test_n_sweep_multi_fault_error(self, tmp_path, capsys, game, ns, tau, message):
+        payload = {"game": game, "sweep": {"n_values": ns}, **({} if tau is None else {"tau": tau})}
+        assert run("sweep", write_config(tmp_path, payload), output=tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestTiesOnFirstRead:
@@ -692,6 +808,17 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @EACH_PAST_THE_BOUND
+    def test_sweep_m_past_the_bound_names_game_m(self, tmp_path, value):
+        # refused before an epsilon's m lottery weights are asked for
+        game = {"n": 5, "m": value, "K": HALF_GAME["K"]}
+        proc = run_capped(tmp_path, "sweep", {"game": game, "sweep": {"epsilon_values": [1e-20]}},
+                          4 << 30)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: game.m: must be at most {cli.MAX_TABLE - 1}\n"
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_n_out_of_memory_names_its_field(self, tmp_path, capsys, monkeypatch):
         values_at = cli.values_at
 
@@ -763,11 +890,12 @@ class TestConfigErrors:
 
 
 # Integer magnitudes are bounded so every run stays small, not because
-# larger ones are handled differently; the two past the range of a double,
-# which JSON allows, stand for the integers a float cannot hold.
+# larger ones are handled differently; the sizes PAST_THE_BOUND stand for
+# the integers and reals past the table bound, and the two past the range
+# of a double, which JSON allows, for the integers a float cannot hold.
 JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 60), st.floats(), st.text(max_size=6),
-    st.sampled_from([10**400, -(10**400)]),
+    st.sampled_from([*PAST_THE_BOUND, 10**400, -(10**400)]),
 )
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
@@ -810,6 +938,15 @@ def _replaced(cfg, path, value):
 
 CASES = [(c, cfg, path) for c, cfg in [*VALID_CONFIGS.items(), ("sweep", SWEEP_N)]
          for path in _paths(cfg)]
+# each size of a valid config, and the field that its error names
+SIZE_CASES = [
+    *((c, cfg, ("game", "m"), "game.m") for c, cfg in [*VALID_CONFIGS.items(), ("sweep", SWEEP_N)]),
+    *((c, cfg, ("game", "n"), "game.n") for c, cfg in VALID_CONFIGS.items()),
+    ("simulate", VALID_CONFIGS["simulate"], ("sim", "replications"), "sim.replications"),
+    *(("simulate", VALID_CONFIGS["simulate"], ("sim", "n_values", i), "sim.n_values")
+      for i in (0, 1)),
+    *(("sweep", SWEEP_N, ("sweep", "n_values", i), f"sweep.n_values[{i}]") for i in (0, 1)),
+]
 
 
 class TestContract:
@@ -818,6 +955,31 @@ class TestContract:
     @pytest.mark.parametrize("command,cfg", [*VALID_CONFIGS.items(), ("sweep", SWEEP_N)])
     def test_valid_configs_pass(self, tmp_path, command, cfg):
         assert run(command, write_config(tmp_path, cfg), output=tmp_path / "out") == 0
+
+    @EACH_PAST_THE_BOUND
+    @pytest.mark.parametrize("command,cfg,path,field", SIZE_CASES,
+                             ids=[f"{c}{'-n' if cfg is SWEEP_N else ''}-{f}"
+                                  for c, cfg, _, f in SIZE_CASES])
+    def test_size_past_the_bound_refused_before_allocation(self, tmp_path, capsys, command, cfg,
+                                                           path, field, value):
+        config = write_config(tmp_path, _replaced(cfg, path, value))
+        tracemalloc.start()
+        try:
+            code = run(command, config, output=tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: must ")
+        assert peak < 1 << 20
+        assert not (tmp_path / "out").exists()
+
+    @EACH_PAST_THE_BOUND
+    def test_seed_past_the_bound_runs(self, tmp_path, value):
+        cfg = _replaced(VALID_CONFIGS["simulate"], ("sim", "seed"), value)
+        assert run("simulate", write_config(tmp_path, cfg), output=tmp_path / "out") == 0
+        rows = read_csv(tmp_path / "out" / "simulation.csv")[1:]
+        assert [row.split(",")[1:3] for row in rows] == [["20", str(value)]] * 2
 
     @settings(max_examples=300)
     @given(st.sampled_from(CASES), JSON_VALUES)
