@@ -240,17 +240,12 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
     the block's rows, and the move is the label of vt.argmax(k).  The fields
     of a pile size past computed are those of the one it repeats in the last
     period S..computed, S = computed - period + 1 (``engine.fold``), and so
-    is its move but under seeded_random, whose picks do not repeat.  So the
-    text of the ``period`` rows S..computed is made once, and every row from
-    S on is five parts: k's two, its phase's fields, the envelope and its
-    phase's move (under seeded_random, its own pick's label).  A row before
-    S is ten: k's two, its fields read as slices with each distinct
-    magnitude formatted once (``_cells``), the envelope and the move.  The
-    writer holds a chunk's text and one cycle's.
-
-    The seeded_random branch stays although no command builds such a
-    table: refusing one would need a check where the branch is, so no line
-    would go, and a table built through the library could not be written.
+    is its move.  So the text of the ``period`` rows S..computed is made
+    once, and every row from S on is five parts: k's two, its phase's
+    fields, the envelope and its phase's move.  A row before S is ten: k's
+    two, its fields read as slices with each distinct magnitude formatted
+    once (``_cells``), the envelope and the move.  The writer holds a
+    chunk's text and one cycle's.
     """
     m, n, c, period = vt.m, vt.n, vt.computed, vt.period
     series = [ds.p, ds.d, ds.delta, ds.delta_bar, ds.delta_plus, ds.delta_minus]
@@ -296,8 +291,6 @@ def _values_csv(vt: ValueTable, ds: analysis.DeviationSeries, delta: float | Non
             f = 5 * ((mid + 1 - start) % period)
             tail = cycle[f : f + 5 * (hi - mid)]
             tail[0::5], tail[1::5], tail[3::5] = highs[mid - lo :], lows[mid - lo :], env[mid - lo :]
-            if vt.picks.size > c:  # seeded_random: its moves do not repeat
-                tail[4::5] = labels[vt.picks[mid:hi]].tolist()
             parts += tail
         yield "".join(parts).encode()
 
@@ -331,11 +324,6 @@ def _drop_constants(cond: ConditionReport, tau: float | None, k_field: str = "ga
         raise ConfigError(f"{k_field if tau is None else 'tau'}: {exc}") from exc
 
 
-def _solve_bundle(spec: GameSpec, cond: ConditionReport, tau: float | None):
-    """The table of a game with nu > 0 and its drop constants."""
-    return solve(spec), _drop_constants(cond, tau)
-
-
 def _cmd_solve(cfg: dict, out: Path, command: str) -> int:
     """solve, and explore-nu-zero, whose values.csv has no envelope: it
     reads no tau and derives no delta."""
@@ -345,7 +333,9 @@ def _cmd_solve(cfg: dict, out: Path, command: str) -> int:
         print("warning: nu = 0, convergence hypotheses unmet; bound checks skipped",
               file=sys.stderr)
     with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
-        vt, dc = (solve(spec), None) if explore else _solve_bundle(spec, cond, _parse_tau(cfg))
+        tau = None if explore else _parse_tau(cfg)
+        vt = solve(spec)
+        dc = None if explore else _drop_constants(cond, tau)
         ds = analysis.deviation_series(vt)
         _atomic_write(out / "values.csv", _values_csv(vt, ds, None if dc is None else dc.delta))
     summary = {
@@ -366,7 +356,9 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
     kappa_grid = _parse_kappa_grid(cfg)
     with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
-        vt, dc = _solve_bundle(spec, cond, _parse_tau(cfg))
+        tau = _parse_tau(cfg)
+        vt = solve(spec)
+        dc = _drop_constants(cond, tau)
         reports = analysis.run_checks(analysis.deviation_series(vt), dc, kappa_grid)
     total_violations = sum(r.violation_count for r in reports)
     report = {

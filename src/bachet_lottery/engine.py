@@ -13,11 +13,10 @@ it.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,11 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .lotteries import GameSpec, Lottery
 
 TIE_TOL = 1e-12
-
-TIE_LOWEST = "lowest_index"
-TIE_HIGHEST = "highest_index"
-TIE_RANDOM = "seeded_random"
-TIE_RULES = (TIE_LOWEST, TIE_HIGHEST, TIE_RANDOM)
 
 # terms of one `+` chain in the generated code, which the compiler walks
 # recursively: a longer sum is written as several statements (``_chain``)
@@ -59,15 +53,14 @@ class ValueTable:
     mu + period, where the state after pile size mu is the first that comes
     back, or n when period is 0.  Beyond the stored part the values
     repeat: p_k == p_{k-period} for k > computed - m.  So do the tie sets
-    for k > computed, and the moves under lowest_index and highest_index;
-    seeded_random's moves do not repeat (see ``picks``).
+    and the moves for k > computed.  The move at pile size k is the
+    lowest-index candidate of its tie set.
 
     ``p_prefix`` holds p_k for k = -(m-1)..computed (index k + m - 1); the
-    first m entries are the boundary ones.  ``tie_rule`` and ``seed`` are
-    the ones ``solve`` was given; only ``picks`` depends on them.
-    ``tie_mask`` and ``picks`` are worked out from the prefix on first
-    read and kept (see ``solve``).  ``p(k)`` and ``argmax(k)`` read any k
-    in 1..n through ``fold``, which rejects a k past n.
+    first m entries are the boundary ones.  ``tie_mask`` and ``picks`` are
+    worked out from the prefix on first read and kept (see ``solve``).
+    ``p(k)`` and ``argmax(k)`` read any k in 1..n through ``fold``, which
+    rejects a k past n.
 
     Tables compare and hash by identity: the generated ``==`` would
     compare the prefix arrays, whose truth value numpy refuses.
@@ -79,8 +72,6 @@ class ValueTable:
     p_prefix: np.ndarray
     computed: int
     period: int
-    tie_rule: str
-    seed: int
 
     @cached_property
     def p_ext(self) -> np.ndarray:
@@ -100,29 +91,21 @@ class ValueTable:
 
     @cached_property
     def picks(self) -> np.ndarray:
-        """``picks[k-1]``: the candidate chosen at pile size k under
-        ``tie_rule``, for k = 1..computed, or for k = 1..n under
-        seeded_random, whose draws do not repeat.  lowest_index and
-        highest_index take the first and last marked candidate of each
-        ``tie_mask`` row, and the table repeats the last ``period`` of
-        them; seeded_random draws once per pile size 1..n in k order from
-        ``random.Random(seed)``, the same sequence as a pick inside the
-        loop."""
-        ties = self.tie_mask
-        if self.tie_rule == TIE_RANDOM:
-            rng = random.Random(self.seed)
-            sets = _tie_sets(ties, self.period, self.n)
-            return np.fromiter((t[rng.randrange(len(t))] for t in sets), np.int64, self.n)
-        if self.tie_rule == TIE_LOWEST:
-            return ties.argmax(1)
-        return len(self.candidates) - 1 - ties[:, ::-1].argmax(1)
+        """``picks[k-1]``: the candidate chosen at pile size k, for k =
+        1..computed: the first marked candidate of each ``tie_mask`` row.
+        The table repeats the last ``period`` of them."""
+        return self.tie_mask.argmax(1)
 
     @cached_property
     def tie_sets(self) -> tuple[tuple[int, ...], ...]:
         """``tie_sets[k-1]``: the indices of all candidates within TIE_TOL of
         the maximum at pile size k, for k = 1..n: the dense form, built on
-        first read; no package code reads it."""
-        return tuple(_tie_sets(self.tie_mask, self.period, self.n))
+        first read; no package code reads it.  Past computed the last
+        ``period`` sets repeat."""
+        sets = [tuple(itertools.compress(range(len(self.candidates)), row))
+                for row in self.tie_mask.tolist()]
+        cycle = itertools.cycle(sets[len(sets) - self.period :])
+        return (*sets, *itertools.islice(cycle, self.n - len(sets)))
 
     def p(self, k: int) -> float:
         """Equilibrium win probability at pile size k: 1 for k <= 0, the
@@ -327,14 +310,6 @@ def payoffs(candidates: Sequence[Lottery], ext: np.ndarray) -> tuple[np.ndarray,
     return payoff_kernel(candidates)(*sliding_window_view(ext[:-1], candidates[0].m).T)
 
 
-def _tie_sets(mask: np.ndarray, period: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The tie set of each pile size 1..n in k order, from the mask of the
-    evaluated ones; past them the last ``period`` sets repeat."""
-    sets = [tuple(itertools.compress(range(mask.shape[1]), row)) for row in mask.tolist()]
-    cycle = itertools.cycle(sets[len(sets) - period :])
-    return itertools.chain(sets, itertools.islice(cycle, n - len(sets)))
-
-
 def _run_loop(spec: GameSpec) -> tuple[list[float], int]:
     """(values, period): the loop of ``_generated`` run once on ``spec``.
     ``values`` holds p_k for k = -(m-1)..L, index k + m - 1, where L is the
@@ -365,11 +340,12 @@ def values_at(spec: GameSpec, ks: Iterable[int]) -> list[float]:
     return [p[fold(k, spec.n, stop, period) + m - 1] for k in ks]
 
 
-def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTable:
+def solve(spec: GameSpec) -> ValueTable:
     """Solve the game by backward induction over pile sizes 1..n.
 
     The stored value at each k is the exact maximum over candidates, so
-    the values do not depend on the tie rule; only the picks may.
+    the values do not depend on which of the tied candidates is played;
+    the table plays the lowest-index one (``picks``).
 
     The recursion runs in the loop of ``_generated``, which returns the
     repeat length some way past mu + period (see ``ValueTable``).  One
@@ -381,13 +357,11 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
     lies wholly past it (mu = 0 when none differs).  The table keeps p_k
     up to k = mu + period.
 
-    solve computes no ties: the ties and the moves under ``tie_rule``
-    are worked out from the prefix on the first read of ``tie_mask`` or
-    ``picks`` (or of anything built on them), so a caller that reads
-    values alone never computes them.
+    solve computes no ties: the ties and the moves are worked out from
+    the prefix on the first read of ``tie_mask`` or ``picks`` (or of
+    anything built on them), so a caller that reads values alone never
+    computes them.
     """
-    if tie_rule not in TIE_RULES:
-        raise ValueError(f"unknown tie rule {tie_rule!r}")
     candidates = spec.K.lotteries
     m, n = spec.m, spec.n
 
@@ -408,6 +382,4 @@ def solve(spec: GameSpec, tie_rule: str = TIE_LOWEST, seed: int = 0) -> ValueTab
         p_prefix=prefix,
         computed=prefix.size - m,
         period=period,
-        tie_rule=tie_rule,
-        seed=seed,
     )

@@ -1,10 +1,11 @@
 """Independent validation of the equilibrium engine.
 
-Two routes that never touch the backward-induction maximization or its
-tie rule: Monte-Carlo play of the actual game under the engine's policy,
-and exhaustive enumeration of stationary pure profiles on small instances
-with a one-shot-deviation optimality filter.  Both take from the engine
-only `payoff_kernel` and `payoffs`, which share no text with its loop.
+Two routes that never touch the backward-induction maximization or the
+choice among its tied moves: Monte-Carlo play of the actual game under
+the engine's policy, and exhaustive enumeration of stationary pure
+profiles on small instances with a one-shot-deviation optimality filter.
+Both take from the engine only `payoff_kernel` and `payoffs`, which
+share no text with its loop.
 """
 from __future__ import annotations
 
@@ -166,7 +167,7 @@ def one_shot_deviation_gap(vt: ValueTable) -> float:
     c, period, picks = vt.computed, vt.period, vt.picks
     seen = np.zeros(vals.shape, dtype=bool)
     seen[picks[:c], np.arange(c)] = True
-    # picks past computed (seeded_random's) take the last period's columns in turn
+    # picks past computed (a policy a caller set) take the last period's columns in turn
     for r in range(min(period, picks.size - c)):
         seen[picks[c + r :: period], c - period + r] = True
     return float((vals.max(axis=0) - vals)[seen].max())

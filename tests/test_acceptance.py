@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,9 +16,6 @@ import bachet_lottery
 from bachet_lottery import (
     GameSpec,
     SimConfig,
-    TIE_HIGHEST,
-    TIE_LOWEST,
-    TIE_RANDOM,
     brute_force_values,
     compute_conditions,
     deviation_series,
@@ -25,10 +23,11 @@ from bachet_lottery import (
     estimate_win_prob,
     finite_set,
     one_shot_deviation_gap,
+    payoff_kernel,
     solve,
     truncated_simplex,
 )
-from bachet_lottery.cli import _values_csv, run
+from bachet_lottery.cli import run
 
 HALF = finite_set([[0.5, 0.5]])
 MIRROR = finite_set([[0.9, 0.1], [0.1, 0.9]])
@@ -242,19 +241,6 @@ def test_cli_values_csv_digest(tmp_path, game, digest):
     report(f"values.csv unchanged: n={game['n']} m={game['m']} {game['K']['type']} set")
 
 
-def test_highest_index_values_csv_digest():
-    # the CLI picks lowest_index; the writer reads any rule's picks
-    spec = GameSpec(20_000, 3, truncated_simplex([0.05] * 3))
-    vt = solve(spec, TIE_HIGHEST)
-    cond = compute_conditions(spec.K)
-    delta = drop_constants(cond.eta, cond.nu).delta
-    text = b"".join(_values_csv(vt, deviation_series(vt), delta))
-    assert hashlib.sha256(text).hexdigest() == (
-        "76ce1470882d1233131d553e3b81012a93d1a54fa428a3d136bdf425ed4e273c"
-    )
-    report("values.csv unchanged under highest_index at n=2e4 m=3 eps=0.05")
-
-
 def test_huge_n_verify_budget(tmp_path):
     # The table keeps pile sizes 1..632 and repeats with period 4, so verify
     # reads about 650 pile sizes whatever n is.  It runs in a fresh interpreter.
@@ -352,6 +338,32 @@ def test_criterion_7_monte_carlo_consistency():
     report(f"criterion 7: |p_hat - p_n| within 4 sigma at R=1e6 for n=2,4,7,20 in {elapsed:.2f} s")
 
 
+def replayed_values(spec, choose):
+    """p_k for k = 1..n of the policy that plays ``choose(ties)`` at each
+    pile size k, ``ties`` being the tie set of ``solve(spec)`` at k: each
+    value is that candidate's ``payoff_kernel`` payoff on the replay's own
+    earlier values."""
+    kernel = payoff_kernel(spec.K.lotteries)
+    v = [1.0] * spec.m
+    for ties in solve(spec).tie_sets:
+        v.append(kernel(*v[-spec.m :])[choose(ties)])
+    return v[spec.m :]
+
+
+def tie_break(seed=None):
+    """A picker of a candidate from a tie set other than the table's first
+    one: the last, or, given a seed, one drawn by ``random.Random(seed)``."""
+    if seed is None:
+        return lambda t: t[-1]
+    rng = random.Random(seed)
+    return lambda t: t[rng.randrange(len(t))]
+
+
+def other_tie_breaks(*seeds):
+    """The last-candidate picker, and one drawing picker per seed."""
+    return [tie_break(), *map(tie_break, seeds)]
+
+
 def test_criterion_8_tie_break_invariance():
     corpus = [
         finite_set([[0.5, 0.5], [0.5, 0.5]]),  # duplicate: exact tie at every k
@@ -362,18 +374,13 @@ def test_criterion_8_tie_break_invariance():
     saw_real_tie = False
     for K in corpus:
         spec = GameSpec(40, K.m, K)
-        tables = [
-            solve(spec, TIE_LOWEST),
-            solve(spec, TIE_HIGHEST),
-            solve(spec, TIE_RANDOM, seed=1),
-            solve(spec, TIE_RANDOM, seed=2),
-        ]
-        base = tables[0]
+        base = solve(spec)
         saw_real_tie |= any(len(t) > 1 for t in base.tie_sets)
-        for other in tables[1:]:
-            assert all(abs(base.p(k) - other.p(k)) <= 1e-12 for k in range(1, 41))
+        for choose in other_tie_breaks(1, 2):
+            replay = replayed_values(spec, choose)
+            assert all(abs(base.p(k) - v) <= 1e-12 for k, v in enumerate(replay, 1))
     assert saw_real_tie
-    report("criterion 8: value maps identical across tie rules (<= 1e-12), ties exercised")
+    report("criterion 8: values identical whichever tied move is played (<= 1e-12), ties exercised")
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -19,9 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 import bachet_lottery
 from bachet_lottery import (
-    TIE_HIGHEST,
-    TIE_LOWEST,
-    TIE_RANDOM,
     GameSpec,
     LotterySet,
     analysis,
@@ -34,7 +31,7 @@ from bachet_lottery import (
 from bachet_lottery import cli, engine
 from bachet_lottery.analysis import DeviationSeries
 from bachet_lottery.cli import _envelopes, _values_csv, run
-from bachet_lottery.engine import TIE_RULES, fold
+from bachet_lottery.engine import fold
 from bachet_lottery.errors import ConfigError, DegenerateSetError, InvalidEtaNuError, LotteryError
 from test_acceptance import VERIFY_GAMES
 
@@ -1121,8 +1118,8 @@ def _reference_values_csv(vt, delta):
     return VALUES_HEAD + _reference_rows(vt, delta, range(1, vt.n + 1))
 
 
-def assert_writer_matches_reference(spec, delta, rule=TIE_LOWEST, seed=0):
-    vt = solve(spec, rule, seed=seed)
+def assert_writer_matches_reference(spec, delta):
+    vt = solve(spec)
     got = b"".join(_values_csv(vt, deviation_series(vt), delta)).decode()
     want = _reference_values_csv(vt, delta)
     if got != want:
@@ -1141,9 +1138,6 @@ WRITER_SETS = [
     ("pure moves m=3", finite_set([[1, 0, 0], [0, 1, 0], [0, 0, 1]])),
     ("zero-weight set", finite_set([[0.5, 0.3, 0.2], [0, 0.5, 0.5], [0.6, 0, 0.4]])),
 ]
-# seeded_random tables whose picks past computed differ from the ones they
-# fold to, one with two-digit move labels
-SEEDED_SETS = [WRITER_SETS[i] for i in (1, 6, 8)]
 DELTAS = pytest.mark.parametrize("delta", [None, 0.9], ids=["no-envelope", "envelope"])
 # signed zeros, subnormals, 2^-54 and the values near 1/2 the series take
 FIELD_POOL = [0.0, -0.0, 0.5, 1.0, 5e-324, 2.0**-1060, 2.0**-54, 0.5 + 2.0**-53,
@@ -1246,22 +1240,6 @@ class TestValuesWriter:
         assert_writer_matches_reference(spec, delta)
         assert formatted_rows(cells) <= vt.computed
 
-    @pytest.mark.parametrize("rows", [1, 13, 512])
-    @pytest.mark.parametrize("label, K", SEEDED_SETS, ids=[label for label, _ in SEEDED_SETS])
-    def test_seeded_random_joins_its_rows_from_the_cycle(self, label, K, rows, monkeypatch):
-        # its picks never repeat: rows from S on take the cycle's fields and
-        # the label of their own pick, so no row past computed is formatted
-        monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
-        probe = solve(GameSpec(100_000, K.m, K))
-        spec = GameSpec(3 * probe.computed, K.m, K)
-        vt = solve(spec, TIE_RANDOM, seed=1)
-        k = np.arange(1, spec.n + 1)
-        assert vt.picks.size == spec.n and vt.computed == probe.computed
-        assert (vt.picks != vt.picks[fold(k, spec.n, vt.computed, vt.period) - 1]).any()
-        cells = spied(monkeypatch, "_cells")
-        assert_writer_matches_reference(spec, 0.9, TIE_RANDOM, seed=1)
-        assert formatted_rows(cells) <= vt.computed
-
     @DELTAS
     @pytest.mark.parametrize("at", ["c-1", "c", "c+1", "c+period", "c+3m", "3c"])
     @pytest.mark.parametrize("label, K", WRITER_SETS, ids=[label for label, _ in WRITER_SETS])
@@ -1285,13 +1263,12 @@ class TestValuesWriter:
         assert_writer_matches_reference(spec, delta)
 
     @pytest.mark.parametrize("rows", [1, 100, 512])
-    @pytest.mark.parametrize("rule", TIE_RULES)
-    def test_one_chunk_per_run_of_rows(self, rule, rows, monkeypatch):
+    def test_one_chunk_per_run_of_rows(self, rows, monkeypatch):
         # the header, then one chunk of whole rows per run of whole 3m-blocks,
         # the one that holds S = 629 included
         monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
         n, size = 2000, 9 * max(1, rows // 9)
-        vt = solve(GameSpec(n, 3, truncated_simplex([0.05] * 3)), rule, seed=2)
+        vt = solve(GameSpec(n, 3, truncated_simplex([0.05] * 3)))
         assert vt.computed - vt.period + 1 == 629
         header, *chunks = _values_csv(vt, deviation_series(vt), 0.9)
         assert header == VALUES_HEAD.encode()
@@ -1299,35 +1276,26 @@ class TestValuesWriter:
         assert [c.count(b"\n") for c in chunks] == [min(size, n - lo) for lo in range(0, n, size)]
         assert all(c.endswith(b"\n") for c in chunks)
 
-    @DELTAS
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_matches_reference_seeded_random(self, seed, delta):
-        assert_writer_matches_reference(
-            GameSpec(3 * 1027 + 2, 3, truncated_simplex([0.05] * 3)), delta, TIE_RANDOM, seed
-        )
-
     @settings(max_examples=60)
-    @given(finite_games(), st.sampled_from(TIE_RULES), st.sampled_from([None, 0.5, 0.999]),
-           st.data())
-    def test_matches_reference_on_random_sets(self, spec, rule, delta, data):
+    @given(finite_games(), st.sampled_from([None, 0.5, 0.999]), st.data())
+    def test_matches_reference_on_random_sets(self, spec, delta, data):
         # chunks of one row, of one block, of one block and a row, of a few
         # blocks and of the default size: S, the powers of ten and a last
         # part of a block fall anywhere in a chunk
         rows = data.draw(st.sampled_from([1, 3 * spec.m, 3 * spec.m + 1, 100, 504]))
         with mock.patch.object(cli, "CHUNK_ROWS", rows):
-            assert_writer_matches_reference(spec, delta, rule, seed=3)
+            assert_writer_matches_reference(spec, delta)
 
-    @pytest.mark.parametrize("rule", [TIE_LOWEST, TIE_HIGHEST])
-    def test_rows_from_the_repeat_start_are_formatted_once(self, rule, monkeypatch):
+    def test_rows_from_the_repeat_start_are_formatted_once(self, monkeypatch):
         # rows 1..S-1 and the cycle S..computed are formatted; every later
         # row is joined from the cycle's text: those of the chunk that holds
         # S, of the block that holds k=10000 and of the last chunk, which
         # ends inside a block
         spec = GameSpec(20_000, 4, truncated_simplex([0.01] * 4))
-        vt = solve(spec, rule)
+        vt = solve(spec)
         start = vt.computed - vt.period + 1
         cells = spied(monkeypatch, "_cells")
-        assert_writer_matches_reference(spec, 0.9, rule)
+        assert_writer_matches_reference(spec, 0.9)
         assert sum(len(cols) for cols, in cells) <= start - 1 + vt.period
 
     @settings(max_examples=40)
@@ -1370,18 +1338,19 @@ class TestValuesWriter:
         monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
         size = 12 * max(1, rows // 12)
         if part == "before S":
-            # no repeat below k=26116; a seeded_random table never repeats
-            tables = [(10_010, truncated_simplex([0.001] * 4), TIE_LOWEST)]
+            # no repeat below k=26116 at eps=0.001, nor below k=122625 at
+            # eps=2e-4
+            tables = [(10_010, truncated_simplex([0.001] * 4))]
             if rows == 512:
-                tables.append((100_010, truncated_simplex([0.05] * 4), TIE_RANDOM))
+                tables.append((100_010, truncated_simplex([2e-4] * 4)))
         else:
             # pure moves repeat from k=1, eps=0.05 from k=505
             pure = finite_set(np.eye(4).tolist())
-            tables = [(1010, pure, TIE_LOWEST), (100_010, truncated_simplex([0.05] * 4), TIE_LOWEST)]
+            tables = [(1010, pure), (100_010, truncated_simplex([0.05] * 4))]
         covered = set()
-        for n, K, rule in tables:
-            vt = solve(GameSpec(n, 4, K), rule, seed=1)
-            start = vt.computed - vt.period + 1 if vt.picks.size == vt.computed else n + 1
+        for n, K in tables:
+            vt = solve(GameSpec(n, 4, K))
+            start = vt.computed - vt.period + 1
             _, *chunks = _values_csv(vt, deviation_series(vt), 0.9)
             for edge in sorted(EDGES):
                 if edge + 10 > n or (edge - 1 >= start) != (part == "from S"):
@@ -1393,7 +1362,8 @@ class TestValuesWriter:
                 got = lines[ks.start - 1 - first * size : ks.stop - 1 - first * size]
                 assert "".join(got) == _reference_rows(vt, 0.9, ks), edge
                 covered.add(edge)
-        # a seeded_random table of 10^5 rows takes a while: only in big chunks
+        # a table of 10^5 rows, none of them repeated, takes a while: only in
+        # big chunks
         assert covered == (EDGES if part == "from S" or rows == 512 else EDGES - {100_000})
 
     @pytest.mark.parametrize("delta", [0.5, 0.8363636363636363, 0.99])

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,19 +11,19 @@ from bachet_lottery import (
     GameSpec,
     LotterySet,
     SimConfig,
-    TIE_HIGHEST,
-    TIE_LOWEST,
-    TIE_RANDOM,
     finite_set,
+    one_shot_deviation_gap,
     payoff_kernel,
     solve,
     truncated_simplex,
     validate_lottery,
 )
 from bachet_lottery import cli, engine
-from bachet_lottery.engine import TIE_RULES, TIE_TOL
+from bachet_lottery.engine import TIE_TOL
 from bachet_lottery.errors import DegenerateSetError
+from test_acceptance import other_tie_breaks, replayed_values, tie_break
 from test_cli import WRITER_SETS, finite_games
+from test_oracles import _reference_gap, _with_picks
 
 HALF = finite_set([[0.5, 0.5]])
 
@@ -176,23 +177,14 @@ class TestSolve:
                 i for i, v in enumerate(vals) if v >= max(vals) - TIE_TOL
             )
 
-    def test_tie_rule_value_invariance(self):
+    def test_tie_break_value_invariance(self):
+        # playing another tied candidate gives the lowest-index table's values
         K = finite_set([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
         spec = GameSpec(60, 2, K)
-        base = solve(spec, TIE_LOWEST)
-        for rule, seed in ((TIE_HIGHEST, 0), (TIE_RANDOM, 7), (TIE_RANDOM, 8)):
-            other = solve(spec, rule, seed=seed)
-            assert all(
-                abs(base.p(k) - other.p(k)) <= 1e-12 for k in range(1, 61)
-            )
-
-    def test_seeded_random_is_reproducible(self):
-        K = finite_set([[0.5, 0.5], [0.5, 0.5]])
-        spec = GameSpec(30, 2, K)
-        a = solve(spec, TIE_RANDOM, seed=3)
-        b = solve(spec, TIE_RANDOM, seed=3)
-        k = np.arange(1, 31)
-        assert (a.argmax(k) == b.argmax(k)).all()
+        base = solve(spec)
+        for choose in other_tie_breaks(7, 8):
+            replay = replayed_values(spec, choose)
+            assert all(abs(base.p(k) - v) <= 1e-12 for k, v in enumerate(replay, 1))
 
     @settings(max_examples=25)
     @given(st.lists(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=2), min_size=1, max_size=4))
@@ -220,12 +212,12 @@ class TestSolve:
         assert hash(SimConfig(table=a, **cfg)) == hash(SimConfig(table=a, **cfg))
 
 
-def _reference_solve(spec, tie_rule, seed):
+def _reference_solve(spec):
     """(p_ext, argmax, tie_sets) from the recursion at every pile size,
-    with the move picked inside the loop and no cycle detection."""
+    with the lowest-index move picked inside the loop and no cycle
+    detection."""
     kernel = payoff_kernel(spec.K.lotteries)
     m, n = spec.m, spec.n
-    rng = random.Random(seed)
     p = [1.0] * m + [0.0] * n
     argmax = np.zeros(n, dtype=np.int64)
     tie_sets = [()] * n
@@ -234,22 +226,17 @@ def _reference_solve(spec, tie_rule, seed):
         vals = kernel(*p[a - m : a])
         best = max(vals)
         ties = tuple(i for i, v in enumerate(vals) if v >= best - TIE_TOL)
-        if tie_rule == TIE_LOWEST:
-            argmax[k - 1] = ties[0]
-        elif tie_rule == TIE_HIGHEST:
-            argmax[k - 1] = ties[-1]
-        else:
-            argmax[k - 1] = ties[rng.randrange(len(ties))]
+        argmax[k - 1] = ties[0]
         tie_sets[k - 1] = ties
         p[a] = best
     return np.asarray(p), argmax, tuple(tie_sets)
 
 
-def assert_matches_reference(spec, tie_rule, seed=0):
-    vt = solve(spec, tie_rule, seed=seed)
+def assert_matches_reference(spec):
+    vt = solve(spec)
     # solve runs the recursion only; the ties are worked out on first read
     assert "tie_mask" not in vt.__dict__ and "picks" not in vt.__dict__
-    p_ext, argmax, tie_sets = _reference_solve(spec, tie_rule, seed)
+    p_ext, argmax, tie_sets = _reference_solve(spec)
     assert vt.p_ext.dtype == p_ext.dtype and vt.p_ext.tobytes() == p_ext.tobytes()
     moves = vt.argmax(np.arange(1, spec.n + 1))
     assert moves.dtype == argmax.dtype and moves.tobytes() == argmax.tobytes()
@@ -300,47 +287,31 @@ class TestCycleDetection:
     """solve stops at a repeated state and fills the periodic tail; the
     table must be the one the full recursion computes, bit for bit."""
 
-    @pytest.mark.parametrize("rule", TIE_RULES)
     @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
-    def test_matches_reference_around_detection(self, label, K, detect, rule):
+    def test_matches_reference_around_detection(self, label, K, detect):
         for n in (detect - 1, detect, detect + 1, 2 * detect + 3):
-            assert_matches_reference(GameSpec(n, K.m, K), rule, seed=n)
+            assert_matches_reference(GameSpec(n, K.m, K))
 
-    @pytest.mark.parametrize("rule", TIE_RULES)
-    def test_matches_reference_before_any_repeat(self, rule):
+    def test_matches_reference_before_any_repeat(self):
         # the transients last 2716 and 30697 pile sizes
-        assert_matches_reference(GameSpec(2000, 4, truncated_simplex([0.01] * 4)), rule, 1)
-        assert_matches_reference(GameSpec(3000, 3, truncated_simplex([0.001] * 3)), rule, 2)
+        assert_matches_reference(GameSpec(2000, 4, truncated_simplex([0.01] * 4)))
+        assert_matches_reference(GameSpec(3000, 3, truncated_simplex([0.001] * 3)))
 
     @settings(max_examples=60)
-    @given(lottery_sets(), st.integers(1, 3000), st.sampled_from(TIE_RULES), st.integers(0, 3))
-    def test_matches_reference_on_random_sets(self, case, n, rule, seed):
+    @given(lottery_sets(), st.integers(1, 3000))
+    def test_matches_reference_on_random_sets(self, case, n):
         cands, _ = case
-        assert_matches_reference(GameSpec(n, cands[0].m, LotterySet(tuple(cands))), rule, seed)
+        assert_matches_reference(GameSpec(n, cands[0].m, LotterySet(tuple(cands))))
 
-    @pytest.mark.parametrize(
-        "rule, seed", [(TIE_LOWEST, 0), (TIE_HIGHEST, 0), (TIE_RANDOM, 0), (TIE_RANDOM, 9)]
-    )
     @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
-    def test_prefix_of_longer_solve(self, label, K, detect, rule, seed):
-        full = solve(GameSpec(3 * detect, K.m, K), rule, seed=seed)
+    def test_prefix_of_longer_solve(self, label, K, detect):
+        full = solve(GameSpec(3 * detect, K.m, K))
         for n in (1, detect - 1, detect, detect + 1, 2 * detect + 1):
-            part = solve(GameSpec(n, K.m, K), rule, seed=seed)
+            part = solve(GameSpec(n, K.m, K))
             assert part.p_ext.tobytes() == full.p_ext[: n + K.m].tobytes()
             k = np.arange(1, n + 1)
             assert part.argmax(k).tobytes() == full.argmax(k).tobytes()
             assert part.tie_sets == full.tie_sets[:n]
-
-    def test_unknown_tie_rule_rejected_first(self, monkeypatch):
-        def no_code(shape):
-            pytest.fail("loop built before the tie rule was checked")
-
-        # the cache may hold this shape already; the builder behind it is
-        # replaced, so reaching it fails either way
-        solve(GameSpec(5, 2, HALF))
-        monkeypatch.setattr(engine, "_generated", no_code)
-        with pytest.raises(ValueError, match="'no_such_rule'"):
-            solve(GameSpec(5, 2, HALF), "no_such_rule")
 
 
 def _random_set(rng, count, m):
@@ -371,18 +342,16 @@ SHAPE_IDS = [label for label, _, _ in SHAPES]
 class TestGeneratedLoop:
     """Each shape of the generated recursion against the full recursion."""
 
-    @pytest.mark.parametrize("rule", TIE_RULES)
     @pytest.mark.parametrize("label, K, detect", SHAPES, ids=SHAPE_IDS)
-    def test_matches_reference(self, label, K, detect, rule):
+    def test_matches_reference(self, label, K, detect):
         m = K.m
         for n in (1, m, detect - 1, detect, 2 * detect + 3):
-            vt = assert_matches_reference(GameSpec(n, m, K), rule, seed=n)
+            vt = assert_matches_reference(GameSpec(n, m, K))
             # vt.p_ext is the full recursion's, bit for bit
             assert_keeps_the_first_period(vt, vt.p_ext)
             assert vt.tie_mask.shape == (vt.computed, len(K.lotteries))
 
-    @pytest.mark.parametrize("rule", TIE_RULES)
-    def test_long_sums_match_reference(self, rule):
+    def test_long_sums_match_reference(self):
         # sums of more terms than one generated `+` chain holds are written
         # as several statements: distinct weights (plain products) and one
         # weight at every position (a window of products)
@@ -392,7 +361,7 @@ class TestGeneratedLoop:
         K = finite_set([[w / sum(v) for w in v], [1 / m] * m])
         tail = [rng.random() for _ in range(m)]
         assert win_probs(K.lotteries, tail) == tuple(reference_payoff(c, tail) for c in K.lotteries)
-        assert_matches_reference(GameSpec(3 * m, m, K), rule, seed=m)
+        assert_matches_reference(GameSpec(3 * m, m, K))
 
     def test_cases_have_their_shape(self):
         single, zero_first, many, two, six, twins, tilted, spread = (K for _, K, _ in SHAPES)
@@ -439,15 +408,14 @@ class TestSharedProducts:
     for bit."""
 
     @settings(max_examples=80)
-    @given(pooled_sets(), st.integers(1, 1500), st.integers(0, 3))
-    def test_pooled_weights_match_reference(self, K, n, seed):
+    @given(pooled_sets(), st.integers(1, 1500))
+    def test_pooled_weights_match_reference(self, K, n):
         spec = GameSpec(n, K.m, K)
-        for rule in TIE_RULES:
-            vt = solve(spec, rule, seed=seed)
-            p_ext, argmax, _ = _reference_solve(spec, rule, seed)
-            assert vt.p_ext.tobytes() == p_ext.tobytes()
-            assert_keeps_the_first_period(vt, p_ext)
-            assert vt.argmax(np.arange(1, n + 1)).tobytes() == argmax.tobytes()
+        vt = solve(spec)
+        p_ext, argmax, _ = _reference_solve(spec)
+        assert vt.p_ext.tobytes() == p_ext.tobytes()
+        assert_keeps_the_first_period(vt, p_ext)
+        assert vt.argmax(np.arange(1, n + 1)).tobytes() == argmax.tobytes()
 
 
 class TestLeastSum:
@@ -548,14 +516,10 @@ class TestCompiledOncePerShape:
 CYCLE_REPEATS = dict(zip(CYCLE_IDS, ((969, 3), (628, 4), (2715, 5), (209, 1), (0, 4), (157, 1))))
 
 
-def _picker_pass(vt, rule, seed):
-    """The moves at 1..n as one picker mapped over all n tie sets in k order."""
-    if rule == TIE_RANDOM:
-        rng = random.Random(seed)
-        picks = [t[rng.randrange(len(t))] for t in vt.tie_sets]
-    else:
-        picks = [t[0] if rule == TIE_LOWEST else t[-1] for t in vt.tie_sets]
-    return np.array(picks, dtype=np.int64)
+def _picker_pass(vt):
+    """The moves at 1..n as the lowest index of each of the n tie sets in k
+    order."""
+    return np.array([t[0] for t in vt.tie_sets], dtype=np.int64)
 
 
 # (m, eps, the pile size at which solve stopped when its saved state moved
@@ -584,7 +548,7 @@ class TestCycleFields:
         shape, weights = engine._shape(K.lotteries)
         period = engine._generated(shape)(*weights, p.append, 10**6, *p)
         stop = len(p) - m
-        p_ext, _, _ = _reference_solve(GameSpec(stop, m, K), TIE_LOWEST, 0)
+        p_ext, _, _ = _reference_solve(GameSpec(stop, m, K))
         assert np.array(p).tobytes() == p_ext.tobytes()
         mu, lam = _first_repeat(p_ext, m)
         assert period == lam
@@ -596,17 +560,16 @@ class TestCycleFields:
     @pytest.mark.parametrize("label, K", [*((label, K) for label, K, _ in CYCLES), *WRITER_SETS],
                              ids=[*CYCLE_IDS, *(f"writer {label}" for label, _ in WRITER_SETS)])
     def test_keeps_the_first_period(self, label, K):
-        tables = [solve(GameSpec(10**6, K.m, K), rule, seed=1) for rule in TIE_RULES]
-        p_ext, _, _ = _reference_solve(GameSpec(tables[0].computed, K.m, K), TIE_LOWEST, 0)
-        for vt in tables:
-            assert vt.period > 0
-            assert_keeps_the_first_period(vt, p_ext)
+        vt = solve(GameSpec(10**6, K.m, K))
+        p_ext, _, _ = _reference_solve(GameSpec(vt.computed, K.m, K))
+        assert vt.period > 0
+        assert_keeps_the_first_period(vt, p_ext)
 
     @settings(max_examples=60)
-    @given(finite_games(), st.sampled_from(TIE_RULES), st.integers(0, 3))
-    def test_keeps_the_first_period_of_random_games(self, spec, rule, seed):
-        vt = solve(spec, rule, seed=seed)
-        p_ext, _, _ = _reference_solve(spec, rule, seed)
+    @given(finite_games())
+    def test_keeps_the_first_period_of_random_games(self, spec):
+        vt = solve(spec)
+        p_ext, _, _ = _reference_solve(spec)
         assert_keeps_the_first_period(vt, p_ext)
 
     @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
@@ -630,12 +593,11 @@ class TestCycleFields:
             assert vt.p_ext[c:].tobytes() == vt.p_ext[c - period : vt.p_ext.size - period].tobytes()
             assert vt.tie_sets[c:] == vt.tie_sets[c - period : n - period]
 
-    @pytest.mark.parametrize("rule", TIE_RULES)
     @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
-    def test_moves_equal_picker_pass(self, label, K, detect, rule):
+    def test_moves_equal_picker_pass(self, label, K, detect):
         for n in (detect - 1, detect, detect + 1, 3 * detect + 2):
-            vt = solve(GameSpec(n, K.m, K), rule, seed=n)
-            want = _picker_pass(vt, rule, n)
+            vt = solve(GameSpec(n, K.m, K))
+            want = _picker_pass(vt)
             moves = vt.argmax(np.arange(1, n + 1))
             assert moves.dtype == want.dtype and moves.tobytes() == want.tobytes()
 
@@ -644,14 +606,13 @@ class TestFoldedReads:
     """The table keeps the evaluated prefix; ``p(k)``, ``argmax(k)`` and the
     dense properties read every later pile size by going back whole periods."""
 
-    @pytest.mark.parametrize("rule", TIE_RULES)
     @pytest.mark.parametrize("label, K, detect", CYCLES, ids=CYCLE_IDS)
-    def test_reads_match_reference(self, label, K, detect, rule):
+    def test_reads_match_reference(self, label, K, detect):
         n = 3 * detect + 2
-        vt = solve(GameSpec(n, K.m, K), rule, seed=n)
-        p_ext, argmax, _ = _reference_solve(GameSpec(n, K.m, K), rule, n)
+        vt = solve(GameSpec(n, K.m, K))
+        p_ext, argmax, _ = _reference_solve(GameSpec(n, K.m, K))
         assert vt.p_prefix.size == vt.computed + K.m
-        assert vt.picks.size == (n if rule == TIE_RANDOM else vt.computed)
+        assert vt.picks.size == vt.computed
         assert [vt.p(k) for k in range(1 - K.m, n + 1)] == p_ext.tolist()
         k = np.arange(1, n + 1)
         assert vt.argmax(k).tobytes() == argmax.tobytes()
@@ -666,11 +627,10 @@ class TestFoldedReads:
         assert vt.p(n) == vt.p(632) and vt.p(n - 1) == vt.p(631)
         assert vt.argmax(np.array([n, n - 1])).tolist() == vt.argmax(np.array([632, 631])).tolist()
 
-    @pytest.mark.parametrize("rule", TIE_RULES)
-    def test_moves_outside_the_game_rejected(self, rule):
-        small = solve(GameSpec(10, 2, finite_set([[0.7, 0.3], [0.3, 0.7]])), rule)
-        # the picks run to 2000 under seeded_random, to 632 otherwise
-        long = solve(GameSpec(2000, 3, truncated_simplex([0.05] * 3)), rule)
+    def test_moves_outside_the_game_rejected(self):
+        small = solve(GameSpec(10, 2, finite_set([[0.7, 0.3], [0.3, 0.7]])))
+        # the picks run to 632 of the 2000 pile sizes
+        long = solve(GameSpec(2000, 3, truncated_simplex([0.05] * 3)))
         for vt in (small, long):
             n = vt.n
             assert vt.argmax(np.array([1, n])).tolist() == [vt.argmax(1), vt.argmax(n)]
@@ -717,6 +677,59 @@ class TestFoldedReads:
             for repeat in (period, 0):
                 with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
                     engine.fold(np.array([k, bad]), n, computed, repeat)
+
+
+# the tie breaks a table does not play: the last tied candidate, or one drawn
+# per pile size by random.Random(1) or random.Random(2)
+TIE_BREAKS = pytest.mark.parametrize("seed", [None, 1, 2], ids=["last tied", "Random(1)", "Random(2)"])
+# the pile size at which the loop stops on the writer's sets that CYCLES lacks
+WRITER_STOPS = {"simplex m=4": 542, "simplex m=5": 451, "|K|=12 pair set": 339, "zero-weight set": 137}
+TIE_BREAK_CASES = [
+    *CYCLES,
+    *((f"shape {label}", K, detect) for label, K, detect in SHAPES),
+    *((f"writer {label}", K, WRITER_STOPS[label]) for label, K in WRITER_SETS if label in WRITER_STOPS),
+]
+TIE_BREAK_SETS = pytest.mark.parametrize(
+    "label, K, detect", TIE_BREAK_CASES, ids=[label for label, _, _ in TIE_BREAK_CASES]
+)
+
+
+@TIE_BREAK_SETS
+@TIE_BREAKS
+class TestOtherTieBreaks:
+    """A table plays the lowest-index tied candidate.  Another tie break,
+    drawn from the test side at every pile size 1..n of a game past its
+    repeat and set as a table's picks, is read back as it was set, and no
+    single-state deviation from it gains more than TIE_TOL.  (Replayed on
+    its own values it may drift from the table's by more than 1e-12 over a
+    long game: a TIE_TOL tie is a near-tie.)"""
+
+    def test_reads_of_a_policy_a_caller_sets(self, label, K, detect, seed):
+        # n picks are read as they are; the first computed of them are read
+        # past computed by going back whole periods, onto a tied candidate
+        n = 2 * detect + 3
+        vt = solve(GameSpec(n, K.m, K))
+        choose = tie_break(seed)
+        drawn = np.fromiter((choose(t) for t in vt.tie_sets), np.int64, n)
+        k = np.arange(1, n + 1)
+        assert _with_picks(vt, drawn).argmax(k).tobytes() == drawn.tobytes()
+        c, period = vt.computed, vt.period
+        assert 0 < period and c < n
+        back = np.where(k <= c, k, c - period + (k - c - 1) % period + 1)
+        moves = _with_picks(vt, drawn[:c]).argmax(k)
+        assert moves.tobytes() == drawn[back - 1].tobytes()
+        assert all(j in ties for j, ties in zip(moves.tolist(), vt.tie_sets))
+
+    def test_policy_is_a_best_response(self, label, K, detect, seed):
+        # no single-state deviation gains more than TIE_TOL, the gap's loop
+        # past computed agreeing with the per-pile-size loop bit for bit
+        n = 2 * detect + 3
+        vt = solve(GameSpec(n, K.m, K))
+        choose = tie_break(seed)
+        forced = _with_picks(vt, np.fromiter((choose(t) for t in vt.tie_sets), np.int64, n))
+        gap = one_shot_deviation_gap(forced)
+        assert struct.pack("<d", gap) == struct.pack("<d", _reference_gap(forced))
+        assert gap <= TIE_TOL
 
 
 # the n at which the property test looks for where the loop stops on a set

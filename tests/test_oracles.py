@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import struct
 import tracemalloc
 
@@ -23,7 +24,6 @@ from bachet_lottery import (
     validate_lottery,
 )
 from bachet_lottery import engine
-from bachet_lottery.engine import TIE_LOWEST, TIE_RANDOM, TIE_RULES
 from bachet_lottery.errors import InstanceTooLargeError
 from bachet_lottery.lotteries import SUM_TOL
 from bachet_lottery.oracles import draw_stream
@@ -131,11 +131,10 @@ class TestEstimateWinProb:
     def test_trailing_zero_weight(self):
         # the last cumulative threshold is 1.0, which no draw reaches
         K = finite_set([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-        for rule in TIE_RULES:
-            vt = solve(GameSpec(30, 3, K), rule)
-            for n in (1, 2, 3, 17, 30):
-                cfg = SimConfig(table=vt, n=n, replications=40, seed=n)
-                assert estimate_win_prob(cfg) == _reference_result(cfg)
+        vt = solve(GameSpec(30, 3, K))
+        for n in (1, 2, 3, 17, 30):
+            cfg = SimConfig(table=vt, n=n, replications=40, seed=n)
+            assert estimate_win_prob(cfg) == _reference_result(cfg)
 
     @settings(max_examples=120)
     @given(st.data())
@@ -157,8 +156,7 @@ class TestEstimateWinProb:
                 probs[i] = min(1.0, max(0.0, probs[i] + off))
                 lots.append(validate_lottery(probs))
             K = LotterySet(tuple(lots))
-        vt = solve(GameSpec(data.draw(st.integers(1, 80)), m, K),
-                   data.draw(st.sampled_from(TIE_RULES)), seed=data.draw(st.integers(0, 9)))
+        vt = solve(GameSpec(data.draw(st.integers(1, 80)), m, K))
         if data.draw(st.booleans()):
             # an arbitrary policy, so that every candidate gets played
             seed = data.draw(st.integers(0, 2**32 - 1))
@@ -362,8 +360,7 @@ class TestOneShotDeviation:
         ).filter(lambda v: sum(v) > 0.0)
         raw = data.draw(st.lists(weights, min_size=1, max_size=8))
         K = LotterySet(tuple(validate_lottery([w / sum(v) for w in v]) for v in raw))
-        vt = solve(GameSpec(data.draw(st.integers(1, 3000)), m, K),
-                   data.draw(st.sampled_from(TIE_RULES)), seed=data.draw(st.integers(0, 9)))
+        vt = solve(GameSpec(data.draw(st.integers(1, 3000)), m, K))
         if data.draw(st.booleans()):
             # an arbitrary policy, so that deviations gain something
             seed = data.draw(st.integers(0, 2**32 - 1))
@@ -375,32 +372,33 @@ class TestOneShotDeviation:
 
     def test_prefix_only_at_large_n(self):
         # the table keeps pile sizes 1..632 at n = 1e6: the gap reads 632
-        # columns, also under seeded_random, which stores 1e6 picks.  The
-        # picks are read first, so their tie pass is not counted
-        spec = GameSpec(10**6, 3, truncated_simplex([0.05] * 3))
-        for rule, gap in ((TIE_LOWEST, 9.287015600989434e-13), (TIE_RANDOM, 9.988676552552533e-13)):
-            vt = solve(spec, rule)
-            vt.picks
+        # columns, also for a policy of 1e6 picks, one tied candidate drawn
+        # per pile size.  The picks are made first, so their tie pass is not
+        # counted
+        vt = solve(GameSpec(10**6, 3, truncated_simplex([0.05] * 3)))
+        rng = random.Random(0)
+        drawn = np.fromiter((t[rng.randrange(len(t))] for t in vt.tie_sets), np.int64, vt.n)
+        for table, gap in ((vt, 9.287015600989434e-13), (_with_picks(vt, drawn), 9.988676552552533e-13)):
+            table.picks
             tracemalloc.start()
             try:
-                got = one_shot_deviation_gap(vt)
+                got = one_shot_deviation_gap(table)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert struct.pack("<d", got) == struct.pack("<d", gap), rule
-            assert peak < 1 << 20, rule
+            assert struct.pack("<d", got) == struct.pack("<d", gap), table.picks.size
+            assert peak < 1 << 20, table.picks.size
 
     def test_read_order_does_not_matter(self):
         # the gap and the moves read the same payoffs of the prefix, whether
         # the gap or the picks are read first
         spec = GameSpec(100, 3, truncated_simplex([0.05] * 3))
-        for rule in TIE_RULES:
-            fresh, read = solve(spec, rule, seed=4), solve(spec, rule, seed=4)
-            want = read.picks
-            gap = one_shot_deviation_gap(fresh)
-            assert fresh.picks.tobytes() == want.tobytes()
-            assert fresh.tie_mask.tobytes() == read.tie_mask.tobytes()
-            assert one_shot_deviation_gap(read) == gap
+        fresh, read = solve(spec), solve(spec)
+        want = read.picks
+        gap = one_shot_deviation_gap(fresh)
+        assert fresh.picks.tobytes() == want.tobytes()
+        assert fresh.tie_mask.tobytes() == read.tie_mask.tobytes()
+        assert one_shot_deviation_gap(read) == gap
 
     def test_gain_past_computed_counts(self):
         # Bachet's game repeats from pile size 1, so the table keeps 1..4:
