@@ -1,61 +1,18 @@
 """Equilibrium solver and convergence verifier for a misère take-away
-game whose moves are lotteries over {1, ..., m}."""
+game whose moves are lotteries over {1, ..., m}.
 
-from .analysis import (
-    BoundReport,
-    DeviationSeries,
-    DropConstants,
-    check_corridor,
-    check_drop_down,
-    check_envelope,
-    check_km_bound,
-    check_monotonicity,
-    check_no_long_winning,
-    check_plus_minus,
-    deviation_series,
-    drop_constants,
-    run_checks,
-)
-from .engine import ValueTable, payoff_kernel, solve
-from .lotteries import (
-    ConditionReport,
-    GameSpec,
-    Lottery,
-    LotterySet,
-    candidate_set,
-    compute_conditions,
-    finite_set,
-    truncated_simplex,
-    validate_lottery,
-)
-from .oracles import (
-    SimConfig,
-    SimResult,
-    brute_force_values,
-    estimate_win_prob,
-    one_shot_deviation_gap,
-)
+The root exports the library surface: a game, its solve, its checks and
+the oracles.  Every other name is imported from its own module."""
+
+from .analysis import deviation_series, drop_constants, run_checks
+from .engine import payoff_kernel, solve
+from .lotteries import GameSpec, compute_conditions, finite_set, truncated_simplex
+from .oracles import SimConfig, brute_force_values, estimate_win_prob, one_shot_deviation_gap
 
 __all__ = [
-    "BoundReport",
-    "ConditionReport",
-    "DeviationSeries",
-    "DropConstants",
     "GameSpec",
-    "Lottery",
-    "LotterySet",
     "SimConfig",
-    "SimResult",
-    "ValueTable",
     "brute_force_values",
-    "candidate_set",
-    "check_corridor",
-    "check_drop_down",
-    "check_envelope",
-    "check_km_bound",
-    "check_monotonicity",
-    "check_no_long_winning",
-    "check_plus_minus",
     "compute_conditions",
     "deviation_series",
     "drop_constants",
@@ -66,5 +23,4 @@ __all__ = [
     "run_checks",
     "solve",
     "truncated_simplex",
-    "validate_lottery",
 ]

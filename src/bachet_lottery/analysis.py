@@ -42,9 +42,7 @@ class DeviationSeries:
     table's period, because each window W_k with k >= computed holds only
     values that repeat.  A check reads at most 3m pile sizes back, so its
     inputs repeat from k = computed + 3m on, and the arrays reach one
-    period past that (see ``_folded``).  The accessors read any k in 1..n
-    by going back whole periods (see ``engine.fold``), and extend below
-    k = 1 with the boundary values.
+    period past that (see ``_folded``).
 
     Round-to-nearest is monotone and odd, so the window maxima of Delta
     and DeltaMinus are, bit for bit, max(fl(p_max - 1/2), fl(1/2 - p_min))
@@ -68,25 +66,9 @@ class DeviationSeries:
 
     def index(self, k):
         """The array index that holds pile size k, an int or an integer
-        array of pile sizes in 1..n; any other pile size raises ValueError
-        (``engine.fold``)."""
+        array of pile sizes in 1..n: ``series[ds.index(k)]`` reads any
+        series at k.  Any other pile size raises ValueError (``engine.fold``)."""
         return fold(k, self.n, self.computed, self.period) - 1
-
-    def _at(self, series: np.ndarray, k: int, boundary: float) -> float:
-        """``series`` at pile size k in 1..n, ``boundary`` for k <= 0; a
-        larger k raises ValueError."""
-        if k <= 0:
-            return boundary
-        return float(series[self.index(k)])
-
-    def delta_at(self, k: int) -> float:
-        return self._at(self.delta, k, 0.5)
-
-    def dbar(self, k: int) -> float:
-        return self._at(self.delta_bar, k, 0.5)
-
-    def dbar_minus(self, k: int) -> float:
-        return self._at(self.delta_bar_minus, k, 0.0)
 
 
 def deviation_series(vt: ValueTable) -> DeviationSeries:

@@ -318,9 +318,7 @@ def _drop_constants(cond: ConditionReport, tau: float | None, k_field: str = "ga
         return None
     try:
         return analysis.drop_constants(cond.eta, cond.nu, tau)
-    except TauOutOfRangeError as exc:
-        raise ConfigError(f"tau: {exc}") from exc
-    except InvalidEtaNuError as exc:
+    except (TauOutOfRangeError, InvalidEtaNuError) as exc:
         raise ConfigError(f"{k_field if tau is None else 'tau'}: {exc}") from exc
 
 
@@ -332,10 +330,9 @@ def _cmd_solve(cfg: dict, out: Path, command: str) -> int:
     if not cond.nu_ok:  # only explore-nu-zero gets past _game with nu = 0
         print("warning: nu = 0, convergence hypotheses unmet; bound checks skipped",
               file=sys.stderr)
+    dc = None if explore else _drop_constants(cond, _parse_tau(cfg))
     with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
-        tau = None if explore else _parse_tau(cfg)
         vt = solve(spec)
-        dc = None if explore else _drop_constants(cond, tau)
         ds = analysis.deviation_series(vt)
         _atomic_write(out / "values.csv", _values_csv(vt, ds, None if dc is None else dc.delta))
     summary = {
@@ -355,10 +352,9 @@ def _cmd_verify(cfg: dict, out: Path) -> int:
     if not cond.eta_ok:
         raise ConfigError("game.K: eta = 1 (pure move present); verify needs eta < 1")
     kappa_grid = _parse_kappa_grid(cfg)
+    dc = _drop_constants(cond, _parse_tau(cfg))
     with _fits_in_memory("game.n", f"{spec.n} pile sizes"):
-        tau = _parse_tau(cfg)
         vt = solve(spec)
-        dc = _drop_constants(cond, tau)
         reports = analysis.run_checks(analysis.deviation_series(vt), dc, kappa_grid)
     total_violations = sum(r.violation_count for r in reports)
     report = {
@@ -457,9 +453,10 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         raise ConfigError("sweep: needs n_values or epsilon_values")
 
     tau = _parse_tau(cfg)
+    # every run's constants before the first run of the loop
+    dcs = [_drop_constants(cond, tau, k_field) for _, cond, _, k_field, _ in runs]
     lines = [SWEEP_HEADER]
-    for spec, cond, n_field, k_field, ns in runs:
-        dc = _drop_constants(cond, tau, k_field)
+    for (spec, cond, n_field, _, ns), dc in zip(runs, dcs):
         delta = "" if dc is None else "%.17g" % dc.delta
         with _fits_in_memory(n_field, f"{spec.n} pile sizes"):
             p = values_at(spec, ns)

@@ -76,7 +76,8 @@ class ValueTable:
     @cached_property
     def p_ext(self) -> np.ndarray:
         """p_k for k = -(m-1)..n, index k + m - 1: the dense form, built on
-        first read; no package code reads it."""
+        first read.  Its only reader is ``bench/spans.py``; it goes with
+        ROADMAP item 3(a)."""
         return self.p_upto(self.n)
 
     @cached_property
@@ -100,8 +101,8 @@ class ValueTable:
     def tie_sets(self) -> tuple[tuple[int, ...], ...]:
         """``tie_sets[k-1]``: the indices of all candidates within TIE_TOL of
         the maximum at pile size k, for k = 1..n: the dense form, built on
-        first read; no package code reads it.  Past computed the last
-        ``period`` sets repeat."""
+        first read.  Past computed the last ``period`` sets repeat.  Its
+        only reader is ``bench/spans.py``; it goes with ROADMAP item 3(a)."""
         sets = [tuple(itertools.compress(range(len(self.candidates)), row))
                 for row in self.tie_mask.tolist()]
         cycle = itertools.cycle(sets[len(sets) - self.period :])

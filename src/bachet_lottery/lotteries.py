@@ -135,7 +135,8 @@ def truncated_simplex(epsilon: Sequence[float]) -> LotterySet:
 
 
 def candidate_set(K: LotterySet) -> list[Lottery]:
-    """Finite candidate list sufficient for affine maximization over K."""
+    """Finite candidate list sufficient for affine maximization over K.
+    Its only reader is ``bench/spans.py``; it goes with ROADMAP item 3(a)."""
     return list(K.lotteries)
 
 

@@ -18,7 +18,6 @@ from bachet_lottery import (
     SimConfig,
     brute_force_values,
     compute_conditions,
-    deviation_series,
     drop_constants,
     estimate_win_prob,
     finite_set,
@@ -92,9 +91,11 @@ def test_criterion_4_convergence_at_desk_scale():
         dc = drop_constants(cond.eta, cond.nu)
         n_star = 1 + 3 * m * math.ceil(math.log(2e-3) / math.log(dc.delta))
         n = max(2 * n_star, 2_000)
-        ds = deviation_series(solve(GameSpec(n, m, K)))
-        assert all(ds.delta_at(k) < 1e-3 for k in range(n_star, n + 1)), label
-        bars = [ds.dbar(k) for k in range(1, n + 1)]
+        vt = solve(GameSpec(n, m, K))
+        # Delta_k for k = 1-m..n at index k + m - 1, with p_s = 1 for s <= 0
+        delta = [abs(vt.p(k) - 0.5) for k in range(1 - m, n + 1)]
+        assert all(delta[k + m - 1] < 1e-3 for k in range(n_star, n + 1)), label
+        bars = [max(delta[k : k + m]) for k in range(1, n + 1)]  # over W_k
         assert all(bars[i + 1] <= bars[i] + 1e-15 for i in range(n - 1)), label
     ten = finite_set([[0.1 + 0.08 * i, 0.9 - 0.08 * i] for i in range(10)])
     t0 = time.perf_counter()

@@ -9,15 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bachet_lottery import (
-    DropConstants,
     GameSpec,
-    check_corridor,
-    check_drop_down,
-    check_envelope,
-    check_km_bound,
-    check_monotonicity,
-    check_no_long_winning,
-    check_plus_minus,
     compute_conditions,
     deviation_series,
     drop_constants,
@@ -25,6 +17,16 @@ from bachet_lottery import (
     run_checks,
     solve,
     truncated_simplex,
+)
+from bachet_lottery.analysis import (
+    DropConstants,
+    check_corridor,
+    check_drop_down,
+    check_envelope,
+    check_km_bound,
+    check_monotonicity,
+    check_no_long_winning,
+    check_plus_minus,
 )
 from bachet_lottery.errors import InvalidEtaNuError, TauOutOfRangeError
 
@@ -94,9 +96,9 @@ def _assert_p_windows(vt, ds):
     for k, window in enumerate(windows, start=1):
         i = ds.index(k)
         assert (ds.p[i], ds.p_min[i], ds.p_max[i]) == (vt.p(k), min(window), max(window))
-        assert ds.delta_at(k) == abs(vt.p(k) - 0.5)
-        assert ds.dbar(k) == max(abs(x - 0.5) for x in window)
-        assert ds.dbar_minus(k) == max(max(0.0, -(x - 0.5)) for x in window)
+        assert ds.delta[i] == abs(vt.p(k) - 0.5)
+        assert ds.delta_bar[i] == max(abs(x - 0.5) for x in window)
+        assert ds.delta_bar_minus[i] == max(max(0.0, -(x - 0.5)) for x in window)
 
 
 # 1/2 and its neighbours, the ends, the smallest subnormal and normal
@@ -194,14 +196,6 @@ class TestDeviationSeries:
         assert repeats.period > 0 and plain.period == 0
         for vt in (repeats, plain):
             ds, n = deviation_series(vt), vt.n
-            reads = [(ds.delta_at, ds.delta, 0.5), (ds.dbar, ds.delta_bar, 0.5),
-                     (ds.dbar_minus, ds.delta_bar_minus, 0.0)]
-            for read, series, boundary in reads:
-                assert read(n) == series[ds.index(n)]
-                assert read(0) == read(-5) == boundary
-                for bad in (n + 1, 10**6):
-                    with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
-                        read(bad)
             assert ds.index(1) == 0 and ds.index(np.array([1, n])).tolist() == [0, ds.index(n)]
             for bad in (0, -1, n + 1, 10**6, np.array([1, n + 1]), np.array([0, n])):
                 with pytest.raises(ValueError, match=f"^pile size outside 1\\.\\.{n}$"):
@@ -213,14 +207,13 @@ class TestDeviationSeries:
             assert half_series.delta[k - 1] == pytest.approx(want, abs=1e-15)
 
     def test_window_maxima(self, half_series):
-        assert half_series.dbar(2) == 0.5
-        assert half_series.dbar(6) == 0.09375
+        ds = half_series
+        assert ds.delta_bar[ds.index(2)] == 0.5
+        assert ds.delta_bar[ds.index(6)] == 0.09375
 
     def test_boundary_window_gives_half(self, half_series):
         # window of k=1 reaches the boundary entries where Delta = 1/2
-        assert half_series.dbar(1) == 0.5
-        assert half_series.dbar(0) == 0.5
-        assert half_series.dbar(-3) == 0.5
+        assert half_series.delta_bar[half_series.index(1)] == 0.5
 
     def test_p_windows(self, half_table, half_series):
         _assert_p_windows(half_table, half_series)
@@ -308,10 +301,11 @@ class TestDefaultTauIsOptimal:
 
 class TestMonotonicity:
     def test_hand_examples(self, half_series):
-        rep = check_monotonicity(half_series)
+        ds = half_series
+        rep = check_monotonicity(ds)
         assert rep.ok
-        assert half_series.delta_at(4) <= half_series.dbar(3)
-        assert half_series.delta_at(2) <= half_series.dbar(1)
+        assert ds.delta[ds.index(4)] <= ds.delta_bar[ds.index(3)]
+        assert ds.delta[ds.index(2)] <= ds.delta_bar[ds.index(1)]
 
     def test_large_table(self, trunc_series):
         rep = check_monotonicity(trunc_series)
@@ -319,7 +313,8 @@ class TestMonotonicity:
         assert isinstance(rep.extra["delta_bar_strictly_decreasing_per_step"], bool)
 
     def test_bar_sequence_sorted_descending(self, trunc_series):
-        bars = [trunc_series.dbar(k) for k in range(1, trunc_series.n + 1)]
+        ds = trunc_series
+        bars = ds.delta_bar[ds.index(np.arange(1, ds.n + 1))].tolist()
         assert all(bars[i + 1] <= bars[i] + 1e-12 for i in range(len(bars) - 1))
 
 
@@ -378,7 +373,7 @@ class TestKmBound:
 class TestCorridor:
     def test_hand_example(self, half_table, half_series):
         # k = 3: p4 = 0.375 < 1/2, window {p3, p2} = {0.75, 0.5}
-        ceil = 0.5 + half_series.delta_at(4)
+        ceil = 0.5 + half_series.delta[half_series.index(4)]
         lhs = max(half_table.p(3) - ceil, half_table.p(2) - ceil)
         rhs = max(ceil - half_table.p(3), ceil - half_table.p(2))
         assert lhs == pytest.approx(0.125, abs=1e-15)
@@ -409,7 +404,8 @@ class TestDropDown:
         vt = solve(GameSpec(8, 2, HALF))
         ds = deviation_series(vt)
         dc = drop_constants(0.5, 0.5, tau=0.5)
-        assert ds.dbar(7) <= dc.delta * ds.dbar(1) + 1e-15  # 0.09375 <= 1/3
+        bar = ds.delta_bar[ds.index(np.array([7, 1]))]
+        assert bar[0] <= dc.delta * bar[1] + 1e-15  # 0.09375 <= 1/3
         reports = check_drop_down(ds, dc)
         assert all(r.ok for r in reports)
 
@@ -423,7 +419,7 @@ class TestPlusMinus:
     def test_hand_example(self, half_series):
         # k = 2: DeltaPlus_3 = 0.25, DeltaBarMinus_2 = max(0, 0.5) = 0.5
         assert half_series.delta_plus[2] == 0.25
-        assert half_series.dbar_minus(2) == 0.5
+        assert half_series.delta_bar_minus[half_series.index(2)] == 0.5
         assert check_plus_minus(half_series).ok
 
     def test_full_scan(self, trunc_series):
@@ -435,16 +431,15 @@ class TestEnvelope:
         dc = drop_constants(0.5, 0.5, tau=0.5)
         rep = check_envelope(half_series, dc)
         assert rep.ok
-        assert half_series.dbar(13) <= 0.5 * (2.0 / 3.0) ** 2 + 1e-12
+        assert half_series.delta_bar[half_series.index(13)] <= 0.5 * (2.0 / 3.0) ** 2 + 1e-12
 
     def test_convergence_threshold(self, trunc_series, trunc_constants):
         rep = check_envelope(trunc_series, trunc_constants)
         assert rep.ok
         n_star = 1 + 3 * 2 * math.ceil(math.log(2e-3) / math.log(trunc_constants.delta))
         assert n_star <= trunc_series.n
-        assert all(
-            trunc_series.delta_at(k) < 1e-3 for k in range(n_star, trunc_series.n + 1)
-        )
+        ds = trunc_series
+        assert (ds.delta[ds.index(np.arange(n_star, ds.n + 1))] < 1e-3).all()
 
 
 class _RefReport:
@@ -475,16 +470,31 @@ class _RefReport:
         }
 
 
-def _reference_checks(vt, ds, nu, dc, kappa_grid):
+def _per_index(vt):
+    """Delta_k, DeltaBar_k and DeltaBarMinus_k for k = 0..n, each list
+    indexed by k: worked out from the windows W_k of ``vt.p``, with the
+    boundary values p_s = 1 for s <= 0, and not from the series the checks
+    read."""
+    m = vt.m
+    p = [vt.p(k) for k in range(1 - m, vt.n + 1)]  # p_k at index k + m - 1
+    windows = [p[k : k + m] for k in range(vt.n + 1)]  # W_k at index k
+    delta = [abs(x - 0.5) for x in p[m - 1 :]]
+    bar = [max(abs(x - 0.5) for x in w) for w in windows]
+    bar_minus = [max(max(0.0, -(x - 0.5)) for x in w) for w in windows]
+    return delta, bar, bar_minus
+
+
+def _reference_checks(vt, nu, dc, kappa_grid):
     """The per-index loops of every check, in report order."""
     m, n, delta = vt.m, vt.n, dc.delta
+    dk, bar, bar_minus = _per_index(vt)
     mono = _RefReport("monotonicity")
     strict = True
     for k in range(2, n + 1):
-        prev = ds.dbar(k - 1)
-        mono.record(k, ds.delta_at(k), prev)
-        mono.record(k, ds.dbar(k), prev)
-        if ds.dbar(k) >= prev:
+        prev = bar[k - 1]
+        mono.record(k, dk[k], prev)
+        mono.record(k, bar[k], prev)
+        if bar[k] >= prev:
             strict = False
     mono.extra["delta_bar_strictly_decreasing_per_step"] = strict
     runs = _RefReport("no_long_winning")
@@ -499,36 +509,36 @@ def _reference_checks(vt, ds, nu, dc, kappa_grid):
         km = _RefReport(f"km_bound[kappa={kappa!r}]")
         factor = eta / ((2.0 - eta) * (1.0 - kappa))
         for k in range(m + 1, n):
-            bar = 0.5 + (1.0 - kappa) * ds.delta_at(k + 1)
-            if all(vt.p(j) >= bar for j in range(k - m + 1, k + 1)):
-                km.record(k, ds.delta_at(k + 1), factor * ds.delta_at(k - m))
+            threshold = 0.5 + (1.0 - kappa) * dk[k + 1]
+            if all(vt.p(j) >= threshold for j in range(k - m + 1, k + 1)):
+                km.record(k, dk[k + 1], factor * dk[k - m])
         reports.append(km)
     corridor = _RefReport("corridor")
     ratio = nu / (1.0 - nu)
     for k in range(1, n):
         if vt.p(k + 1) >= 0.5:
             continue
-        ceil = 0.5 + ds.delta_at(k + 1)
+        ceil = 0.5 + dk[k + 1]
         window = [vt.p(j) for j in range(k - m + 1, k + 1)]
         corridor.record(k, ratio * max(ceil - p for p in window), max(p - ceil for p in window))
     reports.append(corridor)
     losing = _RefReport("drop_down_losing")
     for k in range(m + 1, n):
         if vt.p(k + 1) < 0.5:
-            losing.record(k, ds.delta_at(k + 1), delta * ds.dbar(k - m))
+            losing.record(k, dk[k + 1], delta * bar[k - m])
     every = _RefReport("drop_down_2m")
     for k in range(2 * m + 1, n):
-        every.record(k, ds.delta_at(k + 1), delta * ds.dbar(k - 2 * m))
+        every.record(k, dk[k + 1], delta * bar[k - 2 * m])
     block = _RefReport("drop_down_3m")
     for k in range(3 * m + 1, n + 1):
-        block.record(k, ds.dbar(k), delta * ds.dbar(k - 3 * m))
+        block.record(k, bar[k], delta * bar[k - 3 * m])
     reports += [losing, every, block]
     plus = _RefReport("plus_minus")
     for k in range(1, n):
-        plus.record(k, max(0.0, vt.p(k + 1) - 0.5), ds.dbar_minus(k))
+        plus.record(k, max(0.0, vt.p(k + 1) - 0.5), bar_minus[k])
     envelope = _RefReport("envelope")
     for k in range(1, n + 1):
-        envelope.record(k, ds.dbar(k), 0.5 * delta ** ((k - 1) // (3 * m)))
+        envelope.record(k, bar[k], 0.5 * delta ** ((k - 1) // (3 * m)))
     reports += [plus, envelope]
     return reports
 
@@ -543,7 +553,7 @@ def _members(report, period):
 
 def _assert_matches_reference(vt, ds, cond, dc, kappa_grid=(0.1, 0.3, 0.5, 0.7, 0.9)):
     got = run_checks(ds, dc, kappa_grid)
-    want = _reference_checks(vt, ds, cond.nu, dc, kappa_grid)
+    want = _reference_checks(vt, cond.nu, dc, kappa_grid)
     assert [r.summary() for r in got] == [r.summary() for r in want]
     for g, w in zip(got, want):
         assert _members(g, vt.period) == sorted(w.checked_k)

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -18,21 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bachet_lottery
-from bachet_lottery import (
-    GameSpec,
-    LotterySet,
-    analysis,
-    deviation_series,
-    finite_set,
-    solve,
-    truncated_simplex,
-    validate_lottery,
-)
-from bachet_lottery import cli, engine
+from bachet_lottery import GameSpec, deviation_series, finite_set, solve, truncated_simplex
+from bachet_lottery import analysis, cli, engine
 from bachet_lottery.analysis import DeviationSeries
 from bachet_lottery.cli import _envelopes, _values_csv, run
 from bachet_lottery.engine import fold
 from bachet_lottery.errors import ConfigError, DegenerateSetError, InvalidEtaNuError, LotteryError
+from bachet_lottery.lotteries import LotterySet, validate_lottery
 from test_acceptance import VERIFY_GAMES
 
 HALF_GAME = {"n": 6, "m": 2, "K": {"type": "finite", "lotteries": [[0.5, 0.5]]}}
@@ -43,6 +36,9 @@ SERIES_GAME = {"n": 4 * 10**6, "m": 3, "K": {"type": "truncated_simplex", "epsil
 SERIES_CAP = 300 << 20
 # a game of 1e15 pile sizes, the same set
 HUGE_GAME = {**SERIES_GAME, "n": 10**15}
+# a game of 1e15 pile sizes whose recursion does not repeat before memory
+# runs out
+ENDLESS_GAME = {"n": 10**15, "m": 3, "K": {"type": "truncated_simplex", "epsilon": [1e-9] * 3}}
 # sizes that are integers and reals, but past the table bound
 PAST_THE_BOUND = [cli.MAX_TABLE, 2**63, 2**64]
 EACH_PAST_THE_BOUND = pytest.mark.parametrize("value", PAST_THE_BOUND,
@@ -851,6 +847,58 @@ class TestConfigErrors:
         assert capsys.readouterr().err == (
             "error: sweep.n_values[1]: 1000000000000000 pile sizes do not fit in memory\n"
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("solve", {"game": ENDLESS_GAME, "tau": -1}),
+            ("verify", {"game": ENDLESS_GAME, "tau": -1}),
+            ("sweep", {"game": {"m": 3, "K": ENDLESS_GAME["K"]}, "sweep": {"n_values": [10**15]},
+                       "tau": -1}),
+            # a tau in the first set's interval, not in the second's
+            ("sweep", {"game": {"n": 10**15, "m": 3},
+                       "sweep": {"epsilon_values": [1e-9, 0.2]}, "tau": 1.5}),
+        ],
+        ids=["solve", "verify", "n-sweep", "epsilon-sweep"],
+    )
+    def test_tau_out_of_range_exits_before_the_recursion(self, tmp_path, command, payload):
+        # were tau checked after the loop, this cap would stop the loop
+        # after seconds, with an error on game.n; without a cap it would run
+        # until the process was killed
+        t0 = time.perf_counter()
+        proc = run_capped(tmp_path, command, payload, 800 << 20)
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: tau: ")
+        assert "Traceback" not in proc.stderr
+        assert elapsed < 1.0, f"exit after {elapsed:.2f} s"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("solve", {"game": TRUNC_GAME, "tau": 5.0}, "tau: tau=5.0 outside "),
+            ("verify", {"game": TRUNC_GAME, "tau": 5.0}, "tau: tau=5.0 outside "),
+            ("solve", {"game": DEGENERATE_GAME}, "game.K: derived delta=1.0 "),
+            ("sweep", {"game": {"n": 50, "m": 3}, "sweep": {"epsilon_values": [0.05, 0.2]},
+                       "tau": 1.0}, "tau: tau=1.0 outside "),
+            # with sound constants the recursion's fault is the one named
+            ("verify", {"game": TRUNC_GAME}, "game.n: 2000 pile sizes do not fit in memory"),
+        ],
+        ids=["solve-tau", "verify-tau", "solve-delta", "sweep-tau", "verify-sound"],
+    )
+    def test_constants_fault_named_before_the_recursions(self, tmp_path, capsys, monkeypatch,
+                                                         command, payload, message):
+        # a config with two faults, bad drop constants and a recursion that
+        # does not fit: the constants are worked out first, so theirs is named
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve", no_memory)
+        monkeypatch.setattr(cli, "values_at", no_memory)
+        assert run(command, write_config(tmp_path, payload), output=tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_sweep_huge_n_exit_zero(self, tmp_path):

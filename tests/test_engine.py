@@ -9,18 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from bachet_lottery import (
     GameSpec,
-    LotterySet,
     SimConfig,
     finite_set,
     one_shot_deviation_gap,
     payoff_kernel,
     solve,
     truncated_simplex,
-    validate_lottery,
 )
 from bachet_lottery import cli, engine
 from bachet_lottery.engine import TIE_TOL
 from bachet_lottery.errors import DegenerateSetError
+from bachet_lottery.lotteries import LotterySet, validate_lottery
 from test_acceptance import other_tie_breaks, replayed_values, tie_break
 from test_cli import WRITER_SETS, finite_games
 from test_oracles import _reference_gap, _with_picks

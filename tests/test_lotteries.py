@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bachet_lottery import (
-    GameSpec,
-    candidate_set,
-    compute_conditions,
-    finite_set,
-    solve,
-    truncated_simplex,
-    validate_lottery,
-)
+from bachet_lottery import GameSpec, compute_conditions, finite_set, solve, truncated_simplex
 from bachet_lottery import lotteries
+from bachet_lottery.lotteries import candidate_set, validate_lottery
 from bachet_lottery.errors import (
     DegenerateSetError,
     NegativeEntryError,

@@ -11,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from bachet_lottery import (
     GameSpec,
-    LotterySet,
     SimConfig,
-    SimResult,
     brute_force_values,
     estimate_win_prob,
     finite_set,
@@ -21,12 +19,11 @@ from bachet_lottery import (
     payoff_kernel,
     solve,
     truncated_simplex,
-    validate_lottery,
 )
 from bachet_lottery import engine
 from bachet_lottery.errors import InstanceTooLargeError
-from bachet_lottery.lotteries import SUM_TOL
-from bachet_lottery.oracles import draw_stream
+from bachet_lottery.lotteries import SUM_TOL, LotterySet, validate_lottery
+from bachet_lottery.oracles import SimResult, draw_stream
 
 HALF = finite_set([[0.5, 0.5]])
 

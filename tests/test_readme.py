@@ -1,13 +1,17 @@
 """The README's user contract against the code: the CSV headers it shows,
-the commands it lists, the package names and source paths it cites."""
+the commands it lists, the package names and source paths it cites, and
+the names the package root exports."""
+import ast
 import importlib
 import re
 from pathlib import Path
 
+import bachet_lottery
 from bachet_lottery import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PACKAGE = ROOT / "src" / "bachet_lottery"
 MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 HEADERS = {
@@ -75,6 +79,35 @@ def module_line(text: str, module: str) -> str:
     return entry
 
 
+def root_names(text: str) -> list[str]:
+    """The backticked names that the ``Modules`` entry of the package root
+    says it exports, in order."""
+    (entry,) = re.findall(r"^- `bachet_lottery`, the package root, exports (.*?)(?=^- )",
+                          text, re.M | re.S)
+    return re.findall(r"`(\w+)`", entry)
+
+
+def root_imports(source: str) -> set[str]:
+    """The names that ``from bachet_lottery import ...`` takes in the source."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "bachet_lottery"
+            and node.level == 0 for alias in node.names}
+
+
+def test_root_names_are_the_exports():
+    assert root_names(README) == bachet_lottery.__all__
+
+
+def test_exports_are_bound():
+    assert [name for name in bachet_lottery.__all__ if not hasattr(bachet_lottery, name)] == []
+
+
+def test_demos_import_exports_only():
+    assert DEMOS
+    for demo in DEMOS:
+        assert root_imports(demo.read_text()) <= set(bachet_lottery.__all__), demo.name
+
+
 def test_engine_entry_names_the_sweeps_read_path():
     assert "`engine.values_at`" in module_line(README, "engine")
 
@@ -89,3 +122,13 @@ def test_checks_catch_a_perturbed_readme():
     assert unresolved(package_names(misspelled)) == ["engine.fould"]
     renamed = README.replace("`engine.values_at`", "`engine.values`", 1)
     assert "`engine.values_at`" not in module_line(renamed, "engine")
+    # one export dropped from the root's entry, one added
+    dropped = README.replace("`run_checks`, ", "", 1)
+    assert dropped != README
+    assert root_names(dropped) != bachet_lottery.__all__
+    added = README.replace("`solve` and", "`solve`, `fold` and", 1)
+    assert added != README
+    assert root_names(added) != bachet_lottery.__all__
+    # a demo that imports a name the root does not export
+    demo = DEMOS[0].read_text().replace("    GameSpec,\n", "    GameSpec,\n    ValueTable,\n", 1)
+    assert not root_imports(demo) <= set(bachet_lottery.__all__)
