@@ -453,7 +453,7 @@ def _cmd_sweep(cfg: dict, out: Path) -> int:
         raise ConfigError("sweep: needs n_values or epsilon_values")
 
     tau = _parse_tau(cfg)
-    # every run's constants before the first run of the loop
+    # every run's constants first, so a bad tau exits before any recursion
     dcs = [_drop_constants(cond, tau, k_field) for _, cond, _, k_field, _ in runs]
     lines = [SWEEP_HEADER]
     for (spec, cond, n_field, _, ns), dc in zip(runs, dcs):
